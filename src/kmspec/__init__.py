@@ -1,17 +1,16 @@
 """Executable constructions and numerical certificates for prescribed KMS
 spectra of group actions."""
 
-from .blocks import (ConformalityReport, CylinderFunction, FiniteConformalBlock,
-                     FiniteGroupTable, ProbVector, TruncatedProductSystem,
-                     check_conformality, cohomologous_transform,
-                     conformal_weights, integrate_potential, product_measure)
+from .blocks import (ConformalityReport, FiniteConformalBlock, FiniteGroupTable,
+                     ProbVector, TruncatedProductSystem, check_conformality,
+                     cohomologous_transform, conformal_weights,
+                     integrate_potential, product_measure)
 from .errors import (ConstructionError, ConvergenceError, DomainError,
                      EnumerationError, FitFailureError, FreenessViolationError,
                      InvalidInputError, KmspecError, QuadratureError,
-                     RealizationError, UnsupportedGeneratorError,
-                     VerificationError, WindowError)
+                     RealizationError, UnsupportedGeneratorError, WindowError)
 from .expratio import (ExpSumRatio, PartitionedBlockSystem, WeightedMultiset,
-                       approximate_unit, eval_ratio, fit_c0, realize_block)
+                       approximate_unit, fit_c0, realize_block)
 from .growth import (BallCensus, CocycleModel, DefectCertificate, MeasureNet,
                      WordMetricGroup, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu)
@@ -23,8 +22,7 @@ from .realize import (FractionPair, RealizableCocycle, StageBlock,
                       ratio_bound)
 from .sets import ClosedSetSpec
 from .spectra import (FreeProductSystem, SpectrumReport, WreathSystem,
-                      assemble_free_product, assemble_wreath,
-                      dummy_extension_check, shift_rn_derivative,
+                      assemble_free_product, shift_rn_derivative,
                       solve_free_product_spectrum, solve_spectrum,
                       target_phi_from_set, theta_rn_derivative)
 

@@ -1,0 +1,32 @@
+"""The scalar/array convention shared by every evaluator of beta.
+
+An evaluator takes beta as its last positional argument: a float, a 0-d
+array or an array.  Its body always sees a finite float array of at least
+one dimension; a scalar or 0-d beta gives a Python float back, an array the
+body's array.  Non-finite beta raises InvalidInputError.
+"""
+
+import functools
+
+import numpy as np
+
+from .errors import InvalidInputError
+
+
+def _as_array(beta):
+    arr = np.atleast_1d(np.asarray(beta, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("beta must be finite")
+    return arr
+
+
+def scalar_or_array(fn):
+    """Decorate fn(*args, betas) -> array with the module's convention."""
+
+    @functools.wraps(fn)
+    def evaluator(*args):
+        *head, beta = args
+        out = fn(*head, _as_array(beta))
+        return float(out[0]) if np.ndim(beta) == 0 else out
+
+    return evaluator

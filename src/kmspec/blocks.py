@@ -7,7 +7,7 @@ the normalized beta-th power of mu; everything downstream is built from these
 blocks and their finite products.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
@@ -258,28 +258,6 @@ def check_conformality(system: TruncatedProductSystem,
             if defect > max_defect:
                 max_defect = defect
     return ConformalityReport(max_defect=max_defect, tol=tol)
-
-
-@dataclass(frozen=True)
-class CylinderFunction:
-    """A function on a product space depending on finitely many coordinates."""
-
-    window: Tuple[int, ...]
-    shape: Tuple[int, ...]
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.shape != tuple(self.shape):
-            raise InvalidInputError("table shape does not match window shape")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "window", tuple(self.window))
-        object.__setattr__(self, "shape", tuple(self.shape))
-
-    def __call__(self, configuration: Sequence[int]) -> float:
-        idx = tuple(configuration[i] for i in self.window)
-        return float(self.table[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ Timings go to a separate sidecar file that is excluded from the manifest.
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ._arrays import scalar_or_array
 from .errors import InvalidInputError, KmspecError
-from .expratio import _as_array
 from .growth import (CocycleModel, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu,
                      uniquely_ergodic_classifier)
@@ -101,10 +101,9 @@ def run_build_spectrum(config: dict):
         stages = int(config.get("stages", 2))
         phi = target_phi_from_set(K, t)
 
-        def zeta(beta):
-            bts = _as_array(beta)
-            vals = np.asarray(K.distance(bts), dtype=float) / (2.0 * (1.0 + bts ** 2))
-            return float(vals[0]) if np.asarray(beta).ndim == 0 else vals
+        @scalar_or_array
+        def zeta(bts):
+            return np.asarray(K.distance(bts), dtype=float) / (2.0 * (1.0 + bts ** 2))
 
         cocycle = build_realizable(zeta, a=t, stages=stages,
                                    r_max=max(r_max, 20.0), grid_n=grid_n)
@@ -270,25 +269,43 @@ def emit(out_dir: str, artifacts: Dict[str, str], elapsed: float):
     (out / "timings.txt").write_text(f"elapsed_seconds {elapsed:.3f}\n")
 
 
+def _first_differing_line(a: str, b: str) -> int:
+    """1-based number of the first line where two different texts part."""
+    pairs = zip_longest(a.splitlines(keepends=True), b.splitlines(keepends=True))
+    return next(n for n, (x, y) in enumerate(pairs, start=1) if x != y)
+
+
 def cmd_verify(manifest_path: str) -> int:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"FAIL integrity: cannot read manifest: {exc}")
+        names = sorted(manifest["artifacts"])
+        config = manifest["config"]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        print(f"FAIL integrity: cannot read manifest: {exc!r}")
         return 1
     base = path.parent
-    for name in manifest["artifacts"]:
+    for name in names:
         if not (base / name).exists():
             print(f"FAIL integrity: missing artifact {name}")
             return 1
-    artifacts, fresh = execute(manifest["config"])
-    for name in sorted(manifest["artifacts"]) + ["manifest.json"]:
+    try:
+        artifacts, fresh = execute(config)
+    except (KmspecError, KeyError, TypeError, ValueError) as exc:
+        print(f"FAIL certificate replay: the stored config does not run: {exc!r}")
+        return 1
+    for name in names + ["manifest.json"]:
+        if name not in artifacts:
+            print(f"FAIL certificate replay: {name} is not an artifact of the "
+                  "stored config")
+            return 1
         stored = (base / name).read_text()
         if stored != artifacts[name]:
-            print(f"FAIL certificate replay: {name} diverges from stored copy")
+            line = _first_differing_line(stored, artifacts[name])
+            print(f"FAIL certificate replay: {name} line {line} diverges from "
+                  "stored copy")
             return 1
     if not fresh["passed"]:
         failed = [c["name"] for c in fresh["certificates"] if not c["passed"]]

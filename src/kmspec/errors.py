@@ -51,7 +51,3 @@ class WindowError(KmspecError):
 
 class FreenessViolationError(KmspecError):
     """A nonempty reduced word evaluated to the identity; signals a bug."""
-
-
-class VerificationError(KmspecError):
-    """A stored certificate failed to replay."""

@@ -17,19 +17,12 @@ from scipy.integrate import quad
 from scipy.optimize import nnls
 from scipy.special import logsumexp
 
-from .blocks import ProbVector
+from ._arrays import _as_array, scalar_or_array
 from .errors import (FitFailureError, InvalidInputError, QuadratureError,
                      RealizationError)
 
 LN2 = math.log(2.0)
 _CHUNK = 512  # beta-grid chunk for grouped power sums (bounds peak memory)
-
-
-def _as_array(beta):
-    arr = np.atleast_1d(np.asarray(beta, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("beta must be finite")
-    return arr
 
 
 class WeightedMultiset:
@@ -94,10 +87,6 @@ class WeightedMultiset:
                                           axis=1)
         return out
 
-    def mass(self) -> float:
-        """sum count * w as a float (beta = 1 power sum)."""
-        return float(math.fsum(c * b for b, c in self.items.items()))
-
 
 class ExpSumRatio:
     """r(beta) = sum c_i a_i^beta / sum d_j b_j^beta with dominating denominator bases."""
@@ -130,18 +119,11 @@ class ExpSumRatio:
             self._dlb = np.log([b for _, b in denom])
         self.certificate = None
 
-    def __call__(self, beta):
-        betas = _as_array(beta)
+    @scalar_or_array
+    def __call__(self, betas):
         ln = logsumexp(self._nlc[None, :] + betas[:, None] * self._nlb[None, :], axis=1)
         ld = logsumexp(self._dlc[None, :] + betas[:, None] * self._dlb[None, :], axis=1)
-        out = np.exp(ln - ld)
-        return float(out[0]) if np.isscalar(beta) or np.asarray(beta).ndim == 0 else out
-
-    def tail_limit(self, sign: int) -> float:
-        """Limit at beta -> sign * infinity; identically 0 by the dominance invariant."""
-        if sign not in (1, -1):
-            raise InvalidInputError("sign must be +1 or -1")
-        return 0.0
+        return np.exp(ln - ld)
 
     def tail_sup_bound(self, r_max: float) -> float:
         """Certified bound on sup |r(beta)| over |beta| >= r_max.
@@ -195,10 +177,6 @@ class ExpSumRatio:
         return cls(pairs[0], pairs[1])
 
 
-def eval_ratio(r: ExpSumRatio, beta: float) -> float:
-    return r(beta)
-
-
 # ---------------------------------------------------------------------------
 # Approximate unit
 
@@ -220,10 +198,9 @@ def approximate_unit(n: int) -> Tuple[Callable, float]:
                               f"error estimate {err}")
     d_n = val
 
-    def phi(x):
-        xs = _as_array(x)
-        out = np.exp(-n * np.logaddexp(xs * LN2, -xs * LN2) - math.log(d_n))
-        return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    @scalar_or_array
+    def phi(xs):
+        return np.exp(-n * np.logaddexp(xs * LN2, -xs * LN2) - math.log(d_n))
 
     return phi, d_n
 
@@ -476,8 +453,6 @@ class PartitionedBlockSystem:
     direct_eta1: Callable
     direct_eta2: Callable
 
-    DENSE_CAP = 200_000
-
     def __post_init__(self):
         if self.size != sum(p.total() for p in self.parts):
             raise RealizationError("partition counts do not cover F")
@@ -488,33 +463,30 @@ class PartitionedBlockSystem:
     def _log_total(self, sums: List[np.ndarray]) -> np.ndarray:
         return logsumexp(np.stack(sums), axis=0)
 
-    def eta1(self, beta):
-        betas = _as_array(beta)
+    @scalar_or_array
+    def eta1(self, betas):
         s = self._log_part_sums(betas)
         logt = math.log(self.t)
-        out = np.exp(np.logaddexp(0.0, betas * logt) + s[0] - self._log_total(s))
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+        return np.exp(np.logaddexp(0.0, betas * logt) + s[0] - self._log_total(s))
 
-    def eta2(self, beta):
-        betas = _as_array(beta)
+    @scalar_or_array
+    def eta2(self, betas):
         s = self._log_part_sums(betas)
         logt = math.log(self.t)
-        out = np.exp(np.logaddexp(0.0, betas * logt) - betas * logt
-                     + s[1] - self._log_total(s))
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+        return np.exp(np.logaddexp(0.0, betas * logt) - betas * logt
+                      + s[1] - self._log_total(s))
 
     def zeta(self, beta):
         return self.eta1(beta) - self.eta2(beta)
 
-    def factor(self, beta):
+    @scalar_or_array
+    def factor(self, betas):
         """The realizable factor 1 + P_t(beta) * zeta(beta) = integral H^beta dmu_beta."""
-        betas = _as_array(beta)
         s = self._log_part_sums(betas)
         logt = math.log(self.t)
         num = logsumexp(np.stack([betas * logt + s[0], -betas * logt + s[1], s[2]]),
                         axis=0)
-        out = np.exp(num - self._log_total(s))
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+        return np.exp(num - self._log_total(s))
 
     def identity_residual(self, beta) -> float:
         """Max residual of the two defining identities over the given grid."""
@@ -529,22 +501,6 @@ class PartitionedBlockSystem:
         rhs1 = np.exp(s[0] - total)
         rhs2 = np.exp(s[1] - total)
         return float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
-
-    def mu_dense(self) -> ProbVector:
-        if self.size > self.DENSE_CAP:
-            raise InvalidInputError(f"F has {self.size} elements; dense cap is "
-                                    f"{self.DENSE_CAP}")
-        w = math.fsum(p.mass() for p in self.parts)
-        weights = []
-        for part in self.parts:
-            for b, c in sorted(part.items.items()):
-                weights.extend([b / w] * c)
-        return ProbVector(np.array(weights))
-
-    def mu_total(self) -> float:
-        logs = [float(p.log_power_sum(np.array([1.0]))[0]) for p in self.parts]
-        total = logsumexp(logs)
-        return float(math.fsum(math.exp(lp - total) for lp in logs))
 
 
 def _j_products(j: Optional[Sequence[int]], start: int):
@@ -758,18 +714,16 @@ def realize_block(f, t: float, epsilon: float,
 
     def _direct(numer: WeightedMultiset, rest: List[WeightedMultiset],
                 tail_count: int):
-        log_num = None
         parts = [numer.scaled(2)] + rest
 
-        def evaluator(beta):
-            bts = _as_array(beta)
+        @scalar_or_array
+        def evaluator(bts):
             ln = numer.log_power_sum(bts)
             stacked = [m.log_power_sum(bts) for m in parts]
             if tail_count > 0:
                 stacked.append(math.log(tail_count) - np.logaddexp(0.0, bts * logt))
             ld = logsumexp(np.stack(stacked), axis=0)
-            out = np.exp(ln - ld)
-            return float(out[0]) if np.asarray(beta).ndim == 0 else out
+            return np.exp(ln - ld)
 
         return evaluator
 

@@ -72,21 +72,11 @@ class WordMetricGroup:
             frontier = nxt
         return spheres
 
-    def word_length(self, g, n_max: int = 64) -> int:
-        for k, sphere in enumerate(self.spheres(n_max)):
-            if g in sphere:
-                return k
-        raise EnumerationError(f"element {g!r} beyond radius {n_max}")
-
 
 @dataclass(frozen=True)
 class BallCensus:
     counts: Tuple[int, ...]
     rates: Tuple[float, ...]
-
-    @property
-    def max_rate(self) -> float:
-        return max(self.rates) if self.rates else 1.0
 
 
 def ball_census(group: WordMetricGroup, n_max: int) -> BallCensus:

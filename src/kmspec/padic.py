@@ -13,8 +13,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import (EnumerationError, FreenessViolationError,
                      InvalidInputError)
 
-H_RANGE = range(-4, 5)   # shipped h_n index range; larger n on demand
-
 
 @dataclass(frozen=True)
 class Mat2:

@@ -13,30 +13,30 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import logsumexp
 
+from ._arrays import scalar_or_array
 from .blocks import FiniteConformalBlock, ProbVector
 from .errors import ConstructionError, InvalidInputError, RealizationError
-from .expratio import PartitionedBlockSystem, _as_array, realize_block
+from .expratio import PartitionedBlockSystem, realize_block
 
 
-def mobius_eval(a: float, beta):
+@scalar_or_array
+def mobius_eval(a: float, betas):
     """P(beta) = (a^beta - 1)/(a^beta + 1), an odd function with limits +-1."""
     if not a > 1.0:
         raise InvalidInputError("a must exceed 1")
-    betas = _as_array(beta)
-    out = np.tanh(betas * (math.log(a) / 2.0))
-    return float(out[0]) if np.asarray(beta).ndim == 0 else out
+    return np.tanh(betas * (math.log(a) / 2.0))
 
 
-def tanh_ratio(l1: float, l2: float, beta):
+@scalar_or_array
+def tanh_ratio(l1: float, l2: float, betas):
     """tanh(beta l1/2)/tanh(beta l2/2) continuously extended by l1/l2 at 0."""
-    betas = _as_array(beta)
     num = np.tanh(betas * (l1 / 2.0))
     den = np.tanh(betas * (l2 / 2.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), l1 / l2)
-    out = np.where(betas == 0.0, l1 / l2, r)
-    return float(out[0]) if np.asarray(beta).ndim == 0 else out
+    return np.where(betas == 0.0, l1 / l2, r)
 
 
 def ratio_bound(a_n: float, a_next: float, grid_n: int = 4001,
@@ -82,20 +82,17 @@ class RealizableCocycle:
     r_max: float
     grid_n: int
 
-    def factors(self, beta):
-        return [s.system.factor(beta) for s in self.stages]
-
     def identity_residual(self, beta) -> float:
         return max(s.system.identity_residual(beta) for s in self.stages)
 
 
-def eval_phi(cocycle: RealizableCocycle, beta):
+@scalar_or_array
+def eval_phi(cocycle: RealizableCocycle, betas):
     """Product over blocks of the per-block conformal integral of H^beta."""
-    betas = _as_array(beta)
     out = np.ones_like(betas)
     for stage in cocycle.stages:
         out = out * stage.system.factor(betas)
-    return float(out[0]) if np.asarray(beta).ndim == 0 else out
+    return out
 
 
 def build_realizable(zeta: Callable, a: float, stages: int,
@@ -163,12 +160,11 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         l_k = math.log(a_k)
         l_next = math.log(base_schedule[k])
 
-        def next_res(beta, prev=res, sys_k=system, l1=l_k, l2=l_next):
-            bts = _as_array(beta)
-            vals = (tanh_ratio(l1, l2, bts)
+        @scalar_or_array
+        def next_res(bts, prev=res, sys_k=system, l1=l_k, l2=l_next):
+            return (tanh_ratio(l1, l2, bts)
                     * (np.asarray(prev(bts), dtype=float) - sys_k.zeta(bts))
                     / sys_k.factor(bts))
-            return float(vals[0]) if np.asarray(beta).ndim == 0 else vals
 
         res = next_res
 
@@ -275,13 +271,14 @@ def fraction_pair(K, k: int, Lambda0_order: int,
                                     "beta >= delta inequalities")
 
     la, lb, lc = math.log(a), math.log(b), math.log(c)
+    # term lists shared by the evaluators below
+    q_numer = [(2.0 * (k - 1), lb), (l * (1.0 - 1.0 / k), lc)]
+    block_sum = [(1.0, 0.0), (2.0 * (k - 1), lb), (1.0, la), (float(l), lc)]
+    k_sum = [(float(k), 0.0), (float(k), la), (float(l), lc)]
 
-    def bump(beta):
-        betas = _as_array(beta)
-        out = np.maximum(0.0, 1.0 - np.asarray(K.distance(betas), dtype=float))
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
-
-    from scipy.special import logsumexp
+    @scalar_or_array
+    def bump(betas):
+        return np.maximum(0.0, 1.0 - np.asarray(K.distance(betas), dtype=float))
 
     def _lse(betas, terms):
         # terms: list of (coefficient, log base); skip zero coefficients
@@ -294,55 +291,45 @@ def fraction_pair(K, k: int, Lambda0_order: int,
             th = np.tanh(betas * (la / 2.0))
             return np.where(th != 0.0, 1.0 / np.where(th != 0.0, th, 1.0), np.inf)
 
-    def q1(beta):
-        betas = _as_array(beta)
-        num = _lse(betas, [(2.0 * (k - 1), lb), (l * (1.0 - 1.0 / k), lc)])
-        den = _lse(betas, [(1.0, 0.0), (2.0 * (k - 1), lb), (1.0, la), (float(l), lc)])
+    @scalar_or_array
+    def q1(betas):
+        num = _lse(betas, q_numer)
+        den = _lse(betas, block_sum)
         with np.errstate(over="ignore", invalid="ignore"):
             out = -np.exp(num - den) * coth_half(betas)
-        out = np.where(betas == 0.0, np.inf, out)
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+        return np.where(betas == 0.0, np.inf, out)
 
-    def q2(beta):
-        betas = _as_array(beta)
-        num = _lse(betas, [(2.0 * (k - 1), lb), (l * (1.0 - 1.0 / k), lc)])
+    @scalar_or_array
+    def q2(betas):
+        num = _lse(betas, q_numer)
         den = _lse(betas, [(1.0, 0.0), (1.0, la), (l / k, lc)])
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.exp(num - den) * coth_half(betas)
-        out = np.where(betas == 0.0, np.inf, out)
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+        return np.where(betas == 0.0, np.inf, out)
 
     def make_zeta(q):
-        def zeta(beta):
-            betas = _as_array(beta)
+        @scalar_or_array
+        def zeta(betas):
             vals = clamp_f(q(betas)) * bump(betas)
-            vals = np.where(betas == 0.0, 0.0, vals)
-            return float(vals[0]) if np.asarray(beta).ndim == 0 else vals
+            return np.where(betas == 0.0, 0.0, vals)
         return zeta
 
     zeta1 = make_zeta(q1)
     zeta2 = make_zeta(q2)
 
-    def prefactor1(beta):
-        betas = _as_array(beta)
-        num = _lse(betas, [(1.0, 0.0), (2.0 * (k - 1), lb), (1.0, la), (float(l), lc)])
-        den = _lse(betas, [(float(k), 0.0), (float(k), la), (float(l), lc)])
-        out = np.exp(num - den)
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+    @scalar_or_array
+    def prefactor1(betas):
+        return np.exp(_lse(betas, block_sum) - _lse(betas, k_sum))
 
-    def prefactor2(beta):
-        betas = _as_array(beta)
-        num = _lse(betas, [(float(k), 0.0), (float(k), la), (float(l), lc)])
-        den = _lse(betas, [(1.0, 0.0), (2.0 * (k - 1), lb), (1.0, la), (float(l), lc)])
-        out = np.exp(num - den)
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+    @scalar_or_array
+    def prefactor2(betas):
+        return np.exp(_lse(betas, k_sum) - _lse(betas, block_sum))
 
     def make_phi(prefactor, zeta):
-        def phi(beta):
-            betas = _as_array(beta)
-            vals = prefactor(betas) * (1.0 + np.tanh(betas * (la / 2.0))
+        @scalar_or_array
+        def phi(betas):
+            return prefactor(betas) * (1.0 + np.tanh(betas * (la / 2.0))
                                        * zeta(betas))
-            return float(vals[0]) if np.asarray(beta).ndim == 0 else vals
         return phi
 
     pair = FractionPair(k=k, block_order=Lambda0_order, delta=delta,

@@ -1,11 +1,12 @@
 """Closed subsets of the line given by finitely many intervals and points."""
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
+from ._arrays import scalar_or_array
 from .errors import InvalidInputError
 
 
@@ -37,8 +38,8 @@ class ClosedSetSpec:
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "points", pts)
 
-    def distance(self, beta):
-        betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    @scalar_or_array
+    def distance(self, betas):
         d = np.full_like(betas, np.inf)
         for lo, hi in self.intervals:
             # distance to [lo, hi] is max(lo - beta, beta - hi, 0)
@@ -46,7 +47,7 @@ class ClosedSetSpec:
                 [lo - betas, betas - hi, np.zeros_like(betas)]))
         for p in self.points:
             d = np.minimum(d, np.abs(betas - p))
-        return float(d[0]) if np.asarray(beta).ndim == 0 else d
+        return d
 
     def contains(self, beta, tol: float = 0.0) -> bool:
         return bool(self.distance(float(beta)) <= tol)
@@ -59,10 +60,7 @@ class ClosedSetSpec:
     def from_config(cls, spec: dict) -> "ClosedSetSpec":
         """Parse {"intervals": [[lo, hi], ...], "points": [p, ...]} with
         decimal-string numerics; "inf"/"-inf" are accepted as endpoints."""
-        def num(s):
-            return float(s)
-
-        intervals = tuple((num(lo), num(hi))
+        intervals = tuple((float(lo), float(hi))
                           for lo, hi in spec.get("intervals", []))
-        points = tuple(num(p) for p in spec.get("points", []))
+        points = tuple(float(p) for p in spec.get("points", []))
         return cls(intervals=intervals, points=points)

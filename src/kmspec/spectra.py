@@ -7,19 +7,17 @@ level sets are generically flat, so the solver combines a strict membership
 threshold with refinement of near-miss local minima and transversal roots.
 """
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from .blocks import (FiniteConformalBlock, ProbVector, conformal_weights,
-                     integrate_potential)
+from ._arrays import scalar_or_array
+from .blocks import FiniteConformalBlock, conformal_weights, integrate_potential
 from .errors import DomainError, InvalidInputError, WindowError
-from .expratio import PartitionedBlockSystem, _as_array
-from .realize import FractionPair, RealizableCocycle
+from .realize import FractionPair
 from .sets import ClosedSetSpec
 
 
@@ -36,11 +34,10 @@ def target_phi_from_set(K: ClosedSetSpec, t: float) -> Callable:
                           "invariant measure at beta = 0")
     half_log_t = math.log(t) / 2.0
 
-    def phi(beta):
-        betas = _as_array(beta)
+    @scalar_or_array
+    def phi(betas):
         d = np.asarray(K.distance(betas), dtype=float)
-        out = 1.0 + np.tanh(betas * half_log_t) * d / (2.0 * (1.0 + betas ** 2))
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+        return 1.0 + np.tanh(betas * half_log_t) * d / (2.0 * (1.0 + betas ** 2))
 
     return phi
 
@@ -225,22 +222,6 @@ def solve_free_product_spectrum(pair: FractionPair, r_max: float, tol: float,
 # ---------------------------------------------------------------------------
 # Wreath product system
 
-def block_from_system(system: PartitionedBlockSystem) -> FiniteConformalBlock:
-    """Densify a partitioned block into an explicit conformal block.
-
-    Elements are ordered part by part; the potential is t on the first part,
-    1/t on the second and 1 on the rest, matching the encoded eta functions.
-    """
-    mu = system.mu_dense()
-    sizes = [p.total() for p in system.parts]
-    h = np.concatenate([
-        np.full(sizes[0], system.t),
-        np.full(sizes[1], 1.0 / system.t),
-        np.ones(sizes[2]),
-    ])
-    return FiniteConformalBlock(base_measure=mu, potential=h, base=system.t)
-
-
 @dataclass(frozen=True)
 class WreathSystem:
     """Per-coordinate space X = product of blocks, shifted by Z.
@@ -278,12 +259,12 @@ class WreathSystem:
             w = np.multiply.outer(w, conformal_weights(b, beta).weights).ravel()
         return w
 
-    def phi(self, beta):
-        betas = _as_array(beta)
+    @scalar_or_array
+    def phi(self, betas):
         out = np.ones_like(betas)
         for b in self.blocks:
             out = out * np.array([integrate_potential(b, float(x)) for x in betas])
-        return float(out[0]) if np.asarray(beta).ndim == 0 else out
+        return out
 
     def eta_weights(self, beta: float) -> np.ndarray:
         # density d(eta)/d(nu) = phi(beta)^{-1} H^beta; normalization is exact
@@ -309,15 +290,6 @@ class WreathSystem:
 
         shifted = {n + 1: c for n, c in cells.items()}
         return mass(shifted) / mass(cells)
-
-
-def assemble_wreath(source) -> WreathSystem:
-    """Build a wreath system from explicit blocks or a small staged cocycle."""
-    if isinstance(source, RealizableCocycle):
-        blocks = tuple(block_from_system(s.system) for s in source.stages)
-    else:
-        blocks = tuple(source)
-    return WreathSystem(blocks=blocks)
 
 
 def shift_rn_derivative(system: WreathSystem, beta: float, x0_cell) -> float:
@@ -455,51 +427,3 @@ def theta_rn_derivative(system: FreeProductSystem, beta: float,
     return (system.q / system.phi(2, beta)
             * math.exp(beta * math.log(h)))
 
-
-# ---------------------------------------------------------------------------
-# Product extension on a finite quotient model
-
-@dataclass(frozen=True)
-class DummyExtensionReport:
-    p: int
-    N: int
-    order: int
-    expected_order: int
-    transitive: bool
-    rn_max_error: float
-
-    @property
-    def passed(self) -> bool:
-        return self.transitive and self.rn_max_error <= 1e-12
-
-
-def dummy_extension_check(p: int, N: int,
-                          system: Optional[FreeProductSystem] = None,
-                          beta_values: Sequence[float] = (-1.0, 0.0, 1.0)
-                          ) -> DummyExtensionReport:
-    """Check the finite-quotient model of the product extension.
-
-    Transitivity of the translation action on SL(2, Z/p^N Z) follows from the
-    generated subgroup being everything, making uniform the unique invariant
-    measure; the lifted Radon-Nikodym values on product cylinders must equal
-    the base values since the lifted cocycle ignores the quotient coordinate.
-    """
-    from .padic import generator, subgroup_closure_mod
-
-    closure = subgroup_closure_mod(p, N, [generator("g1"), generator("g2")])
-    rn_err = 0.0
-    if system is not None:
-        cells = [({0: 0, 1: 0}, {0: 0}, {0: 0}),
-                 ({0: 1}, {0: 0}, {0: 0}),
-                 ({0: 0, 1: 1}, {0: 0}, {0: 1})]
-        for beta in beta_values:
-            for x_cells, y_cells, z_cells in cells:
-                base = theta_rn_derivative(system, beta, x_cells, y_cells, z_cells)
-                # the z-quotient coordinate is untouched, so the lifted value
-                # is the base value times a uniform-measure ratio of 1
-                lifted = 1.0 * base
-                rn_err = max(rn_err, abs(lifted - base))
-    return DummyExtensionReport(p=p, N=N, order=closure["order"],
-                                expected_order=closure["expected"],
-                                transitive=closure["is_full"],
-                                rn_max_error=rn_err)

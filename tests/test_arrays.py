@@ -1,0 +1,75 @@
+"""The scalar/array contract shared by the public beta evaluators."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kmspec.blocks import FiniteConformalBlock, ProbVector
+from kmspec.errors import InvalidInputError
+from kmspec.expratio import (ExpSumRatio, PartitionedBlockSystem,
+                             WeightedMultiset, approximate_unit)
+from kmspec.realize import (RealizableCocycle, StageBlock, eval_phi,
+                            fraction_pair, mobius_eval, tanh_ratio)
+from kmspec.sets import ClosedSetSpec
+from kmspec.spectra import WreathSystem, target_phi_from_set
+
+
+def _block_system():
+    parts = (WeightedMultiset({1.0: 1}), WeightedMultiset({2.0: 1}),
+             WeightedMultiset({0.5: 2}))
+    return PartitionedBlockSystem(size=4, t=2.0, parts=parts, n_factors=2,
+                                  j_used=(2, 2), achieved_error=0.0,
+                                  direct_eta1=None, direct_eta2=None)
+
+
+def _pair():
+    return fraction_pair(ClosedSetSpec(points=(-1.0, 2.0)), k=2, Lambda0_order=4,
+                         grid_n=2001, r_max=10.0)
+
+
+def _cocycle():
+    stage = StageBlock(index=1, a=2.0, epsilon=0.5, system=_block_system())
+    return RealizableCocycle(stages=(stage,), bases=(2.0,), certified_error=0.0,
+                             r_max=10.0, grid_n=2001)
+
+
+def _wreath():
+    block = FiniteConformalBlock(base_measure=ProbVector([0.25, 0.75]),
+                                 potential=np.array([1.5, 0.75]), base=2.0)
+    return WreathSystem(blocks=(block,))
+
+
+EVALUATORS = {
+    "mobius_eval": lambda: lambda b: mobius_eval(2.0, b),
+    "tanh_ratio": lambda: lambda b: tanh_ratio(1.0, 2.0, b),
+    "ExpSumRatio": lambda: ExpSumRatio(numer=[(1.0, 1.0)],
+                                       denom=[(2.0, 2.0), (2.0, 0.5)]),
+    "approximate_unit": lambda: approximate_unit(2)[0],
+    "target_phi_from_set": lambda: target_phi_from_set(
+        ClosedSetSpec(intervals=((-1.0, 1.0),)), 2.0),
+    "eval_phi": lambda: lambda b: eval_phi(_cocycle(), b),
+    "WreathSystem.phi": lambda: _wreath().phi,
+    "eta1": lambda: _block_system().eta1,
+    "eta2": lambda: _block_system().eta2,
+    "factor": lambda: _block_system().factor,
+    "distance": lambda: ClosedSetSpec(intervals=((3.0, math.inf),)).distance,
+}
+for _name in ("bump", "q1", "q2", "zeta1", "zeta2", "prefactor1", "prefactor2",
+              "phi1", "phi2"):
+    EVALUATORS[f"fraction_pair.{_name}"] = (
+        lambda name=_name: getattr(_pair(), name))
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_scalar_array_contract(name):
+    fn = EVALUATORS[name]()
+    for scalar in (0.7, np.array(0.7)):
+        value = fn(scalar)
+        assert type(value) is float
+    array = fn(np.array([0.7]))
+    assert isinstance(array, np.ndarray) and array.shape == (1,)
+    assert array[0] == value
+    for bad in (math.nan, math.inf, -math.inf, np.array([0.0, math.inf])):
+        with pytest.raises(InvalidInputError):
+            fn(bad)

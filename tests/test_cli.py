@@ -109,13 +109,35 @@ def test_determinism_byte_identical(tmp_path):
         assert first == second
 
 
-def test_verify_detects_tampering(tmp_path, capsys):
+def _tamper_report(out):
+    report = out / "report.json"
+    report.write_text(report.read_text().replace("648", "649"))
+
+
+def _tamper_manifest(out, edit):
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(canonical_json(manifest))
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_tamper_report, "report.json line "),
+    (lambda out: _tamper_manifest(
+        out, lambda m: m["artifacts"].append("timings.txt")),
+     "timings.txt is not an artifact"),
+    (lambda out: _tamper_manifest(out, lambda m: m["config"].update(p=4)),
+     "the stored config does not run"),
+], ids=["artifact-line", "listed-sidecar", "config"])
+def test_verify_detects_tampering(tmp_path, capsys, tamper, message):
     path = write_cfg(tmp_path, PADIC_CFG)
     out = tmp_path / "out"
     assert main(["padic", "--config", path, "--out", str(out)]) == 0
-    report = out / "report.json"
-    report.write_text(report.read_text().replace("648", "649"))
+    capsys.readouterr()
+    tamper(out)
     assert main(["verify", "--config", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL") and message in printed
 
 
 def test_overrides_change_hash(tmp_path):

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from kmspec.errors import FitFailureError, InvalidInputError
 from kmspec.expratio import (ExpSumRatio, TranslatedKernelBasis,
-                             WeightedMultiset, approximate_unit, eval_ratio,
-                             fit_c0, realize_block)
+                             WeightedMultiset, approximate_unit, fit_c0,
+                             realize_block)
 
 BETAS = np.linspace(-10.0, 10.0, 2001)
 
@@ -154,4 +154,4 @@ def test_realize_block_zero_target():
 
 def test_eval_ratio_scalar():
     r = ExpSumRatio(numer=[(1.0, 1.0)], denom=[(2.0, 2.0), (2.0, 0.5)])
-    assert abs(eval_ratio(r, 0.0) - 0.25) < 1e-15
+    assert abs(r(0.0) - 0.25) < 1e-15

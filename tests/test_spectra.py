@@ -9,10 +9,9 @@ from kmspec.errors import DomainError, WindowError
 from kmspec.realize import fraction_pair
 from kmspec.sets import ClosedSetSpec
 from kmspec.spectra import (FreeProductSystem, WreathSystem,
-                            assemble_free_product, dummy_extension_check,
-                            shift_rn_derivative, solve_free_product_spectrum,
-                            solve_spectrum, target_phi_from_set,
-                            theta_rn_derivative)
+                            assemble_free_product, shift_rn_derivative,
+                            solve_free_product_spectrum, solve_spectrum,
+                            target_phi_from_set, theta_rn_derivative)
 
 RNG = np.random.default_rng(7)
 
@@ -169,10 +168,3 @@ def test_theta_window_errors():
 def test_partition_masses_sum_to_one():
     system = build_free_system()
     assert abs(sum(system.partition_masses()) - 1.0) < 1e-15
-
-
-def test_dummy_extension_check():
-    system = build_free_system()
-    report = dummy_extension_check(3, 1, system)
-    assert report.passed
-    assert report.order == report.expected_order == 24
