@@ -30,3 +30,20 @@ def scalar_or_array(fn):
         return float(out[0]) if np.ndim(beta) == 0 else out
 
     return evaluator
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along axis, shifted by the maximum so that no term
+    overflows and the largest one is exactly 1 (Blanchard, Higham & Higham,
+    IMA J. Numer. Anal. 2021).  A slice that is all -inf gives -inf."""
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    terms = a - shift
+    np.exp(terms, out=terms)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(terms, axis=axis, keepdims=True))
+    out += shift
+    if axis is None:
+        return out.reshape(())[()]
+    return np.squeeze(out, axis=axis)

@@ -13,8 +13,8 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._arrays import logsumexp
 from .errors import InvalidInputError, UnsupportedGeneratorError
 
 NORM_TOL = 1e-12       # accepted deviation of a probability vector from 1

@@ -108,6 +108,9 @@ def run_build_spectrum(config: dict):
         cocycle = build_realizable(zeta, a=t, stages=stages,
                                    r_max=max(r_max, 20.0), grid_n=grid_n)
         residual = cocycle.identity_residual(betas)
+        # each block keeps the part sums of its latest grid: evaluate psi on
+        # this grid before the scalar check at 0 replaces them
+        psi_vals = np.asarray(eval_phi(cocycle, betas), dtype=float)
         certificates.append(_cert("block-identity-residual",
                                   residual <= 1e-10, residual, 1e-10))
         budget = 2.0 ** (1 - stages)
@@ -124,7 +127,6 @@ def run_build_spectrum(config: dict):
         artifacts["samples.csv"] = _csv(
             [(float(b), float(v)) for b, v in zip(betas, phi_vals)],
             ("beta", "phi"))
-        psi_vals = np.asarray(eval_phi(cocycle, betas), dtype=float)
         artifacts["residuals.csv"] = _csv(
             [(float(b), float(abs(p - q)))
              for b, p, q in zip(betas, phi_vals, psi_vals)],

@@ -9,20 +9,23 @@ sums reproduce them identically.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import nnls
-from scipy.special import logsumexp
 
-from ._arrays import _as_array, scalar_or_array
+from ._arrays import _as_array, logsumexp, scalar_or_array
 from .errors import (FitFailureError, InvalidInputError, QuadratureError,
                      RealizationError)
 
 LN2 = math.log(2.0)
 _CHUNK = 512  # beta-grid chunk for grouped power sums (bounds peak memory)
+# bound on |(beta - c) u ln2| within one chunk of the batched design matrix:
+# every scaled sum then lies between e^-64 and (2m+1) e^64, far from float
+# overflow and underflow, so the scaling costs no accuracy
+_DESIGN_SCALE = 64.0
 
 
 class WeightedMultiset:
@@ -240,6 +243,8 @@ class FitCertificate:
 
 def _conv_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Polynomial multiplication of log-coefficient arrays: out = log(exp(x) * exp(y))."""
+    if x.size > y.size:
+        x, y = y, x    # loop over the shorter factor
     out = np.full(x.size + y.size - 1, -np.inf)
     for i in range(x.size):
         out[i:i + y.size] = np.logaddexp(out[i:i + y.size], x[i] + y)
@@ -284,37 +289,59 @@ class TranslatedKernelBasis:
         suffix.reverse()
         self.log_d = prefix[m]
         self.exp_d = np.arange(m, -m - 1, -2, dtype=float)
-        self._numer_logs: List[np.ndarray] = []
-        self._numer_exps: List[np.ndarray] = []
+        # every numerator and the denominator on the exponent lattice
+        # u = -m, ..., m (base 2^u): rows 0..m-1 hold the bumps, row m the
+        # denominator, -inf where a sum has no term.  The step is 1, not 2:
+        # an odd window leaves numerator exponents of the other parity.
+        self._lattice = np.arange(-m, m + 1, dtype=float)
+        logs = np.full((m + 1, 2 * m + 1), -np.inf)
         for i in range(m):
             lo = max(0, i - window + 1)
             hi = min(m - 1, i + window - 1)
-            log_a = _conv_log(prefix[lo], suffix[hi + 1])
             used = m - (hi - lo + 1)
-            self._numer_logs.append(log_a)
-            self._numer_exps.append(np.arange(used, -used - 1, -2, dtype=float))
-        self.log_peaks = np.array([
-            float(self._log_eval(la, ea, np.array([y]))[0]
-                  - self._log_eval(self.log_d, self.exp_d, np.array([y]))[0])
-            for la, ea, y in zip(self._numer_logs, self._numer_exps, self.nodes)])
-
-    @staticmethod
-    def _log_eval(log_coeffs: np.ndarray, exps: np.ndarray,
-                  betas: np.ndarray) -> np.ndarray:
-        out = np.empty_like(betas)
-        for i in range(0, betas.size, _CHUNK):
-            chunk = betas[i:i + _CHUNK]
-            out[i:i + _CHUNK] = logsumexp(
-                log_coeffs[None, :] + chunk[:, None] * exps[None, :] * LN2, axis=1)
-        return out
+            numer = _conv_log(prefix[lo], suffix[hi + 1])
+            logs[i, m - used:m + used + 1:2] = numer[::-1]
+        logs[m, ::2] = self.log_d[::-1]
+        self._lattice_logs = logs
+        powers = np.outer(self.nodes, self._lattice * LN2)
+        self.log_peaks = (logsumexp(logs[:m] + powers, axis=1)
+                          - logsumexp(logs[m] + powers, axis=1))
+        self._design_memo: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def design(self, betas: np.ndarray) -> np.ndarray:
-        """Matrix of peak-normalized bump values, one column per node."""
-        log_den = self._log_eval(self.log_d, self.exp_d, betas)
-        cols = []
-        for la, ea, lp in zip(self._numer_logs, self._numer_exps, self.log_peaks):
-            cols.append(np.exp(self._log_eval(la, ea, betas) - log_den - lp))
-        return np.stack(cols, axis=1)
+        """Matrix of peak-normalized bump values, one column per node.
+
+        In a chunk of betas around a centre c, the term (i, u) of lattice
+        sum i is exp(L[i,u] + c u ln2 - g_i) * exp((beta - c) u ln2) * e^g_i,
+        with g_i the largest exponent of sum i at c.  The first factor is at
+        most 1, the second within e^(+-_DESIGN_SCALE), so one matmul of the
+        two exponentiated matrices gives every bump numerator and the
+        denominator at once, and e^g_i enters only through the ratio of the
+        scales.  The matrix for the most recent grid is kept (read-only) and
+        returned again for an equal grid.
+        """
+        memo = self._design_memo
+        if memo is not None and np.array_equal(memo[0], betas):
+            return memo[1]
+        betas = np.array(betas, dtype=float)
+        m = self.nodes.size
+        lattice = self._lattice * LN2
+        out = np.empty((betas.size, m))
+        width = 2.0 * _DESIGN_SCALE / (m * LN2)
+        chunks = np.floor((betas - np.min(betas)) / width)
+        for key in np.unique(chunks):
+            rows = np.flatnonzero(chunks == key)
+            chunk = betas[rows]
+            c = 0.5 * (float(np.min(chunk)) + float(np.max(chunk)))
+            coeffs = self._lattice_logs + c * lattice
+            g = np.max(coeffs, axis=1)
+            np.exp(coeffs - g[:, None], out=coeffs)
+            sums = np.exp(np.outer(chunk - c, lattice)) @ coeffs.T
+            out[rows] = (sums[:, :m] / sums[:, m:]
+                         * np.exp(g[:m] - g[m] - self.log_peaks))
+        out.flags.writeable = False
+        self._design_memo = (betas, out)
+        return out
 
     def fit_coeffs(self, betas: np.ndarray, values: np.ndarray,
                    weights: Optional[np.ndarray] = None,
@@ -350,19 +377,13 @@ class TranslatedKernelBasis:
 
         Returns (log coefficients, exponents); empty when all c_i vanish.
         """
-        grouped: Dict[float, List[float]] = {}
-        for c, la, ea, lp in zip(coeffs, self._numer_logs, self._numer_exps,
-                                 self.log_peaks):
-            if c <= 0.0:
-                continue
-            base_log = math.log(c) - lp
-            for lc, u in zip(la, ea):
-                grouped.setdefault(float(u), []).append(base_log + float(lc))
-        if not grouped:
+        active = coeffs > 0.0
+        if not np.any(active):
             return np.array([]), np.array([])
-        exps = np.array(sorted(grouped))
-        logs = np.array([logsumexp(grouped[u]) for u in exps])
-        return logs, exps
+        scale = np.log(coeffs[active]) - self.log_peaks[active]
+        logs = logsumexp(self._lattice_logs[:-1][active] + scale[:, None], axis=0)
+        present = np.isfinite(logs)
+        return logs[present], self._lattice[present]
 
     def ratio(self, coeffs: np.ndarray) -> Optional[ExpSumRatio]:
         logs, exps = self.merged_numerator(coeffs)
@@ -452,29 +473,41 @@ class PartitionedBlockSystem:
     achieved_error: float
     direct_eta1: Callable
     direct_eta2: Callable
+    _memo: Optional[Tuple[np.ndarray, Tuple[np.ndarray, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size != sum(p.total() for p in self.parts):
             raise RealizationError("partition counts do not cover F")
 
-    def _log_part_sums(self, betas: np.ndarray) -> List[np.ndarray]:
-        return [p.log_power_sum(betas) for p in self.parts]
+    def _log_part_sums(self, betas: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """log of the three part sums and of their total, (s0, s1, s2, total).
 
-    def _log_total(self, sums: List[np.ndarray]) -> np.ndarray:
-        return logsumexp(np.stack(sums), axis=0)
+        They are kept for the most recent grid, compared by value against a
+        private copy, so a grid mutated in place is never served stale sums.
+        """
+        memo = self._memo
+        if memo is not None and np.array_equal(memo[0], betas):
+            return memo[1]
+        sums = [p.log_power_sum(betas) for p in self.parts]
+        sums.append(logsumexp(np.stack(sums), axis=0))
+        for arr in sums:
+            arr.flags.writeable = False
+        self._memo = (np.array(betas, dtype=float), tuple(sums))
+        return self._memo[1]
 
     @scalar_or_array
     def eta1(self, betas):
         s = self._log_part_sums(betas)
         logt = math.log(self.t)
-        return np.exp(np.logaddexp(0.0, betas * logt) + s[0] - self._log_total(s))
+        return np.exp(np.logaddexp(0.0, betas * logt) + s[0] - s[3])
 
     @scalar_or_array
     def eta2(self, betas):
         s = self._log_part_sums(betas)
         logt = math.log(self.t)
         return np.exp(np.logaddexp(0.0, betas * logt) - betas * logt
-                      + s[1] - self._log_total(s))
+                      + s[1] - s[3])
 
     def zeta(self, beta):
         return self.eta1(beta) - self.eta2(beta)
@@ -486,20 +519,19 @@ class PartitionedBlockSystem:
         logt = math.log(self.t)
         num = logsumexp(np.stack([betas * logt + s[0], -betas * logt + s[1], s[2]]),
                         axis=0)
-        return np.exp(num - self._log_total(s))
+        return np.exp(num - s[3])
 
     def identity_residual(self, beta) -> float:
         """Max residual of the two defining identities over the given grid."""
         betas = _as_array(beta)
         s = self._log_part_sums(betas)
-        total = self._log_total(s)
         logt = math.log(self.t)
         log_weight1 = -np.logaddexp(0.0, betas * logt)          # 1/(1+t^beta)
         log_weight2 = betas * logt - np.logaddexp(0.0, betas * logt)
         lhs1 = np.asarray(self.direct_eta1(betas)) * np.exp(log_weight1)
         lhs2 = np.asarray(self.direct_eta2(betas)) * np.exp(log_weight2)
-        rhs1 = np.exp(s[0] - total)
-        rhs2 = np.exp(s[1] - total)
+        rhs1 = np.exp(s[0] - s[3])
+        rhs2 = np.exp(s[1] - s[3])
         return float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
 
 
@@ -576,9 +608,11 @@ def _rationalize(log_coeffs: np.ndarray, exps: np.ndarray,
 
 
 def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
+              bases: Dict[tuple, TranslatedKernelBasis],
               budget: int = 7) -> Tuple[WeightedMultiset, WeightedMultiset]:
     """Fit eta' = S_A / (2 S_A + S_B) to fvals, returning integer-count
-    multisets A, B.
+    multisets A, B.  Bases are taken from, and added to, `bases`, keyed by
+    (y_max, spacing, window).
 
     Stops early once the grid error reaches eps_fit, otherwise returns the
     best pair found; the caller's end-to-end error gate is the authority, and
@@ -606,7 +640,10 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         y_max = r_max + 2.0
         if y_max * y_max / spacing > 1000.0:
             continue
-        basis = TranslatedKernelBasis(y_max, spacing, window)
+        key = (y_max, spacing, window)
+        if key not in bases:
+            bases[key] = TranslatedKernelBasis(*key)
+        basis = bases[key]
         coeffs = basis.fit_coeffs(betas[rows], h[rows], weights=weights[rows])
         if coeffs is None:
             continue
@@ -642,14 +679,18 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
 def realize_block(f, t: float, epsilon: float,
                   j: Optional[Sequence[int]] = None,
                   r_max: float = 20.0,
-                  grid_n: int = 10001) -> PartitionedBlockSystem:
+                  grid_n: int = 10001,
+                  _bases: Optional[Dict[tuple, TranslatedKernelBasis]] = None
+                  ) -> PartitionedBlockSystem:
     """Realize a function bounded by 1/2 with vanishing tails as eta_1 - eta_2
     encoded in a partitioned finite probability block.
 
     The construction fits the positive and negative parts separately, then
     rebalances the integer term counts against the reachable block-size
     products and merges the two fractions over a common denominator; the two
-    defining identities of the returned system hold identically.
+    defining identities of the returned system hold identically.  Both halves
+    share their fit bases; a caller that realizes several blocks on one grid
+    may share them further through `_bases`.
     """
     if not t > 1.0:
         raise InvalidInputError("t must exceed 1")
@@ -680,8 +721,9 @@ def realize_block(f, t: float, epsilon: float,
         fp = (root + ft) / 2.0
         fm = (root - ft) / 2.0
 
-    a_set, b_set = _fit_half(fp, betas, eps_fit)
-    c_set, d_set = _fit_half(fm, betas, eps_fit)
+    bases = {} if _bases is None else _bases
+    a_set, b_set = _fit_half(fp, betas, eps_fit, bases)
+    c_set, d_set = _fit_half(fm, betas, eps_fit, bases)
 
     p1, l1, k1, t1 = _rebalance(a_set, b_set, t, eps_slack, betas, j, 0)
     p2, l2, k2, t2 = _rebalance(c_set, d_set, t, eps_slack, betas, j, p1)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._arrays import scalar_or_array
+from ._arrays import logsumexp, scalar_or_array
 from .blocks import FiniteConformalBlock, ProbVector
-from .errors import ConstructionError, InvalidInputError, RealizationError
+from .errors import (ConstructionError, FitFailureError, InvalidInputError,
+                     RealizationError)
 from .expratio import PartitionedBlockSystem, realize_block
 
 
@@ -128,6 +128,9 @@ def build_realizable(zeta: Callable, a: float, stages: int,
     res = zeta
     j_rest = block_sizes
     psi_vals = np.ones_like(betas)
+    # fit bases and their design matrices, shared by every stage and retry
+    # of this build; they all fit on the same grid
+    bases = {}
     for k in range(1, stages + 1):
         a_k = base_schedule[k - 1]
         c_k = ratio_bound(a_k, base_schedule[k])
@@ -140,9 +143,9 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         for eps_try in (eps_k, 2.0 * eps_k, 4.0 * eps_k):
             try:
                 system = realize_block(res, t=a_k, epsilon=eps_try, j=j_rest,
-                                       r_max=r_max, grid_n=grid_n)
+                                       r_max=r_max, grid_n=grid_n, _bases=bases)
                 break
-            except Exception as exc:
+            except (FitFailureError, RealizationError) as exc:
                 last_exc = exc
         if system is None:
             raise RealizationError(f"stage {k} failed: {last_exc}") from last_exc

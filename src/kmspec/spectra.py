@@ -118,19 +118,22 @@ def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
     extra = []
     # refine near-miss local minima: the grid may straddle an off-grid root.
     # A zero within one cell of point i forces m[i] <= (local slope) * spacing,
-    # which the adjacent differences estimate; minima above that cannot hide one
-    for i in range(1, grid_n - 1):
+    # which the adjacent differences estimate; minima above that cannot hide one.
+    # The first and last points have one neighbour, so their search is
+    # one-sided, over the end cell.
+    for i in range(grid_n):
         if member[i]:
             continue
-        slope_room = 1.5 * max(abs(m[i + 1] - m[i]), abs(m[i] - m[i - 1]))
+        lo, hi = max(i - 1, 0), min(i + 1, grid_n - 1)
+        slope_room = 1.5 * max(abs(m[hi] - m[i]), abs(m[i] - m[lo]))
         if m[i] > max(tol, slope_room):
             continue
-        if m[i] <= m[i - 1] and m[i] <= m[i + 1]:
+        if m[i] <= m[lo] and m[i] <= m[hi]:
             # golden-section search: parabolic steps stall on kink-shaped
             # minima, which is the generic local shape of |phi - 1| at an
             # isolated spectrum point
             x, fx = _golden_min(lambda b: float(metric(np.array([b]))[0]),
-                                betas[i - 1], betas[i + 1])
+                                betas[lo], betas[hi])
             if fx <= strict:
                 extra.append(float(x))
     if sign_fn is not None:

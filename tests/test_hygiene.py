@@ -1,13 +1,19 @@
 """Static checks on the library source, by ast (no linter is assumed).
 
-Every module imports only names it uses, and the scalar/array convention of
-beta evaluators lives in one place, kmspec._arrays.
+Every module imports only names it uses, the scalar/array convention of
+beta evaluators lives in one place, kmspec._arrays, and so does the
+log-sum-exp kernel.  One runtime guard checks that fit bases are shared
+within a build and never across builds.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import kmspec.expratio as ke
+from kmspec.realize import build_realizable
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kmspec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -65,3 +71,41 @@ def test_scalar_epilogue_only_in_arrays(path):
     assert "ndim == 0" not in path.read_text(), (
         f"{path.name} repeats the scalar/array epilogue; decorate the "
         "evaluator with kmspec._arrays.scalar_or_array instead")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_logsumexp_kernel(path):
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            names = {alias.name for alias in node.names}
+            assert node.module != "scipy.special" and "logsumexp" not in names, (
+                f"{path.name} imports from {node.module}; use "
+                "kmspec._arrays.logsumexp")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("scipy.special") for a in node.names), (
+                f"{path.name} imports scipy.special; use kmspec._arrays.logsumexp")
+
+
+def test_each_build_makes_its_own_bases(monkeypatch):
+    # bases are shared inside one build_realizable call only: a second,
+    # identical build does the same basis work as the first
+    inits = []
+    original = ke.TranslatedKernelBasis.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ke.TranslatedKernelBasis, "__init__", counting)
+
+    def zeta(beta):
+        b = np.asarray(beta, dtype=float)
+        return np.maximum(np.abs(b) - 1.0, 0.0) / (2.0 * (1.0 + b * b))
+
+    counts = []
+    for _ in range(2):
+        before = len(inits)
+        build_realizable(zeta, a=3.0, stages=2, r_max=20.0, grid_n=201)
+        counts.append(len(inits) - before)
+    assert counts[0] == counts[1] > 0

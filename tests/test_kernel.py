@@ -1,0 +1,169 @@
+"""The log-domain exponential-sum kernel and the evaluations built on it.
+
+scipy's logsumexp and a plain per-column evaluation serve as references;
+the library itself uses kmspec._arrays.logsumexp throughout.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp as reference_lse
+
+from kmspec._arrays import logsumexp
+from kmspec.expratio import (LN2, _FIT_CONFIGS, PartitionedBlockSystem,
+                             TranslatedKernelBasis, WeightedMultiset)
+
+EPS = np.finfo(float).eps
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= 4 * EPS * np.maximum(1.0, np.abs(want[finite])))
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_kernel_matches_reference_on_wide_spreads(axis):
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-700.0, 700.0, size=(40, 25))
+    _close(logsumexp(a, axis=axis), reference_lse(a, axis=axis))
+    # rows of one sign and narrow spreads too
+    b = rng.normal(0.0, 1.0, size=(40, 25)) - 650.0
+    _close(logsumexp(b, axis=axis), reference_lse(b, axis=axis))
+
+
+def test_kernel_handles_minus_inf_entries_and_rows_without_warning():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-300.0, 300.0, size=(12, 9))
+    a[rng.uniform(size=a.shape) < 0.4] = -np.inf
+    a[4] = -np.inf
+    a[:, 2] = -np.inf
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rows, cols = logsumexp(a, axis=1), logsumexp(a, axis=0)
+        empty = logsumexp(np.full(5, -np.inf))
+    _close(rows, reference_lse(a, axis=1))
+    _close(cols, reference_lse(a, axis=0))
+    assert rows[4] == -np.inf and cols[2] == -np.inf and empty == -np.inf
+
+
+def test_kernel_single_elements_are_exact():
+    xs = np.array([-745.0, -1.5, 0.0, 3.25, 709.0])
+    assert np.array_equal(logsumexp(xs[:, None], axis=1), xs)
+    for x in xs:
+        assert logsumexp([x]) == x
+    assert isinstance(logsumexp(xs), float)
+
+
+def _per_column_design(basis: TranslatedKernelBasis, betas: np.ndarray) -> np.ndarray:
+    """One log-domain sum per bump column, peak-normalized at its node: the
+    evaluation the batched design replaces."""
+    logs = basis._lattice_logs
+    lattice = basis._lattice * LN2
+    m = basis.nodes.size
+
+    def log_sum(row, bts):
+        keep = np.isfinite(row)
+        terms = row[keep][None, :] + bts[:, None] * lattice[keep][None, :]
+        return reference_lse(terms, axis=1)
+
+    log_den = log_sum(logs[m], betas)
+    cols = []
+    for i in range(m):
+        node = basis.nodes[i:i + 1]
+        log_peak = log_sum(logs[i], node) - log_sum(logs[m], node)
+        cols.append(np.exp(log_sum(logs[i], betas) - log_den - log_peak))
+    return np.stack(cols, axis=1)
+
+
+def _closed_form_design(basis: TranslatedKernelBasis, window: int,
+                        betas: np.ndarray) -> np.ndarray:
+    """Bump i is the product over its window of
+    cosh((y_i - y_j) ln2) / cosh((beta - y_j) ln2)."""
+    y = basis.nodes
+    m = y.size
+    out = np.empty((betas.size, m))
+    for i in range(m):
+        window_nodes = y[max(0, i - window + 1):min(m - 1, i + window - 1) + 1]
+        log_col = sum(np.log(np.cosh((y[i] - yj) * LN2))
+                      - np.log(np.cosh((betas - yj) * LN2)) for yj in window_nodes)
+        out[:, i] = np.exp(log_col)
+    return out
+
+
+def _max_relative(got, want, floor=1e-12):
+    mask = want >= floor
+    return float(np.max(np.abs(got[mask] - want[mask]) / want[mask]))
+
+
+@pytest.mark.parametrize("grid_n", [251, 2001])
+@pytest.mark.parametrize("spacing,window", _FIT_CONFIGS)
+def test_batched_design_matches_per_column_reference(spacing, window, grid_n):
+    basis = TranslatedKernelBasis(12.0, spacing, window)
+    betas = np.linspace(-10.0, 10.0, grid_n)
+    design = basis.design(betas)
+    assert design.shape == (grid_n, basis.nodes.size)
+    assert _max_relative(design, _per_column_design(basis, betas)) <= 1e-12
+    assert _max_relative(design, _closed_form_design(basis, window, betas)) <= 1e-12
+
+
+def test_design_is_recomputed_for_a_mutated_grid():
+    basis = TranslatedKernelBasis(6.0, 1.0, 2)
+    grid = np.linspace(-5.0, 5.0, 101)
+    first = basis.design(grid).copy()
+    assert basis.design(grid) is basis.design(grid)
+    grid *= 0.5
+    fresh = TranslatedKernelBasis(6.0, 1.0, 2).design(grid)
+    assert np.array_equal(basis.design(grid), fresh)
+    assert not np.array_equal(first, fresh)
+
+
+def _small_system() -> PartitionedBlockSystem:
+    parts = (WeightedMultiset({2.0: 1, 0.25: 2}), WeightedMultiset({0.5: 2}),
+             WeightedMultiset({1.0: 3, 3.0: 1}))
+    return PartitionedBlockSystem(size=9, t=2.0, parts=parts, n_factors=1,
+                                  j_used=(9,), achieved_error=0.0,
+                                  direct_eta1=None, direct_eta2=None)
+
+
+def _factor_by_hand(betas: np.ndarray) -> np.ndarray:
+    s0 = 2.0 ** betas + 2 * 0.25 ** betas
+    s1 = 2 * 0.5 ** betas
+    s2 = 3.0 + 3.0 ** betas
+    return (2.0 ** betas * s0 + 2.0 ** -betas * s1 + s2) / (s0 + s1 + s2)
+
+
+def test_part_sums_computed_once_per_grid(monkeypatch):
+    system = _small_system()
+    calls = []
+    original = WeightedMultiset.log_power_sum
+
+    def counting(self, beta):
+        calls.append(len(self.items))
+        return original(self, beta)
+
+    monkeypatch.setattr(WeightedMultiset, "log_power_sum", counting)
+    grid = np.linspace(-4.0, 4.0, 33)
+    system.zeta(grid)
+    system.factor(grid)
+    system.factor(grid.copy())
+    assert len(calls) == 3
+    system.factor(grid[:-1])
+    assert len(calls) == 6
+
+
+def test_part_sums_fresh_after_grid_mutated_in_place():
+    system = _small_system()
+    grid = np.linspace(-4.0, 4.0, 33)
+    before = system.factor(grid)
+    np.testing.assert_allclose(before, _factor_by_hand(grid), rtol=1e-13)
+    grid *= 1.5
+    after = system.factor(grid)
+    np.testing.assert_allclose(after, _factor_by_hand(grid), rtol=1e-13)
+    assert np.array_equal(after, _small_system().factor(grid))
+    assert not np.allclose(before, after)
+    assert np.array_equal(system.zeta(grid), _small_system().zeta(grid))

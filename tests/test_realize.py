@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kmspec.realize as kr
 from kmspec.blocks import conformal_weights, integrate_potential
 from kmspec.errors import DomainError, InvalidInputError
 from kmspec.realize import (build_realizable, clamp_f, default_schedule,
@@ -72,6 +73,22 @@ def test_build_realizable_guards():
         build_realizable(zeta_from_interval(K), a=1.0, stages=2)
     with pytest.raises(InvalidInputError):
         build_realizable(zeta_from_interval(K), a=2.0, stages=0)
+
+
+def test_build_realizable_retries_only_fit_failures(monkeypatch):
+    # a programming error inside a stage propagates at once; only fit and
+    # realization failures are retried at a looser tolerance
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(kwargs["epsilon"])
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(kr, "realize_block", broken)
+    K = ClosedSetSpec(intervals=((-1.0, 1.0),))
+    with pytest.raises(ZeroDivisionError):
+        build_realizable(zeta_from_interval(K), a=3.0, stages=1, grid_n=101)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("K,expected_abc", [

@@ -9,9 +9,10 @@ from kmspec.errors import DomainError, WindowError
 from kmspec.realize import fraction_pair
 from kmspec.sets import ClosedSetSpec
 from kmspec.spectra import (FreeProductSystem, WreathSystem,
-                            assemble_free_product, shift_rn_derivative,
-                            solve_free_product_spectrum, solve_spectrum,
-                            target_phi_from_set, theta_rn_derivative)
+                            _report_from_metric, assemble_free_product,
+                            shift_rn_derivative, solve_free_product_spectrum,
+                            solve_spectrum, target_phi_from_set,
+                            theta_rn_derivative)
 
 RNG = np.random.default_rng(7)
 
@@ -91,6 +92,21 @@ def test_unbounded_interval_is_clipped():
                                          grid_n=10001)
     assert report.flat_intervals == ((3.0, 10.0),)
     assert report.clipped == (True,)
+
+
+@pytest.mark.parametrize("K", [
+    ClosedSetSpec(points=(9.9999,), intervals=((-0.5, 0.0),)),
+    ClosedSetSpec(points=(-9.9999,), intervals=((0.0, 0.5),)),
+])
+def test_root_in_end_cell_is_refined(K):
+    # the point lies strictly inside the first or last grid cell, so only a
+    # one-sided search over the end cell can find it
+    report = _report_from_metric(lambda b: np.asarray(K.distance(b), dtype=float),
+                                 None, r_max=10.0, tol=1e-6, grid_n=10000)
+    point = K.points[0]
+    assert len(report.isolated_roots) == 1
+    assert abs(report.isolated_roots[0] - point) < 1e-12
+    assert len(report.flat_intervals) == 1
 
 
 def test_report_round_trip_dict():
