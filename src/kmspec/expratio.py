@@ -10,7 +10,7 @@ sums reproduce them identically.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -251,6 +251,12 @@ def _conv_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _node_grid_fits(y_max: float, spacing: float) -> bool:
+    # grouped extreme coefficients scale like 2^{-sum |y_j|}; beyond this
+    # budget they underflow the float range
+    return y_max * y_max / spacing <= 1000.0
+
+
 class TranslatedKernelBasis:
     """Bumps at a node grid sharing one exponential-sum denominator.
 
@@ -267,9 +273,7 @@ class TranslatedKernelBasis:
     def __init__(self, y_max: float, spacing: float, window: int = 1):
         if y_max <= 0 or spacing <= 0:
             raise InvalidInputError("y_max and spacing must be positive")
-        if y_max * y_max / spacing > 1000.0:
-            # grouped extreme coefficients scale like 2^{-sum |y_j|}; beyond
-            # this budget they underflow the float range
+        if not _node_grid_fits(y_max, spacing):
             raise InvalidInputError("node grid too dense for the coefficient range")
         count = int(round(2.0 * y_max / spacing)) + 1
         self.nodes = np.linspace(-y_max, y_max, count)
@@ -406,6 +410,16 @@ class TranslatedKernelBasis:
 _FIT_CONFIGS = ((1.0, 1), (0.5, 2), (0.5, 4), (0.5, 5), (0.25, 2), (0.25, 4))
 
 
+def _admissible_configs(r_max: float, budget: int):
+    """Basis keys (y_max, spacing, window) of the first `budget` fit
+    configurations whose node grid over the fit range [-r_max, r_max],
+    widened by 2, fits the coefficient range; the others are skipped."""
+    y_max = r_max + 2.0
+    for spacing, window in _FIT_CONFIGS[:budget]:
+        if _node_grid_fits(y_max, spacing):
+            yield y_max, spacing, window
+
+
 def fit_c0(target, epsilon: float, r_max: float, budget: int = 6) -> ExpSumRatio:
     """Fit a nonnegative decaying function by a ratio of exponential sums.
 
@@ -424,11 +438,8 @@ def fit_c0(target, epsilon: float, r_max: float, budget: int = 6) -> ExpSumRatio
     target_design = np.asarray(target(design_grid), dtype=float)
     fine = np.linspace(-r_max, r_max, 10 * (design_grid.size - 1) + 1)
     target_fine = np.asarray(target(fine), dtype=float)
-    for spacing, window in _FIT_CONFIGS[:budget]:
-        y_max = r_max + 2.0
-        if y_max * y_max / spacing > 1000.0:
-            continue
-        basis = TranslatedKernelBasis(y_max, spacing, window)
+    for key in _admissible_configs(r_max, budget):
+        basis = TranslatedKernelBasis(*key)
         coeffs = basis.fit_coeffs(design_grid, target_design)
         if coeffs is None:
             continue
@@ -456,18 +467,23 @@ def fit_c0(target, epsilon: float, r_max: float, budget: int = 6) -> ExpSumRatio
 
 @dataclass
 class PartitionedBlockSystem:
-    """Finite set F of size prod j_k with measure mu, a 3-part partition and
-    the pair of functions the parts encode.
+    """Finite set F = F_1 x F_2 of size prod j_k with the product measure mu
+    of two rebalanced fractions, a 3-part partition and the pair of
+    functions the parts encode.
 
-    Parts are grouped multisets of unnormalized weights; mu is their common
-    normalization.  The defining identities relate eta_1, eta_2 to partial
-    power sums of mu and hold as exact algebra, so their residual is a bug
-    detector rather than an approximation error.
+    The fractions are four grouped multisets of unnormalized weights
+    (A, B, C, D): F_1 carries 2A + B and F_2 carries 2C + D.  The parts are
+    f0 = A x (2C + D), f1 = (2A + B) x C and f2 = A x D + B x (C + D), and
+    they are never materialized: a power sum over a product of multisets is
+    the product of their power sums.  The defining identities relate eta_1,
+    eta_2 to partial power sums of mu and hold as exact algebra, so their
+    residual is a bug detector rather than an approximation error.
     """
 
     size: int
     t: float
-    parts: Tuple[WeightedMultiset, WeightedMultiset, WeightedMultiset]
+    fractions: Tuple[WeightedMultiset, WeightedMultiset,
+                     WeightedMultiset, WeightedMultiset]
     n_factors: int
     j_used: Tuple[int, ...]
     achieved_error: float
@@ -477,11 +493,17 @@ class PartitionedBlockSystem:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.size != sum(p.total() for p in self.parts):
+        if self.size != sum(self.part_totals()):
             raise RealizationError("partition counts do not cover F")
 
+    def part_totals(self) -> Tuple[int, int, int]:
+        """Exact element counts of the three parts."""
+        a, b, c, d = (m.total() for m in self.fractions)
+        return a * (2 * c + d), (2 * a + b) * c, a * d + b * (c + d)
+
     def _log_part_sums(self, betas: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """log of the three part sums and of their total, (s0, s1, s2, total).
+        """log of the three part sums and of their total, (s0, s1, s2, total),
+        from one power sum per fraction multiset.
 
         They are kept for the most recent grid, compared by value against a
         private copy, so a grid mutated in place is never served stale sums.
@@ -489,7 +511,12 @@ class PartitionedBlockSystem:
         memo = self._memo
         if memo is not None and np.array_equal(memo[0], betas):
             return memo[1]
-        sums = [p.log_power_sum(betas) for p in self.parts]
+        la, lb, lc, ld = (m.log_power_sum(betas) for m in self.fractions)
+        sums = [la + np.logaddexp(LN2 + lc, ld),                  # A x (2C + D)
+                np.logaddexp(LN2 + la, lb) + lc,                  # (2A + B) x C
+                np.logaddexp(la + ld, lb + np.logaddexp(lc, ld))]
+        # the total as the sum of the parts, not (2A + B)(2C + D), so that
+        # factor(0) is 1 to the last bit
         sums.append(logsumexp(np.stack(sums), axis=0))
         for arr in sums:
             arr.flags.writeable = False
@@ -554,17 +581,16 @@ def _j_products(j: Optional[Sequence[int]], start: int):
 
 
 def _rebalance(numer: WeightedMultiset, denom: WeightedMultiset,
-               t: float, eps_slack: float, betas: np.ndarray,
+               log_den: np.ndarray, eps_slack: float,
                j: Optional[Sequence[int]], j_start: int):
     """Find L = prod j_k and K with L = (4N + 2M) K + T and T/K small enough
-    that adding T/(1 + t^beta) to the denominator moves eta by at most eps_slack."""
+    that adding T/(1 + t^beta) to the denominator moves eta by at most
+    eps_slack; log_den is log(2 S_A + S_B) on the fit grid."""
     n_count = numer.total()
     m_count = denom.total()
     d = 4 * n_count + 2 * m_count
     # pointwise |eta - eta'| <= (T/K) / (2 * min(2 S_A + S_B)); see module tests
-    log_m0 = float(np.min(WeightedMultiset.union(numer.scaled(2), denom)
-                          .log_power_sum(betas)))
-    log_bound = math.log(2.0 * eps_slack) + log_m0
+    log_bound = math.log(2.0 * eps_slack) + float(np.min(log_den))
     last = None
     for count, prod in _j_products(j, j_start):
         last = (count, prod)
@@ -609,10 +635,11 @@ def _rationalize(log_coeffs: np.ndarray, exps: np.ndarray,
 
 def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
               bases: Dict[tuple, TranslatedKernelBasis],
-              budget: int = 7) -> Tuple[WeightedMultiset, WeightedMultiset]:
+              budget: int = 7
+              ) -> Tuple[WeightedMultiset, WeightedMultiset, np.ndarray]:
     """Fit eta' = S_A / (2 S_A + S_B) to fvals, returning integer-count
-    multisets A, B.  Bases are taken from, and added to, `bases`, keyed by
-    (y_max, spacing, window).
+    multisets A, B and log(2 S_A + S_B) on betas.  Bases are taken from, and
+    added to, `bases`, keyed by (y_max, spacing, window).
 
     Stops early once the grid error reaches eps_fit, otherwise returns the
     best pair found; the caller's end-to-end error gate is the authority, and
@@ -624,7 +651,8 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         # near-zero target: one numerator atom against a heavy denominator
         a = WeightedMultiset({1.0: 1})
         b = WeightedMultiset({0.5: q, 2.0: q})
-        return a, b
+        return a, b, np.logaddexp(LN2 + a.log_power_sum(betas),
+                                  b.log_power_sum(betas))
     if float(np.max(fvals)) >= 0.5 - 1e-9:
         raise InvalidInputError("half targets must stay strictly below 1/2")
     h = fvals / (1.0 - 2.0 * fvals)
@@ -636,11 +664,7 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     rows = slice(None, None, step)
     best = math.inf
     best_pair = None
-    for spacing, window in _FIT_CONFIGS[:budget]:
-        y_max = r_max + 2.0
-        if y_max * y_max / spacing > 1000.0:
-            continue
-        key = (y_max, spacing, window)
+    for key in _admissible_configs(r_max, budget):
         if key not in bases:
             bases[key] = TranslatedKernelBasis(*key)
         basis = bases[key]
@@ -663,13 +687,13 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         a = WeightedMultiset(a_items)
         b = WeightedMultiset(b_items)
         log_sa = a.log_power_sum(betas)
-        log_den = WeightedMultiset.union(a.scaled(2), b).log_power_sum(betas)
+        log_den = np.logaddexp(LN2 + log_sa, b.log_power_sum(betas))
         eta = np.exp(log_sa - log_den)
         err = float(np.max(np.abs(eta - fvals)))
         if err < best:
-            best, best_pair = err, (a, b)
+            best, best_pair = err, (a, b, log_den)
         if err <= eps_fit:
-            return a, b
+            return a, b, log_den
     if best_pair is None:
         raise FitFailureError(f"half-fit produced no candidate at eps={eps_fit}",
                               best)
@@ -722,11 +746,11 @@ def realize_block(f, t: float, epsilon: float,
         fm = (root - ft) / 2.0
 
     bases = {} if _bases is None else _bases
-    a_set, b_set = _fit_half(fp, betas, eps_fit, bases)
-    c_set, d_set = _fit_half(fm, betas, eps_fit, bases)
+    a_set, b_set, log_den1 = _fit_half(fp, betas, eps_fit, bases)
+    c_set, d_set, log_den2 = _fit_half(fm, betas, eps_fit, bases)
 
-    p1, l1, k1, t1 = _rebalance(a_set, b_set, t, eps_slack, betas, j, 0)
-    p2, l2, k2, t2 = _rebalance(c_set, d_set, t, eps_slack, betas, j, p1)
+    p1, l1, k1, t1 = _rebalance(a_set, b_set, log_den1, eps_slack, j, 0)
+    p2, l2, k2, t2 = _rebalance(c_set, d_set, log_den2, eps_slack, j, p1)
 
     # merged numerator/denominator multisets of the two fractions, written with
     # total term counts l1 = 2N' + M' and l2 = 2P' + Q'
@@ -743,25 +767,14 @@ def realize_block(f, t: float, epsilon: float,
     if 2 * a_p.total() + b_p.total() != l1 or 2 * c_p.total() + d_p.total() != l2:
         raise RealizationError("internal count mismatch after rebalancing")
 
-    ac = WeightedMultiset.product(a_p, c_p)
-    ad = WeightedMultiset.product(a_p, d_p)
-    bc = WeightedMultiset.product(b_p, c_p)
-    bd = WeightedMultiset.product(b_p, d_p)
-    f0 = WeightedMultiset.union(ac.scaled(2), ad)
-    f1 = WeightedMultiset.union(ac.scaled(2), bc)
-    f2 = WeightedMultiset.union(ad, bc, bd)
-    size = l1 * l2
-
     logt = math.log(t)
 
-    def _direct(numer: WeightedMultiset, rest: List[WeightedMultiset],
+    def _direct(numer: WeightedMultiset, denom: WeightedMultiset,
                 tail_count: int):
-        parts = [numer.scaled(2)] + rest
-
         @scalar_or_array
         def evaluator(bts):
             ln = numer.log_power_sum(bts)
-            stacked = [m.log_power_sum(bts) for m in parts]
+            stacked = [LN2 + ln, denom.log_power_sum(bts)]
             if tail_count > 0:
                 stacked.append(math.log(tail_count) - np.logaddexp(0.0, bts * logt))
             ld = logsumexp(np.stack(stacked), axis=0)
@@ -769,13 +782,13 @@ def realize_block(f, t: float, epsilon: float,
 
         return evaluator
 
-    direct_eta1 = _direct(a_set.scaled(k1),
-                          [b_set.scaled(k1)], t1)
+    direct_eta1 = _direct(a_set.scaled(k1), b_set.scaled(k1), t1)
     # eta2's own fraction carries plain bases; the t^beta weight is applied in
     # the identity, so the direct form uses c_set, d_set
-    direct_eta2 = _direct(c_set.scaled(k2), [d_set.scaled(k2)], t2)
+    direct_eta2 = _direct(c_set.scaled(k2), d_set.scaled(k2), t2)
 
-    system = PartitionedBlockSystem(size=size, t=t, parts=(f0, f1, f2),
+    system = PartitionedBlockSystem(size=l1 * l2, t=t,
+                                    fractions=(a_p, b_p, c_p, d_p),
                                     n_factors=p2,
                                     j_used=tuple((j[i] if j is not None else 2)
                                                  for i in range(p2)),

@@ -98,6 +98,43 @@ def _golden_min(f: Callable, lo: float, hi: float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _near_misses(m: np.ndarray, tol: float):
+    """Indices of the local minima of m that may hide a zero within one cell.
+
+    A zero within one cell of point i forces m[i] <= (local slope) * spacing,
+    which the adjacent differences estimate; minima above that and above tol
+    cannot hide one.  The first and last points have one neighbour, so their
+    test is one-sided.
+    """
+    n = m.size
+    for i in range(n):
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        slope_room = 1.5 * max(abs(m[hi] - m[i]), abs(m[i] - m[lo]))
+        if m[i] <= max(tol, slope_room) and m[i] <= m[lo] and m[i] <= m[hi]:
+            yield i
+
+
+_SUB_CELLS = 64
+
+
+def _other_zeros(metric: Callable, scalar: Callable, lo: float, hi: float,
+                 x: float, tol: float, strict: float):
+    """Zeros of the metric in [lo, hi] other than the one found at x.
+
+    Two zeros closer than a grid cell leave a single near-miss minimum on the
+    grid, and its search finds only one of them; on a finer sub-grid of the
+    bracket the others show as further near-miss minima.
+    """
+    sub = np.linspace(lo, hi, _SUB_CELLS + 1)
+    ms = np.asarray(metric(sub), dtype=float)
+    for k in _near_misses(ms, tol):
+        if k in (0, _SUB_CELLS) or sub[k - 1] <= x <= sub[k + 1]:
+            continue
+        y, fy = _golden_min(scalar, sub[k - 1], sub[k + 1])
+        if fy <= strict:
+            yield float(y)
+
+
 def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
                         r_max: float, tol: float, grid_n: int,
                         strict: Optional[float] = None) -> SpectrumReport:
@@ -106,7 +143,9 @@ def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
     Membership uses the strict threshold tol/100 by default, separating
     first-order tangential near-misses from numerically-zero values;
     near-miss local minima and transversal sign changes are refined off the
-    grid.
+    grid.  A refined zero within one cell of another feature is merged into
+    it, with a warning when the metric rises above the strict threshold
+    between the two, that is when a point of the spectrum goes unreported.
     """
     if strict is None:
         strict = tol / 100.0
@@ -115,27 +154,24 @@ def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
     m = np.asarray(metric(betas), dtype=float)
     member = m <= strict
 
+    def scalar(b):
+        return float(metric(np.array([b]))[0])
+
     extra = []
     # refine near-miss local minima: the grid may straddle an off-grid root.
-    # A zero within one cell of point i forces m[i] <= (local slope) * spacing,
-    # which the adjacent differences estimate; minima above that cannot hide one.
-    # The first and last points have one neighbour, so their search is
-    # one-sided, over the end cell.
-    for i in range(grid_n):
+    # The first and last points search one-sided, over the end cell.
+    for i in _near_misses(m, tol):
         if member[i]:
             continue
         lo, hi = max(i - 1, 0), min(i + 1, grid_n - 1)
-        slope_room = 1.5 * max(abs(m[hi] - m[i]), abs(m[i] - m[lo]))
-        if m[i] > max(tol, slope_room):
-            continue
-        if m[i] <= m[lo] and m[i] <= m[hi]:
-            # golden-section search: parabolic steps stall on kink-shaped
-            # minima, which is the generic local shape of |phi - 1| at an
-            # isolated spectrum point
-            x, fx = _golden_min(lambda b: float(metric(np.array([b]))[0]),
-                                betas[lo], betas[hi])
-            if fx <= strict:
-                extra.append(float(x))
+        # golden-section search: parabolic steps stall on kink-shaped
+        # minima, which is the generic local shape of |phi - 1| at an
+        # isolated spectrum point
+        x, fx = _golden_min(scalar, betas[lo], betas[hi])
+        if fx <= strict:
+            extra.append(float(x))
+            extra.extend(_other_zeros(metric, scalar, betas[lo], betas[hi],
+                                      x, tol, strict))
     if sign_fn is not None:
         s = np.sign(np.asarray(sign_fn(betas), dtype=float))
         for i in range(grid_n - 1):
@@ -144,7 +180,7 @@ def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
             if s[i] != 0.0 and s[i + 1] != 0.0 and s[i] != s[i + 1]:
                 root = brentq(lambda b: float(sign_fn(np.array([b]))[0]),
                               betas[i], betas[i + 1], xtol=spacing * 1e-9)
-                if float(metric(np.array([root]))[0]) <= strict:
+                if scalar(root) <= strict:
                     extra.append(float(root))
 
     isolated = []
@@ -165,15 +201,19 @@ def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
             clipped.append(i == 0 or j == grid_n - 1)
         i = j + 1
 
+    warnings = []
     for p in extra:
-        near_existing = any(abs(p - q) <= spacing for q in isolated)
-        near_existing |= any(lo - spacing <= p <= hi + spacing
-                             for lo, hi in intervals)
-        if not near_existing:
+        near = [q for q in isolated if abs(p - q) <= spacing]
+        near += [min(max(p, lo), hi) for lo, hi in intervals
+                 if lo - spacing <= p <= hi + spacing]
+        if not near:
             isolated.append(p)
+        elif scalar(0.5 * (p + near[0])) > strict:
+            warnings.append(f"refined zero at beta={p:.10g} lies within one grid "
+                            f"cell of the feature at beta={near[0]:.10g} and is "
+                            "merged into it")
     isolated.sort()
 
-    warnings = []
     features = [(p, p) for p in isolated] + intervals
     features.sort()
     for (a_lo, a_hi), (b_lo, b_hi) in zip(features, features[1:]):

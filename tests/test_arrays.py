@@ -16,10 +16,10 @@ from kmspec.spectra import WreathSystem, target_phi_from_set
 
 
 def _block_system():
-    parts = (WeightedMultiset({1.0: 1}), WeightedMultiset({2.0: 1}),
-             WeightedMultiset({0.5: 2}))
-    return PartitionedBlockSystem(size=4, t=2.0, parts=parts, n_factors=2,
-                                  j_used=(2, 2), achieved_error=0.0,
+    fractions = (WeightedMultiset({1.0: 1}), WeightedMultiset({2.0: 1}),
+                 WeightedMultiset({0.5: 1}), WeightedMultiset({1.0: 1}))
+    return PartitionedBlockSystem(size=9, t=2.0, fractions=fractions, n_factors=2,
+                                  j_used=(3, 3), achieved_error=0.0,
                                   direct_eta1=None, direct_eta2=None)
 
 

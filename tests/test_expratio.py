@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from kmspec.errors import FitFailureError, InvalidInputError
-from kmspec.expratio import (ExpSumRatio, TranslatedKernelBasis,
-                             WeightedMultiset, approximate_unit, fit_c0,
+from kmspec._arrays import logsumexp
+from kmspec.errors import FitFailureError, InvalidInputError, RealizationError
+from kmspec.expratio import (_FIT_CONFIGS, ExpSumRatio, PartitionedBlockSystem,
+                             TranslatedKernelBasis, WeightedMultiset,
+                             _admissible_configs, approximate_unit, fit_c0,
                              realize_block)
 
 BETAS = np.linspace(-10.0, 10.0, 2001)
@@ -88,6 +90,17 @@ def test_basis_guard_against_underflow():
         TranslatedKernelBasis(y_max=200.0, spacing=0.1)
 
 
+def test_admissible_fit_configs_at_the_wreath_range():
+    # the CLI fits at r_max = 20, where the node grid guard leaves out both
+    # spacing-0.25 configurations
+    keys = list(_admissible_configs(20.0, len(_FIT_CONFIGS)))
+    assert [(spacing, window) for _, spacing, window in keys] == [
+        (1.0, 1), (0.5, 2), (0.5, 4), (0.5, 5)]
+    assert {y_max for y_max, _, _ in keys} == {22.0}
+    assert len(list(_admissible_configs(10.0, len(_FIT_CONFIGS)))) == 6
+    assert len(list(_admissible_configs(10.0, 2))) == 2
+
+
 def test_basis_columns_peak_at_nodes():
     basis = TranslatedKernelBasis(y_max=6.0, spacing=1.0, window=2)
     grid = np.linspace(-8.0, 8.0, 1601)
@@ -128,20 +141,44 @@ def test_fit_c0_reports_best_error_on_failure():
     assert exc.value.best_error > 1e-9
 
 
+def _bump(beta):
+    b = np.asarray(beta, dtype=float)
+    d = np.maximum(np.abs(b) - 1.0, 0.0)
+    return np.tanh(b * math.log(3.0) / 2.0) * d / (2.0 * (1.0 + b * b))
+
+
 def test_realize_block_bump_target():
-    half_log = math.log(3.0) / 2.0
-
-    def f(beta):
-        b = np.asarray(beta, dtype=float)
-        d = np.maximum(np.abs(b) - 1.0, 0.0)
-        return np.tanh(b * half_log) * d / (2.0 * (1.0 + b * b))
-
-    system = realize_block(f, t=3.0, epsilon=2e-2, r_max=20.0, grid_n=4001)
+    system = realize_block(_bump, t=3.0, epsilon=2e-2, r_max=20.0, grid_n=4001)
     grid = np.linspace(-20.0, 20.0, 4001)
-    assert float(np.max(np.abs(system.zeta(grid) - f(grid)))) <= 2e-2
+    assert float(np.max(np.abs(system.zeta(grid) - _bump(grid)))) <= 2e-2
     assert system.identity_residual(grid) <= 1e-10
     # the factor 1 + P_1 zeta equals 1 exactly at beta = 0
     assert abs(float(system.factor(0.0)) - 1.0) < 1e-14
+
+
+def test_factored_parts_match_materialized_products():
+    # the parts f0 = A x (2C + D), f1 = (2A + B) x C, f2 = A x D + B x (C + D),
+    # built term by term as exact multisets, are the reference for the part
+    # sums the block evaluates from its four fraction multisets
+    system = realize_block(_bump, t=3.0, epsilon=2e-2, r_max=20.0, grid_n=501)
+    a, b, c, d = system.fractions
+    product, union = WeightedMultiset.product, WeightedMultiset.union
+    ac, ad, bc, bd = product(a, c), product(a, d), product(b, c), product(b, d)
+    parts = (union(ac.scaled(2), ad), union(ac.scaled(2), bc), union(ad, bc, bd))
+    assert tuple(p.total() for p in parts) == system.part_totals()
+    assert system.size == sum(p.total() for p in parts)
+    grid = np.linspace(-20.0, 20.0, 501)
+    want = [p.log_power_sum(grid) for p in parts]
+    want.append(logsumexp(np.stack(want), axis=0))
+    got = system._log_part_sums(grid)
+    for g, w in zip(got, want):
+        # a log difference of 1e-12 is a relative error of 1e-12 in the sum
+        assert float(np.max(np.abs(g - w))) <= 1e-12
+    with pytest.raises(RealizationError):
+        PartitionedBlockSystem(size=system.size + 1, t=3.0,
+                               fractions=system.fractions, n_factors=1,
+                               j_used=(2,), achieved_error=0.0,
+                               direct_eta1=None, direct_eta2=None)
 
 
 def test_realize_block_zero_target():

@@ -3,10 +3,12 @@
 Every module imports only names it uses, the scalar/array convention of
 beta evaluators lives in one place, kmspec._arrays, and so does the
 log-sum-exp kernel.  One runtime guard checks that fit bases are shared
-within a build and never across builds.
+within a build and never across builds, another that the benchmark's
+tracer still finds every library name it wraps.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ import pytest
 import kmspec.expratio as ke
 from kmspec.realize import build_realizable
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kmspec"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kmspec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -109,3 +112,20 @@ def test_each_build_makes_its_own_bases(monkeypatch):
         build_realizable(zeta, a=3.0, stages=2, r_max=20.0, grid_n=201)
         counts.append(len(inits) - before)
     assert counts[0] == counts[1] > 0
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # the traced benchmark wraps library functions by name; a rename in the
+    # library breaks it here rather than only when the benchmark runs
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = dict(vars(ke.WeightedMultiset))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert ke.WeightedMultiset.log_power_sum is not before["log_power_sum"]
+    finally:
+        tracer.uninstall()
+    assert dict(vars(ke.WeightedMultiset)) == before

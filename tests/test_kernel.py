@@ -123,17 +123,18 @@ def test_design_is_recomputed_for_a_mutated_grid():
 
 
 def _small_system() -> PartitionedBlockSystem:
-    parts = (WeightedMultiset({2.0: 1, 0.25: 2}), WeightedMultiset({0.5: 2}),
-             WeightedMultiset({1.0: 3, 3.0: 1}))
-    return PartitionedBlockSystem(size=9, t=2.0, parts=parts, n_factors=1,
+    fractions = (WeightedMultiset({2.0: 1}), WeightedMultiset({0.5: 1}),
+                 WeightedMultiset({1.0: 1}), WeightedMultiset({3.0: 1}))
+    return PartitionedBlockSystem(size=9, t=2.0, fractions=fractions, n_factors=1,
                                   j_used=(9,), achieved_error=0.0,
                                   direct_eta1=None, direct_eta2=None)
 
 
 def _factor_by_hand(betas: np.ndarray) -> np.ndarray:
-    s0 = 2.0 ** betas + 2 * 0.25 ** betas
-    s1 = 2 * 0.5 ** betas
-    s2 = 3.0 + 3.0 ** betas
+    # parts A x (2C + D), (2A + B) x C and A x D + B x (C + D) written out
+    s0 = 2 * 2.0 ** betas + 6.0 ** betas
+    s1 = 2 * 2.0 ** betas + 0.5 ** betas
+    s2 = 6.0 ** betas + 0.5 ** betas + 1.5 ** betas
     return (2.0 ** betas * s0 + 2.0 ** -betas * s1 + s2) / (s0 + s1 + s2)
 
 
@@ -151,9 +152,9 @@ def test_part_sums_computed_once_per_grid(monkeypatch):
     system.zeta(grid)
     system.factor(grid)
     system.factor(grid.copy())
-    assert len(calls) == 3
+    assert len(calls) == 4     # one power sum per fraction multiset
     system.factor(grid[:-1])
-    assert len(calls) == 6
+    assert len(calls) == 8
 
 
 def test_part_sums_fresh_after_grid_mutated_in_place():

@@ -6,6 +6,7 @@ import pytest
 import kmspec.realize as kr
 from kmspec.blocks import conformal_weights, integrate_potential
 from kmspec.errors import DomainError, InvalidInputError
+from kmspec.expratio import WeightedMultiset
 from kmspec.realize import (build_realizable, clamp_f, default_schedule,
                             eval_phi, fraction_pair, mobius_eval, ratio_bound,
                             tanh_ratio)
@@ -89,6 +90,20 @@ def test_build_realizable_retries_only_fit_failures(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         build_realizable(zeta_from_interval(K), a=3.0, stages=1, grid_n=101)
     assert len(calls) == 1
+
+
+def test_build_realizable_never_builds_multiset_products(monkeypatch):
+    # block parts are evaluated from the two fractions' power sums; the
+    # product multisets stay a test reference only
+    def refuse(x, y):
+        raise AssertionError("block parts were materialized")
+
+    monkeypatch.setattr(WeightedMultiset, "product", staticmethod(refuse))
+    K = ClosedSetSpec(intervals=((-1.0, 1.0),))
+    cocycle = build_realizable(zeta_from_interval(K), a=3.0, stages=2,
+                               r_max=20.0, grid_n=401)
+    assert len(cocycle.stages) == 2
+    assert cocycle.identity_residual(GRID) <= 1e-10
 
 
 @pytest.mark.parametrize("K,expected_abc", [

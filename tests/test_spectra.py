@@ -109,6 +109,19 @@ def test_root_in_end_cell_is_refined(K):
     assert len(report.flat_intervals) == 1
 
 
+def test_merged_features_are_named():
+    # 3 and 3.001 lie in one grid cell: the report keeps one of them and a
+    # warning names both
+    K = ClosedSetSpec(points=(0.0, 3.0, 3.001))
+    report = solve_spectrum(target_phi_from_set(K, 2.0), r_max=10.0, tol=1e-6,
+                            grid_n=10000)
+    assert len(report.isolated_roots) == 2
+    assert abs(report.isolated_roots[1] - 3.001) < 1e-12
+    merged = [w for w in report.warnings if "merged" in w]
+    assert len(merged) == 1
+    assert "beta=3 " in merged[0] and "beta=3.001 " in merged[0]
+
+
 def test_report_round_trip_dict():
     report = solve_spectrum(lambda b: 1.0 + np.asarray(b, dtype=float),
                             r_max=5.0, tol=1e-6, grid_n=2001)
