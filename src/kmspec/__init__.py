@@ -4,13 +4,13 @@ spectra of group actions."""
 from .blocks import (ConformalityReport, FiniteConformalBlock, FiniteGroupTable,
                      ProbVector, TruncatedProductSystem, check_conformality,
                      cohomologous_transform, conformal_weights,
-                     integrate_potential, product_measure)
+                     integrate_potential)
 from .errors import (ConstructionError, ConvergenceError, DomainError,
                      EnumerationError, FitFailureError, FreenessViolationError,
                      InvalidInputError, KmspecError, QuadratureError,
                      RealizationError, UnsupportedGeneratorError, WindowError)
-from .expratio import (ExpSumRatio, PartitionedBlockSystem, WeightedMultiset,
-                       approximate_unit, fit_c0, realize_block)
+from .expratio import (PartitionedBlockSystem, WeightedMultiset,
+                       approximate_unit, realize_block)
 from .growth import (BallCensus, CocycleModel, DefectCertificate, MeasureNet,
                      WordMetricGroup, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu)

@@ -10,7 +10,7 @@ blocks and their finite products.
 from dataclasses import dataclass
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,11 +165,6 @@ def cohomologous_transform(measure: ProbVector, H: Sequence[float], beta: float)
     return ProbVector(np.exp(logw - logsumexp(logw)))
 
 
-def product_measure(blocks: Sequence[FiniteConformalBlock], beta: float) -> List[ProbVector]:
-    """Per-block conformal weights; the truncation measure is their product."""
-    return [conformal_weights(b, beta) for b in blocks]
-
-
 @dataclass(frozen=True)
 class TruncatedProductSystem:
     """A finite prefix of an infinite product of blocks plus a tail bound.
@@ -195,7 +190,7 @@ class TruncatedProductSystem:
 
     def measure_on_truncation(self, beta: float) -> dict:
         """Product conformal measure as a dict {configuration tuple: mass}."""
-        per_block = product_measure(self.blocks, beta)
+        per_block = [conformal_weights(b, beta) for b in self.blocks]
         out = {}
         for cfg in self.configurations():
             m = 1.0
@@ -259,49 +254,3 @@ def check_conformality(system: TruncatedProductSystem,
                 max_defect = defect
     return ConformalityReport(max_defect=max_defect, tol=tol)
 
-
-# ---------------------------------------------------------------------------
-# Serialization: one record per block, decimal strings via repr() so the
-# round trip is bit-faithful.
-
-def blocks_to_text(blocks: Sequence[FiniteConformalBlock]) -> str:
-    lines = []
-    for b in blocks:
-        lines.append("block")
-        lines.append(f"order {b.order}")
-        lines.append(f"base {b.base!r}")
-        lines.append("weights " + " ".join(repr(float(w)) for w in b.base_measure.weights))
-        lines.append("potential " + " ".join(repr(float(h)) for h in b.potential))
-        if b.group is None:
-            lines.append("group none")
-        else:
-            lines.append(f"group table identity={b.group.identity}")
-            for row in b.group.mul:
-                lines.append("row " + " ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def blocks_from_text(text: str) -> List[FiniteConformalBlock]:
-    blocks = []
-    it = iter(text.strip().splitlines())
-    for line in it:
-        if line != "block":
-            raise InvalidInputError(f"expected 'block', got {line!r}")
-        order = int(next(it).split()[1])
-        base = float(next(it).split()[1])
-        weights = np.array([float(x) for x in next(it).split()[1:]])
-        potential = np.array([float(x) for x in next(it).split()[1:]])
-        gline = next(it)
-        group = None
-        if gline != "group none":
-            identity = int(gline.split("identity=")[1])
-            mul = tuple(tuple(int(x) for x in next(it).split()[1:]) for _ in range(order))
-            inv = [0] * order
-            for x in range(order):
-                for y in range(order):
-                    if mul[x][y] == identity:
-                        inv[x] = y
-            group = FiniteGroupTable(order=order, mul=mul, inv=tuple(inv), identity=identity)
-        blocks.append(FiniteConformalBlock(base_measure=ProbVector(weights),
-                                           potential=potential, base=base, group=group))
-    return blocks

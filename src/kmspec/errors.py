@@ -18,7 +18,7 @@ class QuadratureError(KmspecError):
 
 
 class FitFailureError(KmspecError):
-    """Sup-norm fitting exhausted its budget without a certificate."""
+    """No fit configuration produced a candidate."""
 
     def __init__(self, message, best_error):
         super().__init__(f"{message} (best achieved error {best_error:.3e})")

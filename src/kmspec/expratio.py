@@ -1,11 +1,13 @@
-"""Ratios of positive exponential sums, sup-norm fitting and block realization.
+"""Fitted fractions of exponential sums and the finite blocks realizing them.
 
-The function family consists of ratios sum c_i a_i^beta / sum d_j b_j^beta
-whose denominator bases dominate the numerator bases on both ends, forcing
-decay at plus and minus infinity.  Density of this family is made effective
-here by a fitting procedure over a bump basis with a common denominator, and
-the fitted ratios are turned into finite probability blocks whose conformal
-sums reproduce them identically.
+A block realizes a function bounded by 1/2 as eta_1 - eta_2, each eta a
+fraction S_A / (2 S_A + S_B) of positive exponential sums
+S_A(beta) = sum_a count_a a^beta over a multiset A of bases.  Each fraction
+is fitted in sup norm over a basis of bumps sharing one exponential-sum
+denominator; the fitted coefficients are rounded straight to big-integer
+counts, and the counts are rebalanced against the reachable block sizes so
+that the partitioned conformal sums of the block reproduce both fractions
+identically.
 """
 
 import math
@@ -26,6 +28,7 @@ _CHUNK = 512  # beta-grid chunk for grouped power sums (bounds peak memory)
 # every scaled sum then lies between e^-64 and (2m+1) e^64, far from float
 # overflow and underflow, so the scaling costs no accuracy
 _DESIGN_SCALE = 64.0
+_LAWSON_ITERS = 4  # reweighted NNLS solves per fit
 
 
 class WeightedMultiset:
@@ -91,95 +94,6 @@ class WeightedMultiset:
         return out
 
 
-class ExpSumRatio:
-    """r(beta) = sum c_i a_i^beta / sum d_j b_j^beta with dominating denominator bases."""
-
-    def __init__(self, numer: Sequence[Tuple[float, float]],
-                 denom: Sequence[Tuple[float, float]],
-                 _logs: Optional[tuple] = None):
-        numer = tuple((float(c), float(a)) for c, a in numer)
-        denom = tuple((float(d), float(b)) for d, b in denom)
-        if not numer or not denom:
-            raise InvalidInputError("numerator and denominator must be nonempty")
-        for c, a in numer + denom:
-            if not (c > 0.0 and a > 0.0 and math.isfinite(c) and math.isfinite(a)):
-                raise InvalidInputError("coefficients and bases must be strictly positive")
-        amax = max(a for _, a in numer)
-        amin = min(a for _, a in numer)
-        bmax = max(b for _, b in denom)
-        bmin = min(b for _, b in denom)
-        if not (bmax > amax and bmin < amin):
-            raise InvalidInputError("denominator bases must dominate numerator bases "
-                                    "on both ends")
-        self.numer = numer
-        self.denom = denom
-        if _logs is not None:
-            self._nlc, self._nlb, self._dlc, self._dlb = _logs
-        else:
-            self._nlc = np.log([c for c, _ in numer])
-            self._nlb = np.log([a for _, a in numer])
-            self._dlc = np.log([d for d, _ in denom])
-            self._dlb = np.log([b for _, b in denom])
-        self.certificate = None
-
-    @scalar_or_array
-    def __call__(self, betas):
-        ln = logsumexp(self._nlc[None, :] + betas[:, None] * self._nlb[None, :], axis=1)
-        ld = logsumexp(self._dlc[None, :] + betas[:, None] * self._dlb[None, :], axis=1)
-        return np.exp(ln - ld)
-
-    def tail_sup_bound(self, r_max: float) -> float:
-        """Certified bound on sup |r(beta)| over |beta| >= r_max.
-
-        For beta >= r_max every numerator term over the largest denominator
-        base is decreasing, so the value at r_max dominates; symmetrically on
-        the left with the smallest denominator base.
-        """
-        bmax_i = int(np.argmax(self._dlb))
-        bmin_i = int(np.argmin(self._dlb))
-        right = math.fsum(
-            math.exp(lc + r_max * (lb - self._dlb[bmax_i]) - self._dlc[bmax_i])
-            for lc, lb in zip(self._nlc, self._nlb))
-        left = math.fsum(
-            math.exp(lc - r_max * (lb - self._dlb[bmin_i]) - self._dlc[bmin_i])
-            for lc, lb in zip(self._nlc, self._nlb))
-        return max(left, right)
-
-    def log_lipschitz(self) -> float:
-        """Bound on |d/dbeta log r|, valid for every beta."""
-        return float(np.max(np.abs(self._nlb)) + np.max(np.abs(self._dlb)))
-
-    def derivative_sup_bound(self, r_max: float, grid_n: int = 2001) -> float:
-        """Certified bound on sup of |r'| over [-r_max, r_max]."""
-        grid = np.linspace(-r_max, r_max, grid_n)
-        h = grid[1] - grid[0]
-        lmax = self.log_lipschitz()
-        sup_r = float(np.max(self(grid))) * math.exp(lmax * h / 2.0)
-        return sup_r * lmax
-
-    def reflected(self) -> "ExpSumRatio":
-        """The ratio with reciprocal bases; satisfies r(beta) = reflected(-beta) exactly."""
-        numer = tuple((c, math.exp(-lb)) for (c, _), lb in zip(self.numer, self._nlb))
-        denom = tuple((d, math.exp(-lb)) for (d, _), lb in zip(self.denom, self._dlb))
-        return ExpSumRatio(numer, denom,
-                           _logs=(self._nlc.copy(), -self._nlb,
-                                  self._dlc.copy(), -self._dlb))
-
-    def to_text(self) -> str:
-        lines = ["numer " + " ".join(f"{c!r},{a!r}" for c, a in self.numer),
-                 "denom " + " ".join(f"{d!r},{b!r}" for d, b in self.denom)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExpSumRatio":
-        lines = text.strip().splitlines()
-        pairs = []
-        for line in lines[:2]:
-            terms = line.split()[1:]
-            pairs.append(tuple(tuple(float(x) for x in t.split(",")) for t in terms))
-        return cls(pairs[0], pairs[1])
-
-
 # ---------------------------------------------------------------------------
 # Approximate unit
 
@@ -217,30 +131,6 @@ def approximate_unit(n: int) -> Tuple[Callable, float]:
 # at y_i sharing the common denominator, and positive combinations are again
 # single ratios of exponential sums with O(m) terms.
 
-@dataclass(frozen=True)
-class C0Target:
-    """Evaluator with the analytic side information needed for certification."""
-
-    fn: Callable
-    lipschitz: float = 0.0       # bound on |target'| on the fit range
-    tail_bound: float = 0.0      # bound on |target| beyond the fit range
-
-    def __call__(self, beta):
-        return self.fn(beta)
-
-
-@dataclass(frozen=True)
-class FitCertificate:
-    grid_error: float
-    lipschitz_slack: float
-    tail_bound: float
-    epsilon: float
-
-    @property
-    def certified_error(self) -> float:
-        return self.grid_error + self.lipschitz_slack
-
-
 def _conv_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Polynomial multiplication of log-coefficient arrays: out = log(exp(x) * exp(y))."""
     if x.size > y.size:
@@ -253,7 +143,7 @@ def _conv_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _node_grid_fits(y_max: float, spacing: float) -> bool:
     # grouped extreme coefficients scale like 2^{-sum |y_j|}; beyond this
-    # budget they underflow the float range
+    # bound they underflow the float range
     return y_max * y_max / spacing <= 1000.0
 
 
@@ -267,7 +157,7 @@ class TranslatedKernelBasis:
     y_i, leaving a translate of the width-one kernel (sharper for wider
     windows) whose numerator is again a short positive exponential sum.  Any
     nonnegative combination of bumps is therefore a single ratio with O(m)
-    terms, and the denominator-dominance invariant holds by construction.
+    terms.
     """
 
     def __init__(self, y_max: float, spacing: float, window: int = 1):
@@ -348,26 +238,24 @@ class TranslatedKernelBasis:
         return out
 
     def fit_coeffs(self, betas: np.ndarray, values: np.ndarray,
-                   weights: Optional[np.ndarray] = None,
-                   iters: int = 4) -> Optional[np.ndarray]:
-        """Nonnegative least-squares fit with Lawson reweighting.
+                   weights: np.ndarray) -> Optional[np.ndarray]:
+        """Weighted nonnegative least-squares fit with Lawson reweighting.
 
         Reweighting by the running residual pulls the least-squares solution
-        toward the minimax one; the best iterate by weighted sup residual is
-        returned.
+        toward the minimax one; the best of _LAWSON_ITERS iterates by weighted
+        sup residual is returned.
         """
         design = self.design(betas)
-        base = np.ones_like(values) if weights is None else weights
-        w = base.copy()
+        w = weights.copy()
         best = None
         best_sup = math.inf
-        for _ in range(max(1, iters)):
+        for _ in range(_LAWSON_ITERS):
             try:
                 coeffs, _ = nnls(design * w[:, None], values * w,
                                  maxiter=max(1000, 50 * design.shape[1]))
             except RuntimeError:
                 break
-            res = base * np.abs(design @ coeffs - values)
+            res = weights * np.abs(design @ coeffs - values)
             sup = float(np.max(res))
             if sup < best_sup:
                 best, best_sup = coeffs, sup
@@ -389,76 +277,18 @@ class TranslatedKernelBasis:
         present = np.isfinite(logs)
         return logs[present], self._lattice[present]
 
-    def ratio(self, coeffs: np.ndarray) -> Optional[ExpSumRatio]:
-        logs, exps = self.merged_numerator(coeffs)
-        if logs.size == 0:
-            return None
-        # common rescale of numerator and denominator leaves the ratio intact;
-        # it protects the stored float coefficients from overflow
-        shift = max(float(np.max(logs)), float(np.max(self.log_d)))
-        nlc = logs - shift
-        keep = nlc > -700.0
-        nlc = nlc[keep]
-        nlb = exps[keep] * LN2
-        dlc = self.log_d - shift
-        dlb = self.exp_d * LN2
-        numer = [(math.exp(lc), math.exp(lb)) for lc, lb in zip(nlc, nlb)]
-        denom = [(math.exp(lc), math.exp(lb)) for lc, lb in zip(dlc, dlb)]
-        return ExpSumRatio(numer, denom, _logs=(nlc, nlb, dlc, dlb))
-
 
 _FIT_CONFIGS = ((1.0, 1), (0.5, 2), (0.5, 4), (0.5, 5), (0.25, 2), (0.25, 4))
 
 
-def _admissible_configs(r_max: float, budget: int):
-    """Basis keys (y_max, spacing, window) of the first `budget` fit
-    configurations whose node grid over the fit range [-r_max, r_max],
-    widened by 2, fits the coefficient range; the others are skipped."""
+def _admissible_configs(r_max: float):
+    """Basis keys (y_max, spacing, window) of the fit configurations whose
+    node grid over the fit range [-r_max, r_max], widened by 2, fits the
+    coefficient range; the others are skipped."""
     y_max = r_max + 2.0
-    for spacing, window in _FIT_CONFIGS[:budget]:
+    for spacing, window in _FIT_CONFIGS:
         if _node_grid_fits(y_max, spacing):
             yield y_max, spacing, window
-
-
-def fit_c0(target, epsilon: float, r_max: float, budget: int = 6) -> ExpSumRatio:
-    """Fit a nonnegative decaying function by a ratio of exponential sums.
-
-    The returned certificate records the maximum deviation on a 10x refined
-    grid, a Lipschitz slack from explicit derivative bounds, and an analytic
-    tail comparison beyond the fit range; the pass condition is the refined
-    grid error, which may be exceeded off the grid by at most the declared
-    slack.  Raises FitFailureError when the budget runs out.
-    """
-    if epsilon <= 0.0:
-        raise InvalidInputError("epsilon must be positive")
-    if not isinstance(target, C0Target):
-        target = C0Target(fn=target)
-    best = math.inf
-    design_grid = np.linspace(-r_max, r_max, max(801, int(80 * r_max) | 1))
-    target_design = np.asarray(target(design_grid), dtype=float)
-    fine = np.linspace(-r_max, r_max, 10 * (design_grid.size - 1) + 1)
-    target_fine = np.asarray(target(fine), dtype=float)
-    for key in _admissible_configs(r_max, budget):
-        basis = TranslatedKernelBasis(*key)
-        coeffs = basis.fit_coeffs(design_grid, target_design)
-        if coeffs is None:
-            continue
-        r = basis.ratio(coeffs)
-        if r is None:
-            r = ExpSumRatio([(max(epsilon * 1e-6, 1e-300), 1.0)],
-                            [(1.0, 0.5), (1.0, 2.0)])
-        err = float(np.max(np.abs(r(fine) - target_fine)))
-        h = fine[1] - fine[0]
-        slack = 0.5 * h * (r.derivative_sup_bound(r_max) + target.lipschitz)
-        tail = r.tail_sup_bound(r_max) + target.tail_bound
-        cert = FitCertificate(grid_error=err, lipschitz_slack=slack,
-                              tail_bound=tail, epsilon=epsilon)
-        best = min(best, err)
-        if err <= epsilon:
-            r.certificate = cert
-            return r
-    raise FitFailureError(f"no certificate at epsilon={epsilon} within {budget} attempts",
-                          best)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +464,7 @@ def _rationalize(log_coeffs: np.ndarray, exps: np.ndarray,
 
 
 def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
-              bases: Dict[tuple, TranslatedKernelBasis],
-              budget: int = 7
+              bases: Dict[tuple, TranslatedKernelBasis]
               ) -> Tuple[WeightedMultiset, WeightedMultiset, np.ndarray]:
     """Fit eta' = S_A / (2 S_A + S_B) to fvals, returning integer-count
     multisets A, B and log(2 S_A + S_B) on betas.  Bases are taken from, and
@@ -664,11 +493,11 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     rows = slice(None, None, step)
     best = math.inf
     best_pair = None
-    for key in _admissible_configs(r_max, budget):
+    for key in _admissible_configs(r_max):
         if key not in bases:
             bases[key] = TranslatedKernelBasis(*key)
         basis = bases[key]
-        coeffs = basis.fit_coeffs(betas[rows], h[rows], weights=weights[rows])
+        coeffs = basis.fit_coeffs(betas[rows], h[rows], weights[rows])
         if coeffs is None:
             continue
         logs, exps = basis.merged_numerator(coeffs)

@@ -54,9 +54,6 @@ class Mat2:
             n >>= 1
         return out
 
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
     def entries(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 

@@ -7,8 +7,8 @@ import pytest
 
 from kmspec.blocks import FiniteConformalBlock, ProbVector
 from kmspec.errors import InvalidInputError
-from kmspec.expratio import (ExpSumRatio, PartitionedBlockSystem,
-                             WeightedMultiset, approximate_unit)
+from kmspec.expratio import (PartitionedBlockSystem, WeightedMultiset,
+                             approximate_unit)
 from kmspec.realize import (RealizableCocycle, StageBlock, eval_phi,
                             fraction_pair, mobius_eval, tanh_ratio)
 from kmspec.sets import ClosedSetSpec
@@ -43,8 +43,6 @@ def _wreath():
 EVALUATORS = {
     "mobius_eval": lambda: lambda b: mobius_eval(2.0, b),
     "tanh_ratio": lambda: lambda b: tanh_ratio(1.0, 2.0, b),
-    "ExpSumRatio": lambda: ExpSumRatio(numer=[(1.0, 1.0)],
-                                       denom=[(2.0, 2.0), (2.0, 0.5)]),
     "approximate_unit": lambda: approximate_unit(2)[0],
     "target_phi_from_set": lambda: target_phi_from_set(
         ClosedSetSpec(intervals=((-1.0, 1.0),)), 2.0),

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from kmspec.blocks import (FiniteConformalBlock, FiniteGroupTable, ProbVector,
-                           TruncatedProductSystem, blocks_from_text,
-                           blocks_to_text, check_conformality,
+                           TruncatedProductSystem, check_conformality,
                            cohomologous_transform, conformal_weights,
                            integrate_potential)
 from kmspec.errors import InvalidInputError, UnsupportedGeneratorError
@@ -103,15 +102,3 @@ def test_conformality_requires_group_table():
 def test_tail_bound_from_schedule():
     got = TruncatedProductSystem.tail_bound_from_schedule([2.0, 1.5], 3.0)
     assert abs(got - 3.0 * (math.log(2.0) + math.log(1.5))) < 1e-15
-
-
-def test_serialization_round_trip():
-    blocks = [random_block(3), random_block(2, with_group=False)]
-    out = blocks_from_text(blocks_to_text(blocks))
-    for a, b in zip(blocks, out):
-        assert np.array_equal(a.base_measure.weights, b.base_measure.weights)
-        assert np.array_equal(a.potential, b.potential)
-        assert a.base == b.base
-        assert (a.group is None) == (b.group is None)
-        if a.group is not None:
-            assert a.group.mul == b.group.mul

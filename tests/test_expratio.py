@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from kmspec._arrays import logsumexp
-from kmspec.errors import FitFailureError, InvalidInputError, RealizationError
-from kmspec.expratio import (_FIT_CONFIGS, ExpSumRatio, PartitionedBlockSystem,
-                             TranslatedKernelBasis, WeightedMultiset,
-                             _admissible_configs, approximate_unit, fit_c0,
-                             realize_block)
-
-BETAS = np.linspace(-10.0, 10.0, 2001)
+from kmspec.errors import InvalidInputError, RealizationError
+from kmspec.expratio import (PartitionedBlockSystem, TranslatedKernelBasis,
+                             WeightedMultiset, _admissible_configs,
+                             approximate_unit, realize_block)
 
 
 def test_approximate_unit_normalization_constant():
@@ -28,31 +25,8 @@ def test_approximate_unit_integrates_to_one(n):
     assert abs(val - 1.0) < 1e-8 + err
 
 
-def test_expsumratio_dominance_enforced():
-    with pytest.raises(InvalidInputError):
-        ExpSumRatio(numer=[(1.0, 4.0)], denom=[(1.0, 2.0), (1.0, 0.5)])
 
 
-def test_expsumratio_text_round_trip():
-    r = ExpSumRatio(numer=[(0.3, 2.0), (0.1, 0.5)],
-                    denom=[(1.1, 3.0), (2.0, 1.0), (0.9, 0.25)])
-    s = ExpSumRatio.from_text(r.to_text())
-    assert np.max(np.abs(r(BETAS) - s(BETAS))) == 0.0
-
-
-def test_expsumratio_reflection():
-    r = ExpSumRatio(numer=[(0.3, 2.0), (0.3, 0.5)],
-                    denom=[(1.1, 3.0), (0.9, 0.25)])
-    assert np.max(np.abs(r.reflected()(BETAS) - r(-BETAS))) < 1e-15
-
-
-def test_expsumratio_tail_bound_dominates():
-    r = ExpSumRatio(numer=[(1.0, 2.0), (1.0, 0.5)],
-                    denom=[(1.0, 3.0), (1.0, 0.25)])
-    bound = r.tail_sup_bound(8.0)
-    outside = np.linspace(8.0, 40.0, 500)
-    vals = np.concatenate([r(outside), r(-outside)])
-    assert np.max(vals) <= bound + 1e-15
 
 
 def test_multiset_power_sum_matches_bruteforce():
@@ -93,12 +67,11 @@ def test_basis_guard_against_underflow():
 def test_admissible_fit_configs_at_the_wreath_range():
     # the CLI fits at r_max = 20, where the node grid guard leaves out both
     # spacing-0.25 configurations
-    keys = list(_admissible_configs(20.0, len(_FIT_CONFIGS)))
+    keys = list(_admissible_configs(20.0))
     assert [(spacing, window) for _, spacing, window in keys] == [
         (1.0, 1), (0.5, 2), (0.5, 4), (0.5, 5)]
     assert {y_max for y_max, _, _ in keys} == {22.0}
-    assert len(list(_admissible_configs(10.0, len(_FIT_CONFIGS)))) == 6
-    assert len(list(_admissible_configs(10.0, 2))) == 2
+    assert len(list(_admissible_configs(10.0))) == 6
 
 
 def test_basis_columns_peak_at_nodes():
@@ -110,35 +83,7 @@ def test_basis_columns_peak_at_nodes():
         assert abs(peak - y) < 0.6
 
 
-def test_fit_c0_logistic_plateau():
-    def target(beta):
-        return 0.25 / (1.0 + 2.0 ** np.asarray(beta, dtype=float))
 
-    ratio = fit_c0(target, epsilon=1e-2, r_max=10.0)
-    grid = np.linspace(-10.0, 10.0, 4001)
-    err = float(np.max(np.abs(ratio(grid) - target(grid))))
-    # the gate is the refined-grid error; the Lipschitz slack between grid
-    # points is declared in the certificate rather than folded into the gate
-    assert err <= 1e-2
-    assert ratio.certificate.grid_error <= 1e-2
-    assert ratio.certificate.certified_error >= err
-
-
-def test_fit_c0_zero_target():
-    ratio = fit_c0(lambda b: np.zeros_like(np.asarray(b, dtype=float)),
-                   epsilon=1e-3, r_max=10.0)
-    grid = np.linspace(-10.0, 10.0, 801)
-    assert float(np.max(np.abs(ratio(grid)))) < 1e-3
-
-
-def test_fit_c0_reports_best_error_on_failure():
-    def spike(beta):
-        b = np.asarray(beta, dtype=float)
-        return 0.4 / (1.0 + (20.0 * b) ** 2)
-
-    with pytest.raises(FitFailureError) as exc:
-        fit_c0(spike, epsilon=1e-9, r_max=10.0, budget=2)
-    assert exc.value.best_error > 1e-9
 
 
 def _bump(beta):
@@ -187,8 +132,3 @@ def test_realize_block_zero_target():
     grid = np.linspace(-20.0, 20.0, 801)
     assert float(np.max(np.abs(system.zeta(grid)))) <= 1e-2
     assert system.identity_residual(grid) <= 1e-10
-
-
-def test_eval_ratio_scalar():
-    r = ExpSumRatio(numer=[(1.0, 1.0)], denom=[(2.0, 2.0), (2.0, 0.5)])
-    assert abs(r(0.0) - 0.25) < 1e-15

@@ -1,14 +1,17 @@
 """Static checks on the library source, by ast (no linter is assumed).
 
-Every module imports only names it uses, the scalar/array convention of
-beta evaluators lives in one place, kmspec._arrays, and so does the
-log-sum-exp kernel.  One runtime guard checks that fit bases are shared
-within a build and never across builds, another that the benchmark's
-tracer still finds every library name it wraps.
+Every module imports only names it uses, every function, class and method
+it defines is named somewhere besides its definition, the scalar/array
+convention of beta evaluators lives in one place, kmspec._arrays, and so
+does the log-sum-exp kernel.  One runtime guard checks that fit bases are
+shared within a build and never across builds, another that the
+benchmark's tracer still finds every library name it wraps.
 """
 
 import ast
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +68,29 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def _definitions(tree):
+    """Names of the functions, classes and methods a module defines, at any
+    depth, except dunders, with their line numbers."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
+def test_every_definition_is_referenced():
+    # a definition whose name occurs nowhere else, not in a call, a test,
+    # the benchmark or a docstring, is code that nothing can reach
+    words = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    unused = [f"{path.name}:{line} {name}"
+              for path in SRC.glob("*.py")
+              for name, line in _definitions(ast.parse(path.read_text()))
+              if words[name] == 1]
+    assert not unused, f"defined but never referenced: {', '.join(unused)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
