@@ -167,18 +167,12 @@ def cohomologous_transform(measure: ProbVector, H: Sequence[float], beta: float)
 
 @dataclass(frozen=True)
 class TruncatedProductSystem:
-    """A finite prefix of an infinite product of blocks plus a tail bound.
-
-    tail_bound must dominate |log prod_{n>N} integral H_n^beta dmu_{n,beta}|
-    over the declared beta range; it is carried into every certified tolerance.
-    """
+    """A finite prefix of an infinite product of blocks; its product measure
+    and conformality checks are exact on the prefix, and no tail is bounded."""
 
     blocks: Tuple[FiniteConformalBlock, ...]
-    tail_bound: float = 0.0
 
     def __post_init__(self):
-        if self.tail_bound < 0.0:
-            raise InvalidInputError("tail_bound must be nonnegative")
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @property
@@ -198,11 +192,6 @@ class TruncatedProductSystem:
                 m *= per_block[i].weights[c]
             out[cfg] = m
         return out
-
-    @staticmethod
-    def tail_bound_from_schedule(bases: Sequence[float], beta_max: float) -> float:
-        """Tail bound |log prod integral H_n^beta| <= |beta| sum log a_n for omitted blocks."""
-        return abs(beta_max) * float(sum(math.log(a) for a in bases))
 
 
 @dataclass(frozen=True)

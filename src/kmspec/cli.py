@@ -9,6 +9,7 @@ Timings go to a separate sidecar file that is excluded from the manifest.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from itertools import zip_longest
@@ -39,14 +40,37 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
+# a grid needs two points and a build one stage; a range and a tolerance
+# must be finite and positive
+_NUMERIC_KEYS = {
+    "grid_n": (lambda v: int(v) >= 2, "an integer >= 2"),
+    "stages": (lambda v: int(v) >= 1, "an integer >= 1"),
+    "range": (lambda v: 0.0 < float(v) < math.inf, "finite and positive"),
+    "tol": (lambda v: 0.0 < float(v) < math.inf, "finite and positive"),
+}
+
+
 def load_config(path: str, overrides: dict) -> dict:
     with open(path) as fh:
         config = json.load(fh)
+    if isinstance(config, dict):
+        config.update((k, v) for k, v in overrides.items() if v is not None)
+    return check_config(config)
+
+
+def check_config(config: dict) -> dict:
+    """Reject a config no pipeline can run, naming the offending key; the
+    config is returned unchanged.  Both a new run and `verify` pass here."""
     if not isinstance(config, dict):
         raise InvalidInputError("config must be a JSON object")
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
+    for key, (valid, expected) in _NUMERIC_KEYS.items():
+        try:
+            ok = key not in config or valid(config[key])
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise InvalidInputError(f"config key {key!r} must be {expected}, "
+                                    f"got {config[key]!r}")
     mode = config.get("mode")
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -294,7 +318,7 @@ def cmd_verify(manifest_path: str) -> int:
             print(f"FAIL integrity: missing artifact {name}")
             return 1
     try:
-        artifacts, fresh = execute(config)
+        artifacts, fresh = execute(check_config(config))
     except (KmspecError, KeyError, TypeError, ValueError) as exc:
         print(f"FAIL certificate replay: the stored config does not run: {exc!r}")
         return 1

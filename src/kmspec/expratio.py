@@ -12,7 +12,7 @@ identically.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -297,9 +297,9 @@ def _admissible_configs(r_max: float):
 
 @dataclass
 class PartitionedBlockSystem:
-    """Finite set F = F_1 x F_2 of size prod j_k with the product measure mu
-    of two rebalanced fractions, a 3-part partition and the pair of
-    functions the parts encode.
+    """Finite set F = F_1 x F_2 (of size 2^n from realize_block) with the
+    product measure mu of two rebalanced fractions, a 3-part partition and
+    the pair of functions the parts encode.
 
     The fractions are four grouped multisets of unnormalized weights
     (A, B, C, D): F_1 carries 2A + B and F_2 carries 2C + D.  The parts are
@@ -314,8 +314,6 @@ class PartitionedBlockSystem:
     t: float
     fractions: Tuple[WeightedMultiset, WeightedMultiset,
                      WeightedMultiset, WeightedMultiset]
-    n_factors: int
-    j_used: Tuple[int, ...]
     achieved_error: float
     direct_eta1: Callable
     direct_eta2: Callable
@@ -392,57 +390,33 @@ class PartitionedBlockSystem:
         return float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
 
 
-def _j_products(j: Optional[Sequence[int]], start: int):
-    """Yield (count, running product) of block sizes from position start."""
-    prod = 1
-    k = start
-    while True:
-        if j is None:
-            jk = 2
-        elif k < len(j):
-            jk = int(j[k])
-        else:
-            return
-        if jk < 2:
-            raise InvalidInputError("block sizes j_k must be >= 2")
-        prod *= jk
-        k += 1
-        yield k, prod
-
-
 def _rebalance(numer: WeightedMultiset, denom: WeightedMultiset,
-               log_den: np.ndarray, eps_slack: float,
-               j: Optional[Sequence[int]], j_start: int):
-    """Find L = prod j_k and K with L = (4N + 2M) K + T and T/K small enough
-    that adding T/(1 + t^beta) to the denominator moves eta by at most
-    eps_slack; log_den is log(2 S_A + S_B) on the fit grid."""
-    n_count = numer.total()
-    m_count = denom.total()
-    d = 4 * n_count + 2 * m_count
+               log_den: np.ndarray, eps_slack: float) -> Tuple[int, int, int]:
+    """(L, K, T) with L = 2^n, n = 1..5001, L = (4N + 2M) K + T and T/K small
+    enough that adding T/(1 + t^beta) to the denominator moves eta by at
+    most eps_slack; log_den is log(2 S_A + S_B) on the fit grid.  A block is
+    one such L per fraction, so its order is a power of two."""
+    d = 4 * numer.total() + 2 * denom.total()
     # pointwise |eta - eta'| <= (T/K) / (2 * min(2 S_A + S_B)); see module tests
     log_bound = math.log(2.0 * eps_slack) + float(np.min(log_den))
-    last = None
-    for count, prod in _j_products(j, j_start):
-        last = (count, prod)
-        k = prod // d
+    for n in range(1, 5002):
+        size = 1 << n
+        k = size // d
         if k < 1:
             continue
-        tt = prod - d * k
+        tt = size - d * k
         if tt == 0 or math.log(tt) - math.log(k) <= log_bound:
-            return count, prod, k, tt
-        if count - j_start > 5000:
-            break
-    raise RealizationError(f"no admissible (L, K) pair found starting at factor "
-                           f"{j_start} (last tried {last})")
+            return size, k, tt
+    raise RealizationError("no admissible (L, K) pair with L = 2^n, n <= 5001")
 
 
 def _grid_relevant(log_coeffs: np.ndarray, exps: np.ndarray,
-                   r_max: float, drop: float = 40.0) -> np.ndarray:
-    """Mask of terms that come within exp(-drop) of the pointwise maximum
+                   r_max: float) -> np.ndarray:
+    """Mask of terms that come within exp(-40) of the pointwise maximum
     somewhere on [-r_max, r_max]; the rest never influence the sum there."""
     probes = np.linspace(-r_max, r_max, 401)
     logv = log_coeffs[:, None] + exps[:, None] * probes[None, :] * LN2
-    return np.any(logv >= np.max(logv, axis=0)[None, :] - drop, axis=1)
+    return np.any(logv >= np.max(logv, axis=0)[None, :] - 40.0, axis=1)
 
 
 def _int_exp_scaled(delta: float, q: int) -> int:
@@ -530,7 +504,6 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
 
 
 def realize_block(f, t: float, epsilon: float,
-                  j: Optional[Sequence[int]] = None,
                   r_max: float = 20.0,
                   grid_n: int = 10001,
                   _bases: Optional[Dict[tuple, TranslatedKernelBasis]] = None
@@ -539,9 +512,9 @@ def realize_block(f, t: float, epsilon: float,
     encoded in a partitioned finite probability block.
 
     The construction fits the positive and negative parts separately, then
-    rebalances the integer term counts against the reachable block-size
-    products and merges the two fractions over a common denominator; the two
-    defining identities of the returned system hold identically.  Both halves
+    rebalances the integer term counts against the block orders 2^n and
+    merges the two fractions over a common denominator; the two defining
+    identities of the returned system hold identically.  Both halves
     share their fit bases; a caller that realizes several blocks on one grid
     may share them further through `_bases`.
     """
@@ -578,8 +551,8 @@ def realize_block(f, t: float, epsilon: float,
     a_set, b_set, log_den1 = _fit_half(fp, betas, eps_fit, bases)
     c_set, d_set, log_den2 = _fit_half(fm, betas, eps_fit, bases)
 
-    p1, l1, k1, t1 = _rebalance(a_set, b_set, log_den1, eps_slack, j, 0)
-    p2, l2, k2, t2 = _rebalance(c_set, d_set, log_den2, eps_slack, j, p1)
+    l1, k1, t1 = _rebalance(a_set, b_set, log_den1, eps_slack)
+    l2, k2, t2 = _rebalance(c_set, d_set, log_den2, eps_slack)
 
     # merged numerator/denominator multisets of the two fractions, written with
     # total term counts l1 = 2N' + M' and l2 = 2P' + Q'
@@ -618,9 +591,6 @@ def realize_block(f, t: float, epsilon: float,
 
     system = PartitionedBlockSystem(size=l1 * l2, t=t,
                                     fractions=(a_p, b_p, c_p, d_p),
-                                    n_factors=p2,
-                                    j_used=tuple((j[i] if j is not None else 2)
-                                                 for i in range(p2)),
                                     achieved_error=0.0,
                                     direct_eta1=direct_eta1,
                                     direct_eta2=direct_eta2)

@@ -114,25 +114,15 @@ def reduce_word(letters: Sequence[Letter]) -> Tuple[Letter, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeWord:
-    letters: Tuple[Letter, ...]
-
-    def __post_init__(self):
-        if reduce_word(self.letters) != tuple(self.letters):
-            raise InvalidInputError("word is not reduced")
-
-
-def eval_word(word) -> Mat2:
-    letters = word.letters if isinstance(word, FreeWord) else tuple(word)
+def eval_word(word: Sequence[Letter]) -> Mat2:
     out = MAT2_IDENTITY
-    for letter in letters:
+    for letter in word:
         out = out * letter_matrix(letter)
     return out
 
 
-def default_alphabet(h_indices: Iterable[int] = range(-2, 3)) -> Tuple[str, ...]:
-    return ("g1", "g2") + tuple(f"h:{n}" for n in h_indices)
+def default_alphabet() -> Tuple[str, ...]:
+    return ("g1", "g2") + tuple(f"h:{n}" for n in range(-2, 3))
 
 
 def enumerate_reduced_words(max_len: int, alphabet: Sequence[str]

@@ -10,7 +10,7 @@ level sets at 1/k and k cut out a prescribed closed set avoiding 0.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -39,17 +39,17 @@ def tanh_ratio(l1: float, l2: float, betas):
     return np.where(betas == 0.0, l1 / l2, r)
 
 
-def ratio_bound(a_n: float, a_next: float, grid_n: int = 4001,
-                r_max: float = 50.0) -> float:
+def ratio_bound(a_n: float, a_next: float) -> float:
     """Certified upper bound on sup |P_n / P_{n+1}|.
 
     The ratio extends continuously with value ln(a_n)/ln(a_next) at 0 and tends
-    to 1 at infinity; both limits are bracketed together with a grid maximum.
+    to 1 at infinity; both limits are bracketed together with the maximum on
+    4001 points of [-50, 50].
     """
     if not (a_n > 1.0 and a_next > 1.0):
         raise InvalidInputError("bases must exceed 1")
     l1, l2 = math.log(a_n), math.log(a_next)
-    grid = np.linspace(-r_max, r_max, grid_n)
+    grid = np.linspace(-50.0, 50.0, 4001)
     candidates = [l1 / l2, 1.0, float(np.max(np.abs(tanh_ratio(l1, l2, grid))))]
     return max(candidates) * (1.0 + 1e-9)
 
@@ -96,44 +96,32 @@ def eval_phi(cocycle: RealizableCocycle, betas):
 
 
 def build_realizable(zeta: Callable, a: float, stages: int,
-                     base_schedule: Optional[Sequence[float]] = None,
-                     block_sizes: Optional[Sequence[int]] = None,
                      r_max: float = 20.0,
                      grid_n: int = 10001) -> RealizableCocycle:
     """Realize phi = 1 + P_1 zeta by a staged block product.
 
     Stage k fits the running residual (phi - psi_{k-1})/(psi_{k-1} P_k) to
-    tolerance min{(4 C_k)^{-1}, 2^{-k}}; the residual is evaluated through the
-    stable recursion res_{k+1} = (P_k/P_{k+1}) (res_k - zeta_k)/(1+P_k zeta_k),
-    which has no singularity at beta = 0.
+    tolerance min{(4 C_k)^{-1}, 2^{-k}} with a block of order 2^n at the base
+    a_k = 1 + (a-1)/k^2; the residual follows the stable recursion
+    res_{k+1} = (P_k/P_{k+1}) (res_k - zeta_k)/(1+P_k zeta_k), which has no
+    singularity at beta = 0.
     """
     if stages < 1:
         raise InvalidInputError("stages must be >= 1")
-    if not a > 1.0:
-        raise InvalidInputError("a must exceed 1")
-    if base_schedule is None:
-        base_schedule = default_schedule(a, stages)
-    if len(base_schedule) < stages + 1:
-        raise InvalidInputError("base schedule must provide stages + 1 values")
-    if abs(base_schedule[0] - a) > 1e-12:
-        raise InvalidInputError("schedule must start at a")
-    for i in range(stages):
-        if not base_schedule[i] > 1.0:
-            raise InvalidInputError("schedule bases must exceed 1")
-
     betas = np.linspace(-r_max, r_max, grid_n)
+    # mobius_eval rejects a base a <= 1
     phi_vals = 1.0 + mobius_eval(a, betas) * np.asarray(zeta(betas), dtype=float)
+    schedule = default_schedule(a, stages)
 
     stage_blocks = []
     res = zeta
-    j_rest = block_sizes
     psi_vals = np.ones_like(betas)
     # fit bases and their design matrices, shared by every stage and retry
     # of this build; they all fit on the same grid
     bases = {}
     for k in range(1, stages + 1):
-        a_k = base_schedule[k - 1]
-        c_k = ratio_bound(a_k, base_schedule[k])
+        a_k = schedule[k - 1]
+        c_k = ratio_bound(a_k, schedule[k])
         eps_k = min(1.0 / (4.0 * c_k), 2.0 ** (-k))
         system = None
         last_exc = None
@@ -142,15 +130,13 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         # the final product-level error gate below is the binding certificate
         for eps_try in (eps_k, 2.0 * eps_k, 4.0 * eps_k):
             try:
-                system = realize_block(res, t=a_k, epsilon=eps_try, j=j_rest,
+                system = realize_block(res, t=a_k, epsilon=eps_try,
                                        r_max=r_max, grid_n=grid_n, _bases=bases)
                 break
             except (FitFailureError, RealizationError) as exc:
                 last_exc = exc
         if system is None:
             raise RealizationError(f"stage {k} failed: {last_exc}") from last_exc
-        if j_rest is not None:
-            j_rest = j_rest[system.n_factors:]
         factor_vals = system.factor(betas)
         if float(np.min(factor_vals)) < 0.5 - 1e-9:
             raise RealizationError(f"stage {k}: 1 + P zeta dips below 1/2")
@@ -160,11 +146,9 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         stage_blocks.append(StageBlock(index=k, a=a_k, epsilon=eps_k,
                                        system=system))
 
-        l_k = math.log(a_k)
-        l_next = math.log(base_schedule[k])
-
         @scalar_or_array
-        def next_res(bts, prev=res, sys_k=system, l1=l_k, l2=l_next):
+        def next_res(bts, prev=res, sys_k=system, l1=math.log(a_k),
+                     l2=math.log(schedule[k])):
             return (tanh_ratio(l1, l2, bts)
                     * (np.asarray(prev(bts), dtype=float) - sys_k.zeta(bts))
                     / sys_k.factor(bts))
@@ -177,7 +161,7 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         raise RealizationError(f"certified error {certified} exceeds "
                                f"2^(1-K) = {budget}")
     return RealizableCocycle(stages=tuple(stage_blocks),
-                             bases=tuple(base_schedule[:stages]),
+                             bases=schedule[:stages],
                              certified_error=certified,
                              r_max=r_max, grid_n=grid_n)
 
@@ -185,6 +169,8 @@ def build_realizable(zeta: Callable, a: float, stages: int,
 # ---------------------------------------------------------------------------
 # Fraction pairs: phi_1 with level set {phi_1 = 1/k} = K and phi_2 with
 # {phi_2 = k} = K, for closed K avoiding 0.
+
+_CEILING = 1e12  # largest b and a the doubling searches of fraction_pair try
 
 def clamp_f(value):
     """Piecewise-linear clamp: identity on [-1/2,1/2], folded to 0 beyond 1."""
@@ -240,8 +226,7 @@ class FractionPair:
 
 
 def fraction_pair(K, k: int, Lambda0_order: int,
-                  grid_n: int = 10001, r_max: float = 20.0,
-                  ceiling: float = 1e12) -> FractionPair:
+                  grid_n: int = 10001, r_max: float = 20.0) -> FractionPair:
     """Construct the fraction pair for a closed set K with 0 not in K.
 
     b is found by doubling until the beta <= -delta inequality holds, then a
@@ -261,7 +246,7 @@ def fraction_pair(K, k: int, Lambda0_order: int,
     b = 2.0
     while coeff * b ** (-delta) > 0.25:
         b *= 2.0
-        if b > ceiling:
+        if b > _CEILING:
             raise ConstructionError("no admissible b below the ceiling for the "
                                     "beta <= -delta inequality")
     c = b + 1.0
@@ -269,7 +254,7 @@ def fraction_pair(K, k: int, Lambda0_order: int,
     while (2.0 * (k - 1) * (b / a) ** delta + l * (1.0 - 1.0 / k) * (c / a) ** delta
            > 0.25) or a ** delta < 3.0:
         a *= 2.0
-        if a > ceiling:
+        if a > _CEILING:
             raise ConstructionError("no admissible a below the ceiling for the "
                                     "beta >= delta inequalities")
 

@@ -49,8 +49,8 @@ class ClosedSetSpec:
             d = np.minimum(d, np.abs(betas - p))
         return d
 
-    def contains(self, beta, tol: float = 0.0) -> bool:
-        return bool(self.distance(float(beta)) <= tol)
+    def contains(self, beta) -> bool:
+        return bool(self.distance(float(beta)) == 0.0)
 
     def is_bounded(self) -> bool:
         return all(math.isfinite(lo) and math.isfinite(hi)

@@ -80,13 +80,12 @@ class SpectrumReport:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f: Callable, lo: float, hi: float,
-                xatol: float = 1e-14) -> Tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi]; robust on kinks."""
+def _golden_min(f: Callable, lo: float, hi: float) -> Tuple[float, float]:
+    """Golden-section minimum of f on [lo, hi] to 1e-14; robust on kinks."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > xatol:
+    while hi - lo > 1e-14:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -441,13 +440,12 @@ class FreeProductSystem:
 
 def assemble_free_product(pair: FractionPair, window: int,
                           extra_blocks1: Sequence[FiniteConformalBlock] = (),
-                          extra_blocks2: Sequence[FiniteConformalBlock] = (),
                           q: Optional[int] = None) -> FreeProductSystem:
     """Truncated free product system over the pair's explicit first blocks."""
     return FreeProductSystem(q=pair.k if q is None else q,
                              window=window,
                              blocks1=(pair.first_block(1),) + tuple(extra_blocks1),
-                             blocks2=(pair.first_block(2),) + tuple(extra_blocks2))
+                             blocks2=(pair.first_block(2),))
 
 
 def theta_rn_derivative(system: FreeProductSystem, beta: float,

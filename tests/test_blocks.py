@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -97,8 +95,3 @@ def test_conformality_requires_group_table():
     with pytest.raises(UnsupportedGeneratorError):
         check_conformality(system, system.measure_on_truncation(1.0), 1.0,
                            [(0, 1)], tol=1e-12)
-
-
-def test_tail_bound_from_schedule():
-    got = TruncatedProductSystem.tail_bound_from_schedule([2.0, 1.5], 3.0)
-    assert abs(got - 3.0 * (math.log(2.0) + math.log(1.5))) < 1e-15

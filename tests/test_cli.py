@@ -146,3 +146,35 @@ def test_overrides_change_hash(tmp_path):
     tweaked = load_config(path, {"grid_n": 2001})
     assert config_hash(base) != config_hash(tweaked)
     assert tweaked["grid_n"] == 2001
+
+
+@pytest.mark.parametrize("cfg,flags,key", [
+    (dict(WREATH_CFG, range="-10"), [], "range"),
+    (WREATH_CFG, ["--range", "0"], "range"),
+    (WREATH_CFG, ["--range", "inf"], "range"),
+    (WREATH_CFG, ["--grid-n", "1"], "grid_n"),
+    (WREATH_CFG, ["--grid-n", "0"], "grid_n"),
+    (WREATH_CFG, ["--tol", "-1"], "tol"),
+    (WREATH_CFG, ["--tol", "nan"], "tol"),
+    (dict(WREATH_CFG, stages=0), [], "stages"),
+], ids=["range-negative", "range-zero", "range-inf", "grid-one", "grid-zero",
+        "tol-negative", "tol-nan", "stages-zero"])
+def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", path, "--out", str(out),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()
+
+
+def test_verify_rejects_a_stored_one_point_grid(tmp_path, capsys):
+    path = write_cfg(tmp_path, FREE_CFG)
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    _tamper_manifest(out, lambda m: m["config"].update(grid_n=1))
+    assert main(["verify", "--config", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL") and "'grid_n'" in printed

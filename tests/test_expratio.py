@@ -99,6 +99,8 @@ def test_realize_block_bump_target():
     assert system.identity_residual(grid) <= 1e-10
     # the factor 1 + P_1 zeta equals 1 exactly at beta = 0
     assert abs(float(system.factor(0.0)) - 1.0) < 1e-14
+    # every block has order 2^n
+    assert bin(system.size).count("1") == 1
 
 
 def test_factored_parts_match_materialized_products():
@@ -121,8 +123,7 @@ def test_factored_parts_match_materialized_products():
         assert float(np.max(np.abs(g - w))) <= 1e-12
     with pytest.raises(RealizationError):
         PartitionedBlockSystem(size=system.size + 1, t=3.0,
-                               fractions=system.fractions, n_factors=1,
-                               j_used=(2,), achieved_error=0.0,
+                               fractions=system.fractions, achieved_error=0.0,
                                direct_eta1=None, direct_eta2=None)
 
 

@@ -1,9 +1,10 @@
 """Static checks on the library source, by ast (no linter is assumed).
 
 Every module imports only names it uses, every function, class and method
-it defines is named somewhere besides its definition, the scalar/array
-convention of beta evaluators lives in one place, kmspec._arrays, and so
-does the log-sum-exp kernel.  One runtime guard checks that fit bases are
+it defines is named somewhere besides its definition, every parameter
+with a default is set by some call (test_every_default_parameter_is_set),
+the scalar/array convention of beta evaluators lives in one place,
+kmspec._arrays, and so does the log-sum-exp kernel.  One runtime guard checks that fit bases are
 shared within a build and never across builds, another that the
 benchmark's tracer still finds every library name it wraps.
 """
@@ -91,6 +92,66 @@ def test_every_definition_is_referenced():
               for name, line in _definitions(ast.parse(path.read_text()))
               if words[name] == 1]
     assert not unused, f"defined but never referenced: {', '.join(unused)}"
+
+
+def _defaulted_parameters(tree):
+    """(call name, parameter, positional index, line) for every parameter
+    with a default of a module-level function or method; an __init__ is
+    called by its class name, and a method's positional index skips self
+    or cls."""
+    scopes = [(node, None) for node in tree.body]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            scopes += [(node, cls.name) for node in cls.body]
+    for node, owner in scopes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if owner is not None and not static else 0
+        name = owner if node.name == "__init__" else node.name
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, i - skip, arg.lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, arg.lineno
+
+
+def _calls():
+    """(callee name, call node) for every call in src, tests and perfbench."""
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Name):
+                        yield func.id, node
+                    elif isinstance(func, ast.Attribute):
+                        yield func.attr, node
+
+
+def _sets(call, param, index):
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_parameter_is_set():
+    # a default that no call overrides is a constant spelled as an option:
+    # every caller gets the same value, so the parameter should go
+    calls = list(_calls())
+    unset = [f"{path.name}:{line} {name}.{param}"
+             for path in sorted(SRC.glob("*.py"))
+             for name, param, index, line in _defaulted_parameters(
+                 ast.parse(path.read_text()))
+             if not any(callee == name and _sets(call, param, index)
+                        for callee, call in calls)]
+    assert not unset, f"parameters no call sets: {', '.join(unset)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -125,8 +125,8 @@ def test_design_is_recomputed_for_a_mutated_grid():
 def _small_system() -> PartitionedBlockSystem:
     fractions = (WeightedMultiset({2.0: 1}), WeightedMultiset({0.5: 1}),
                  WeightedMultiset({1.0: 1}), WeightedMultiset({3.0: 1}))
-    return PartitionedBlockSystem(size=9, t=2.0, fractions=fractions, n_factors=1,
-                                  j_used=(9,), achieved_error=0.0,
+    return PartitionedBlockSystem(size=9, t=2.0, fractions=fractions,
+                                  achieved_error=0.0,
                                   direct_eta1=None, direct_eta2=None)
 
 
