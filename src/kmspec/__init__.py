@@ -16,9 +16,8 @@ from .growth import (BallCensus, CocycleModel, DefectCertificate, MeasureNet,
                      classify_spectrum, limsup_ratio, omega_mu)
 from .padic import (Mat2, default_alphabet, eval_word, freeness_suite,
                     generator, reduce_word, sl2_order, subgroup_closure_mod)
-from .realize import (FractionPair, RealizableCocycle, StageBlock,
-                      build_realizable, eval_phi, fraction_pair, mobius_eval,
-                      ratio_bound)
+from .realize import (FractionPair, RealizableCocycle, build_realizable,
+                      eval_phi, fraction_pair, mobius_eval, ratio_bound)
 from .sets import ClosedSetSpec
 from .spectra import (FreeProductSystem, SpectrumReport, WreathSystem,
                       assemble_free_product, shift_rn_derivative,

@@ -40,13 +40,31 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
-# a grid needs two points and a build one stage; a range and a tolerance
-# must be finite and positive
+def _integer(v) -> bool:
+    int(v)    # raises on a value that does not parse
+    return True
+
+
+def _finite(v) -> bool:
+    return math.isfinite(float(v))
+
+
+# every value a runner passes through int() or float(): integers must parse
+# and floats be finite; a grid needs two points and a build one stage, a
+# range and a tolerance must be positive and the wreath base t above 1
+_INTEGER = (_integer, "an integer")
+_FINITE = (_finite, "a finite number")
 _NUMERIC_KEYS = {
     "grid_n": (lambda v: int(v) >= 2, "an integer >= 2"),
     "stages": (lambda v: int(v) >= 1, "an integer >= 1"),
     "range": (lambda v: 0.0 < float(v) < math.inf, "finite and positive"),
     "tol": (lambda v: 0.0 < float(v) < math.inf, "finite and positive"),
+    "t": (lambda v: 1.0 < float(v) < math.inf, "finite and above 1"),
+    **dict.fromkeys(("k", "lambda0_order", "p", "N", "max_len", "n_states",
+                     "step", "horizon", "radius", "x0"), _INTEGER),
+    **dict.fromkeys(("c", "beta"), _FINITE),
+    "s_list": (lambda v: isinstance(v, list) and all(map(_finite, v)),
+               "a list of finite numbers"),
 }
 
 

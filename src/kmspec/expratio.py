@@ -141,10 +141,13 @@ def _conv_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+# grouped extreme coefficients scale like 2^{-sum |y_j|}; beyond this bound
+# on y_max^2/spacing they underflow the float range
+_NODE_GRID_BOUND = 1000.0
+
+
 def _node_grid_fits(y_max: float, spacing: float) -> bool:
-    # grouped extreme coefficients scale like 2^{-sum |y_j|}; beyond this
-    # bound they underflow the float range
-    return y_max * y_max / spacing <= 1000.0
+    return y_max * y_max / spacing <= _NODE_GRID_BOUND
 
 
 class TranslatedKernelBasis:
@@ -463,11 +466,16 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     # the rows accordingly makes the least-squares error track the eta error
     weights = 1.0 / np.square(1.0 + 2.0 * h)
     r_max = float(betas[-1])
+    configs = list(_admissible_configs(r_max))
+    if not configs:
+        raise InvalidInputError(f"fit range r_max={r_max:g} is too wide: no fit "
+                                "configuration keeps its node grid within "
+                                f"y_max^2/spacing <= {_NODE_GRID_BOUND:g}")
     step = max(1, (betas.size - 1) // 2000)
     rows = slice(None, None, step)
     best = math.inf
     best_pair = None
-    for key in _admissible_configs(r_max):
+    for key in configs:
         if key not in bases:
             bases[key] = TranslatedKernelBasis(*key)
         basis = bases[key]

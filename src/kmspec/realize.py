@@ -61,29 +61,14 @@ def default_schedule(a: float, stages: int) -> Tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class StageBlock:
-    index: int
-    a: float
-    epsilon: float
-    system: PartitionedBlockSystem
-
-    @property
-    def achieved_error(self) -> float:
-        return self.system.achieved_error
-
-
-@dataclass(frozen=True)
 class RealizableCocycle:
     """Product cocycle over staged blocks realizing phi = 1 + P_1 zeta."""
 
-    stages: Tuple[StageBlock, ...]
-    bases: Tuple[float, ...]
+    stages: Tuple[PartitionedBlockSystem, ...]
     certified_error: float
-    r_max: float
-    grid_n: int
 
     def identity_residual(self, beta) -> float:
-        return max(s.system.identity_residual(beta) for s in self.stages)
+        return max(s.identity_residual(beta) for s in self.stages)
 
 
 @scalar_or_array
@@ -91,7 +76,7 @@ def eval_phi(cocycle: RealizableCocycle, betas):
     """Product over blocks of the per-block conformal integral of H^beta."""
     out = np.ones_like(betas)
     for stage in cocycle.stages:
-        out = out * stage.system.factor(betas)
+        out = out * stage.factor(betas)
     return out
 
 
@@ -143,8 +128,7 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         psi_vals = psi_vals * factor_vals
         if float(np.max(np.abs(psi_vals))) > 2.0 + 1e-9:
             raise RealizationError(f"stage {k}: |psi| exceeds 2")
-        stage_blocks.append(StageBlock(index=k, a=a_k, epsilon=eps_k,
-                                       system=system))
+        stage_blocks.append(system)
 
         @scalar_or_array
         def next_res(bts, prev=res, sys_k=system, l1=math.log(a_k),
@@ -161,9 +145,7 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         raise RealizationError(f"certified error {certified} exceeds "
                                f"2^(1-K) = {budget}")
     return RealizableCocycle(stages=tuple(stage_blocks),
-                             bases=schedule[:stages],
-                             certified_error=certified,
-                             r_max=r_max, grid_n=grid_n)
+                             certified_error=certified)
 
 
 # ---------------------------------------------------------------------------

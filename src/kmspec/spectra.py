@@ -4,7 +4,7 @@ their Radon-Nikodym data, and the spectrum solvers.
 The spectrum of the wreath system is {beta : phi(beta) = 1}; the free product
 system requires phi_1(beta) = 1/k and phi_2(beta) = k simultaneously.  Both
 level sets are generically flat, so the solver combines a strict membership
-threshold with refinement of near-miss local minima and transversal roots.
+threshold with golden-section refinement of near-miss local minima.
 """
 
 import math
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._arrays import scalar_or_array
 from .blocks import FiniteConformalBlock, conformal_weights, integrate_potential
@@ -97,20 +96,19 @@ def _golden_min(f: Callable, lo: float, hi: float) -> Tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _near_misses(m: np.ndarray, tol: float):
+def _near_misses(m: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the local minima of m that may hide a zero within one cell.
 
     A zero within one cell of point i forces m[i] <= (local slope) * spacing,
     which the adjacent differences estimate; minima above that and above tol
-    cannot hide one.  The first and last points have one neighbour, so their
-    test is one-sided.
+    cannot hide one.  The first and last points have one neighbour and stand
+    in for the missing one themselves, so their test is one-sided.
     """
-    n = m.size
-    for i in range(n):
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        slope_room = 1.5 * max(abs(m[hi] - m[i]), abs(m[i] - m[lo]))
-        if m[i] <= max(tol, slope_room) and m[i] <= m[lo] and m[i] <= m[hi]:
-            yield i
+    lo = np.concatenate((m[:1], m[:-1]))
+    hi = np.concatenate((m[1:], m[-1:]))
+    slope_room = 1.5 * np.maximum(np.abs(hi - m), np.abs(m - lo))
+    return np.flatnonzero((m <= np.maximum(tol, slope_room))
+                          & (m <= lo) & (m <= hi))
 
 
 _SUB_CELLS = 64
@@ -134,20 +132,18 @@ def _other_zeros(metric: Callable, scalar: Callable, lo: float, hi: float,
             yield float(y)
 
 
-def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
-                        r_max: float, tol: float, grid_n: int,
-                        strict: Optional[float] = None) -> SpectrumReport:
+def _report_from_metric(metric: Callable, r_max: float, tol: float,
+                        grid_n: int, strict: float) -> SpectrumReport:
     """Shared solver: metric(beta) >= 0 vanishes exactly on the spectrum.
 
-    Membership uses the strict threshold tol/100 by default, separating
-    first-order tangential near-misses from numerically-zero values;
-    near-miss local minima and transversal sign changes are refined off the
-    grid.  A refined zero within one cell of another feature is merged into
-    it, with a warning when the metric rises above the strict threshold
-    between the two, that is when a point of the spectrum goes unreported.
+    Membership uses the strict threshold, separating first-order tangential
+    near-misses from numerically-zero values; near-miss local minima are
+    refined off the grid by golden section, which also finds every
+    transversal zero, as one makes its nearest grid point a near miss.  A
+    refined zero within one cell of another feature is merged into it, with
+    a warning when the metric rises above the strict threshold between the
+    two, that is when a point of the spectrum goes unreported.
     """
-    if strict is None:
-        strict = tol / 100.0
     betas = np.linspace(-r_max, r_max, grid_n)
     spacing = betas[1] - betas[0]
     m = np.asarray(metric(betas), dtype=float)
@@ -159,9 +155,8 @@ def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
     extra = []
     # refine near-miss local minima: the grid may straddle an off-grid root.
     # The first and last points search one-sided, over the end cell.
-    for i in _near_misses(m, tol):
-        if member[i]:
-            continue
+    misses = _near_misses(m, tol)
+    for i in misses[~member[misses]]:
         lo, hi = max(i - 1, 0), min(i + 1, grid_n - 1)
         # golden-section search: parabolic steps stall on kink-shaped
         # minima, which is the generic local shape of |phi - 1| at an
@@ -171,34 +166,16 @@ def _report_from_metric(metric: Callable, sign_fn: Optional[Callable],
             extra.append(float(x))
             extra.extend(_other_zeros(metric, scalar, betas[lo], betas[hi],
                                       x, tol, strict))
-    if sign_fn is not None:
-        s = np.sign(np.asarray(sign_fn(betas), dtype=float))
-        for i in range(grid_n - 1):
-            if member[i] or member[i + 1]:
-                continue
-            if s[i] != 0.0 and s[i + 1] != 0.0 and s[i] != s[i + 1]:
-                root = brentq(lambda b: float(sign_fn(np.array([b]))[0]),
-                              betas[i], betas[i + 1], xtol=spacing * 1e-9)
-                if scalar(root) <= strict:
-                    extra.append(float(root))
 
-    isolated = []
-    intervals = []
-    clipped = []
-    i = 0
-    while i < grid_n:
-        if not member[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid_n and member[j + 1]:
-            j += 1
-        if j == i:
-            isolated.append(float(betas[i]))
-        else:
-            intervals.append((float(betas[i]), float(betas[j])))
-            clipped.append(i == 0 or j == grid_n - 1)
-        i = j + 1
+    # runs of members start where the padded mask rises and end where it falls
+    edges = np.diff(np.concatenate(([0], member.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    single = starts == ends
+    isolated = [float(b) for b in betas[starts[single]]]
+    intervals = [(float(betas[i]), float(betas[j]))
+                 for i, j in zip(starts[~single], ends[~single])]
+    clipped = ((starts == 0) | (ends == grid_n - 1))[~single].tolist()
 
     warnings = []
     for p in extra:
@@ -234,10 +211,7 @@ def solve_spectrum(phi: Callable, r_max: float, tol: float,
     def metric(bts):
         return np.abs(np.asarray(phi(bts), dtype=float) - 1.0)
 
-    def signed(bts):
-        return np.asarray(phi(bts), dtype=float) - 1.0
-
-    return _report_from_metric(metric, signed, r_max, tol, grid_n)
+    return _report_from_metric(metric, r_max, tol, grid_n, strict=tol / 100.0)
 
 
 def solve_free_product_spectrum(pair: FractionPair, r_max: float, tol: float,
@@ -257,8 +231,8 @@ def solve_free_product_spectrum(pair: FractionPair, r_max: float, tol: float,
         v2 = np.abs(np.asarray(pair.phi2(bts), dtype=float) - k) / k
         return np.maximum(v1, v2)
 
-    strict = min(tol / 100.0, 1e-13)
-    return _report_from_metric(metric, None, r_max, tol, grid_n, strict=strict)
+    return _report_from_metric(metric, r_max, tol, grid_n,
+                               strict=min(tol / 100.0, 1e-13))
 
 
 # ---------------------------------------------------------------------------

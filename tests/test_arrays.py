@@ -9,7 +9,7 @@ from kmspec.blocks import FiniteConformalBlock, ProbVector
 from kmspec.errors import InvalidInputError
 from kmspec.expratio import (PartitionedBlockSystem, WeightedMultiset,
                              approximate_unit)
-from kmspec.realize import (RealizableCocycle, StageBlock, eval_phi,
+from kmspec.realize import (RealizableCocycle, eval_phi,
                             fraction_pair, mobius_eval, tanh_ratio)
 from kmspec.sets import ClosedSetSpec
 from kmspec.spectra import WreathSystem, target_phi_from_set
@@ -29,9 +29,7 @@ def _pair():
 
 
 def _cocycle():
-    stage = StageBlock(index=1, a=2.0, epsilon=0.5, system=_block_system())
-    return RealizableCocycle(stages=(stage,), bases=(2.0,), certified_error=0.0,
-                             r_max=10.0, grid_n=2001)
+    return RealizableCocycle(stages=(_block_system(),), certified_error=0.0)
 
 
 def _wreath():

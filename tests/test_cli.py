@@ -157,8 +157,13 @@ def test_overrides_change_hash(tmp_path):
     (WREATH_CFG, ["--tol", "-1"], "tol"),
     (WREATH_CFG, ["--tol", "nan"], "tol"),
     (dict(WREATH_CFG, stages=0), [], "stages"),
+    (dict(WREATH_CFG, t="inf"), [], "t"),
+    (dict(WREATH_CFG, t="1"), [], "t"),
+    (dict(FREE_CFG, k="x"), [], "k"),
+    (dict(FREE_CFG, lambda0_order="y"), [], "lambda0_order"),
 ], ids=["range-negative", "range-zero", "range-inf", "grid-one", "grid-zero",
-        "tol-negative", "tol-nan", "stages-zero"])
+        "tol-negative", "tol-nan", "stages-zero", "t-inf", "t-one", "k-text",
+        "order-text"])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -167,6 +172,45 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     err = capsys.readouterr().err
     assert err.startswith("config error") and repr(key) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("padic", dict(PADIC_CFG, p="q"), "p"),
+    ("padic", dict(PADIC_CFG, max_len="1.5"), "max_len"),
+    ("growth", dict(GROWTH_CFG, horizon="z"), "horizon"),
+    ("growth", dict(GROWTH_CFG, beta="nan"), "beta"),
+    ("growth", dict(GROWTH_CFG, s_list=["0.5", "inf"]), "s_list"),
+    ("growth", dict(GROWTH_CFG, s_list="0.5"), "s_list"),
+], ids=["p-text", "max-len-fraction", "horizon-text", "beta-nan", "s-inf",
+        "s-not-list"])
+def test_bad_numbers_are_config_errors_in_every_mode(tmp_path, capsys,
+                                                     command, cfg, key):
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()
+
+
+def test_wide_wreath_range_is_rejected_before_fitting(tmp_path, capsys):
+    path = write_cfg(tmp_path, dict(WREATH_CFG, range="30", grid_n=501))
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wreath error") and "r_max=30 " in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_a_stored_non_numeric_value(tmp_path, capsys):
+    path = write_cfg(tmp_path, FREE_CFG)
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    _tamper_manifest(out, lambda m: m["config"].update(k="x"))
+    assert main(["verify", "--config", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL") and "'k'" in printed
 
 
 def test_verify_rejects_a_stored_one_point_grid(tmp_path, capsys):

@@ -9,7 +9,8 @@ from kmspec.errors import DomainError, WindowError
 from kmspec.realize import fraction_pair
 from kmspec.sets import ClosedSetSpec
 from kmspec.spectra import (FreeProductSystem, WreathSystem,
-                            _report_from_metric, assemble_free_product,
+                            _near_misses, _report_from_metric,
+                            assemble_free_product,
                             shift_rn_derivative, solve_free_product_spectrum,
                             solve_spectrum, target_phi_from_set,
                             theta_rn_derivative)
@@ -47,6 +48,45 @@ def test_solve_spectrum_trivial_targets():
                             r_max=10.0, tol=1e-6, grid_n=10001)
     assert report.isolated_roots == (0.0,)
     assert report.flat_intervals == ()
+    # transversal roots strictly between grid points, where phi - 1 changes
+    # sign: the near-miss search alone must find them
+    for root, phi in ((0.12345, lambda b: 1.0 + (b - 0.12345)),
+                      (1.2345, lambda b: 1.0 + np.tanh(50.0 * (b - 1.2345)))):
+        for grid_n in (10000, 10001):
+            report = solve_spectrum(phi, r_max=10.0, tol=1e-6, grid_n=grid_n)
+            assert len(report.isolated_roots) == 1
+            assert abs(report.isolated_roots[0] - root) < 1e-12
+            assert report.flat_intervals == ()
+            assert report.warnings == ()
+
+
+def _near_misses_pointwise(m, tol):
+    # the per-point rule: end points take themselves as the missing neighbour
+    n = m.size
+    out = []
+    for i in range(n):
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        slope_room = 1.5 * max(abs(m[hi] - m[i]), abs(m[i] - m[lo]))
+        if m[i] <= max(tol, slope_room) and m[i] <= m[lo] and m[i] <= m[hi]:
+            out.append(i)
+    return out
+
+
+def test_near_misses_matches_pointwise_rule():
+    rng = np.random.default_rng(11)
+    cases = [np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([2.0, 2.0]),
+             np.array([0.0, 1.0, 0.0]), np.array([3.0, 1.0, 3.0]),
+             np.array([1.0, 1.0, 1.0]), np.array([0.5, 4.0, 9.0])]
+    for n in (2, 3, 5, 17, 200):
+        for _ in range(40):
+            # small integers give ties and plateaus; the scale moves values
+            # across the tol threshold
+            cases.append(rng.integers(0, 4, n) * rng.choice([1e-9, 1e-3, 1.0]))
+            cases.append(np.abs(rng.normal(size=n)))
+    for m in cases:
+        for tol in (1e-6, 0.5, 2.0):
+            got = _near_misses(m, tol)
+            assert got.tolist() == _near_misses_pointwise(m, tol), (m, tol)
 
 
 @pytest.mark.parametrize("K", [
@@ -102,7 +142,7 @@ def test_root_in_end_cell_is_refined(K):
     # the point lies strictly inside the first or last grid cell, so only a
     # one-sided search over the end cell can find it
     report = _report_from_metric(lambda b: np.asarray(K.distance(b), dtype=float),
-                                 None, r_max=10.0, tol=1e-6, grid_n=10000)
+                                 r_max=10.0, tol=1e-6, grid_n=10000, strict=1e-8)
     point = K.points[0]
     assert len(report.isolated_roots) == 1
     assert abs(report.isolated_roots[0] - point) < 1e-12
