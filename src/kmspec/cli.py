@@ -14,7 +14,7 @@ import sys
 import time
 from itertools import zip_longest
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -49,23 +49,29 @@ def _finite(v) -> bool:
     return math.isfinite(float(v))
 
 
+def _positive(v) -> bool:
+    return 0.0 < float(v) < math.inf
+
+
 # every value a runner passes through int() or float(): integers must parse
-# and floats be finite; a grid needs two points and a build one stage, a
-# range and a tolerance must be positive and the wreath base t above 1
+# and floats be finite; a grid needs two points, a build one stage, a growth
+# model one state and a limsup one sphere; a range, a tolerance and every s
+# must be positive and the wreath base t above 1
 _INTEGER = (_integer, "an integer")
 _FINITE = (_finite, "a finite number")
 _NUMERIC_KEYS = {
     "grid_n": (lambda v: int(v) >= 2, "an integer >= 2"),
-    "stages": (lambda v: int(v) >= 1, "an integer >= 1"),
-    "range": (lambda v: 0.0 < float(v) < math.inf, "finite and positive"),
-    "tol": (lambda v: 0.0 < float(v) < math.inf, "finite and positive"),
+    **dict.fromkeys(("stages", "n_states", "horizon"),
+                    (lambda v: int(v) >= 1, "an integer >= 1")),
+    **dict.fromkeys(("range", "tol"), (_positive, "finite and positive")),
     "t": (lambda v: 1.0 < float(v) < math.inf, "finite and above 1"),
-    **dict.fromkeys(("k", "lambda0_order", "p", "N", "max_len", "n_states",
-                     "step", "horizon", "radius", "x0"), _INTEGER),
+    **dict.fromkeys(("k", "lambda0_order", "p", "N", "max_len", "step",
+                     "radius", "x0"), _INTEGER),
     **dict.fromkeys(("c", "beta"), _FINITE),
-    "s_list": (lambda v: isinstance(v, list) and all(map(_finite, v)),
-               "a list of finite numbers"),
+    "s_list": (lambda v: isinstance(v, list) and v != [] and all(map(_positive, v)),
+               "a non-empty list of finite positive numbers"),
 }
+N_STATES = 64    # growth state count when the config sets none
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -89,6 +95,10 @@ def check_config(config: dict) -> dict:
         if not ok:
             raise InvalidInputError(f"config key {key!r} must be {expected}, "
                                     f"got {config[key]!r}")
+    n_states = int(config.get("n_states", N_STATES))
+    if not 0 <= int(config.get("x0", 0)) < n_states:
+        raise InvalidInputError(f"config key 'x0' must be a state in 0.."
+                                f"{n_states - 1}, got {config['x0']!r}")
     mode = config.get("mode")
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -113,11 +123,11 @@ def _num(config, key, default=None) -> float:
     return float(config[key])
 
 
-def _csv(rows: List[Tuple], header: Tuple[str, ...]) -> str:
+def _csv(header: Tuple[str, ...], *columns) -> str:
+    """One CSV line per row of the columns, every value written by repr:
+    pass NumPy arrays as lists, since np.float64 has its own repr."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -166,13 +176,10 @@ def run_build_spectrum(config: dict):
                                   cphi0, 1e-12))
         report = solve_spectrum(phi, r_max=r_max, tol=tol, grid_n=grid_n)
         phi_vals = np.asarray(phi(betas), dtype=float)
-        artifacts["samples.csv"] = _csv(
-            [(float(b), float(v)) for b, v in zip(betas, phi_vals)],
-            ("beta", "phi"))
-        artifacts["residuals.csv"] = _csv(
-            [(float(b), float(abs(p - q)))
-             for b, p, q in zip(betas, phi_vals, psi_vals)],
-            ("beta", "residual"))
+        artifacts["samples.csv"] = _csv(("beta", "phi"), betas.tolist(),
+                                        phi_vals.tolist())
+        artifacts["residuals.csv"] = _csv(("beta", "residual"), betas.tolist(),
+                                          np.abs(phi_vals - psi_vals).tolist())
     else:
         k = int(config.get("k", 2))
         order = int(config.get("lambda0_order", 2 * k))
@@ -190,9 +197,8 @@ def run_build_spectrum(config: dict):
                                              grid_n=grid_n)
         v1 = np.asarray(pair.phi1(betas), dtype=float)
         v2 = np.asarray(pair.phi2(betas), dtype=float)
-        artifacts["samples.csv"] = _csv(
-            [(float(b), float(a), float(c)) for b, a, c in zip(betas, v1, v2)],
-            ("beta", "phi1", "phi2"))
+        artifacts["samples.csv"] = _csv(("beta", "phi1", "phi2"), betas.tolist(),
+                                        v1.tolist(), v2.tolist())
 
     artifacts["report.json"] = canonical_json(report.to_dict())
     return artifacts, certificates
@@ -201,7 +207,7 @@ def run_build_spectrum(config: dict):
 def run_growth(config: dict):
     preset = config.get("preset", "coboundary")
     c = _num(config, "c", 1.0)
-    n_states = int(config.get("n_states", 64))
+    n_states = int(config.get("n_states", N_STATES))
     step = int(config.get("step", 7))
     # a horizon that is a multiple of the state count makes the truncated
     # limsup exact for grid-rotation models: the sphere sup of a coboundary
@@ -218,18 +224,16 @@ def run_growth(config: dict):
     certificates.append(_cert("cocycle-identity", worst <= 1e-10, worst, 1e-10))
 
     census = ball_census(model.group, min(horizon, 12))
-    artifacts["census.csv"] = _csv(
-        [(k, n) for k, n in enumerate(census.counts)], ("k", "sphere_size"))
+    artifacts["census.csv"] = _csv(("k", "sphere_size"),
+                                   range(len(census.counts)), census.counts)
 
     est_pos = limsup_ratio(model, x0, 1.0, horizon)
     est_neg = limsup_ratio(model, x0, -1.0, horizon)
     margin = 1e-9
     flags = (est_pos.estimate <= margin, est_neg.estimate <= margin)
     verdict = classify_spectrum(*flags)
-    artifacts["limsup.csv"] = _csv(
-        [(n, float(tp), float(tn)) for n, (tp, tn)
-         in enumerate(zip(est_pos.tails, est_neg.tails))],
-        ("n", "tail_sup_pos", "tail_sup_neg"))
+    artifacts["limsup.csv"] = _csv(("n", "tail_sup_pos", "tail_sup_neg"),
+                                   range(horizon), est_pos.tails, est_neg.tails)
 
     defect_rows = []
     all_ok = True
@@ -241,13 +245,11 @@ def run_growth(config: dict):
             all_ok &= cert.passed
             worst_ratio = max(worst_ratio,
                               cert.measured_defect / max(cert.bound, 1e-300))
-            defect_rows.append((float(s), str(cert.generator),
-                                float(cert.measured_defect),
-                                float(cert.analytic_bound),
-                                float(cert.truncation_slack)))
+            defect_rows.append((s, cert.generator, cert.measured_defect,
+                                cert.analytic_bound, cert.truncation_slack))
     certificates.append(_cert("measure-net-defects", all_ok, worst_ratio, 1.0))
-    artifacts["defects.csv"] = _csv(
-        defect_rows, ("s", "generator", "measured", "bound", "slack"))
+    artifacts["defects.csv"] = _csv(("s", "generator", "measured", "bound",
+                                     "slack"), *zip(*defect_rows))
 
     uniform = np.full(n_states, 1.0 / n_states)
     table = omega_mu(model, uniform)
@@ -367,16 +369,18 @@ def main(argv=None) -> int:
     for name in ("build-spectrum", "verify", "growth", "padic"):
         cp = sub.add_parser(name)
         cp.add_argument("--config", required=True)
-        cp.add_argument("--out", default="out")
-        cp.add_argument("--grid-n", type=int, default=None)
-        cp.add_argument("--tol", default=None)
-        cp.add_argument("--range", dest="range_", default=None)
+        if name != "verify":    # verify replays in memory and writes nothing
+            cp.add_argument("--out", default="out")
+        if name == "build-spectrum":    # the only runner with a grid
+            cp.add_argument("--grid-n", type=int)
+            cp.add_argument("--tol")
+            cp.add_argument("--range")
     args = parser.parse_args(argv)
 
     if args.command == "verify":
         return cmd_verify(args.config)
 
-    overrides = {"grid_n": args.grid_n, "tol": args.tol, "range": args.range_}
+    overrides = {key: getattr(args, key, None) for key in ("grid_n", "tol", "range")}
     try:
         config = load_config(args.config, overrides)
         expected_mode = {"build-spectrum": ("wreath", "free-product"),

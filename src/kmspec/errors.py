@@ -20,10 +20,6 @@ class QuadratureError(KmspecError):
 class FitFailureError(KmspecError):
     """No fit configuration produced a candidate."""
 
-    def __init__(self, message, best_error):
-        super().__init__(f"{message} (best achieved error {best_error:.3e})")
-        self.best_error = best_error
-
 
 class ConvergenceError(KmspecError):
     """A truncated sum has not settled within the declared ball."""

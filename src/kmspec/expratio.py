@@ -203,7 +203,6 @@ class TranslatedKernelBasis:
         powers = np.outer(self.nodes, self._lattice * LN2)
         self.log_peaks = (logsumexp(logs[:m] + powers, axis=1)
                           - logsumexp(logs[m] + powers, axis=1))
-        self._design_memo: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def design(self, betas: np.ndarray) -> np.ndarray:
         """Matrix of peak-normalized bump values, one column per node.
@@ -214,12 +213,9 @@ class TranslatedKernelBasis:
         most 1, the second within e^(+-_DESIGN_SCALE), so one matmul of the
         two exponentiated matrices gives every bump numerator and the
         denominator at once, and e^g_i enters only through the ratio of the
-        scales.  The matrix for the most recent grid is kept (read-only) and
-        returned again for an equal grid.
+        scales.  Nothing is cached here: `_fit_half` computes the matrix once
+        per basis per build and keeps it, read-only, next to the basis.
         """
-        memo = self._design_memo
-        if memo is not None and np.array_equal(memo[0], betas):
-            return memo[1]
         betas = np.array(betas, dtype=float)
         m = self.nodes.size
         lattice = self._lattice * LN2
@@ -237,18 +233,18 @@ class TranslatedKernelBasis:
             out[rows] = (sums[:, :m] / sums[:, m:]
                          * np.exp(g[:m] - g[m] - self.log_peaks))
         out.flags.writeable = False
-        self._design_memo = (betas, out)
         return out
 
-    def fit_coeffs(self, betas: np.ndarray, values: np.ndarray,
+    @staticmethod
+    def fit_coeffs(design: np.ndarray, values: np.ndarray,
                    weights: np.ndarray) -> Optional[np.ndarray]:
-        """Weighted nonnegative least-squares fit with Lawson reweighting.
+        """Weighted nonnegative least-squares fit with Lawson reweighting, on
+        a design matrix computed once per basis per build.
 
         Reweighting by the running residual pulls the least-squares solution
         toward the minimax one; the best of _LAWSON_ITERS iterates by weighted
         sup residual is returned.
         """
-        design = self.design(betas)
         w = weights.copy()
         best = None
         best_sup = math.inf
@@ -281,7 +277,7 @@ class TranslatedKernelBasis:
         return logs[present], self._lattice[present]
 
 
-_FIT_CONFIGS = ((1.0, 1), (0.5, 2), (0.5, 4), (0.5, 5), (0.25, 2), (0.25, 4))
+_FIT_CONFIGS = ((1.0, 1), (0.5, 2), (0.5, 4), (0.5, 5))
 
 
 def _admissible_configs(r_max: float):
@@ -300,7 +296,7 @@ def _admissible_configs(r_max: float):
 
 @dataclass
 class PartitionedBlockSystem:
-    """Finite set F = F_1 x F_2 (of size 2^n from realize_block) with the
+    """Finite set F = F_1 x F_2 (of order 2^n from realize_block) with the
     product measure mu of two rebalanced fractions, a 3-part partition and
     the pair of functions the parts encode.
 
@@ -313,7 +309,6 @@ class PartitionedBlockSystem:
     residual is a bug detector rather than an approximation error.
     """
 
-    size: int
     t: float
     fractions: Tuple[WeightedMultiset, WeightedMultiset,
                      WeightedMultiset, WeightedMultiset]
@@ -323,9 +318,10 @@ class PartitionedBlockSystem:
     _memo: Optional[Tuple[np.ndarray, Tuple[np.ndarray, ...]]] = field(
         default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.size != sum(self.part_totals()):
-            raise RealizationError("partition counts do not cover F")
+    @property
+    def size(self) -> int:
+        """|F| = (2A + B)(2C + D), the sum of the three part totals."""
+        return sum(self.part_totals())
 
     def part_totals(self) -> Tuple[int, int, int]:
         """Exact element counts of the three parts."""
@@ -394,8 +390,8 @@ class PartitionedBlockSystem:
 
 
 def _rebalance(numer: WeightedMultiset, denom: WeightedMultiset,
-               log_den: np.ndarray, eps_slack: float) -> Tuple[int, int, int]:
-    """(L, K, T) with L = 2^n, n = 1..5001, L = (4N + 2M) K + T and T/K small
+               log_den: np.ndarray, eps_slack: float) -> Tuple[int, int]:
+    """(K, T) with (4N + 2M) K + T = L = 2^n, n = 1..5001, and T/K small
     enough that adding T/(1 + t^beta) to the denominator moves eta by at
     most eps_slack; log_den is log(2 S_A + S_B) on the fit grid.  A block is
     one such L per fraction, so its order is a power of two."""
@@ -409,7 +405,7 @@ def _rebalance(numer: WeightedMultiset, denom: WeightedMultiset,
             continue
         tt = size - d * k
         if tt == 0 or math.log(tt) - math.log(k) <= log_bound:
-            return size, k, tt
+            return k, tt
     raise RealizationError("no admissible (L, K) pair with L = 2^n, n <= 5001")
 
 
@@ -441,11 +437,13 @@ def _rationalize(log_coeffs: np.ndarray, exps: np.ndarray,
 
 
 def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
-              bases: Dict[tuple, TranslatedKernelBasis]
+              bases: Dict[tuple, Tuple[TranslatedKernelBasis, np.ndarray]]
               ) -> Tuple[WeightedMultiset, WeightedMultiset, np.ndarray]:
     """Fit eta' = S_A / (2 S_A + S_B) to fvals, returning integer-count
-    multisets A, B and log(2 S_A + S_B) on betas.  Bases are taken from, and
-    added to, `bases`, keyed by (y_max, spacing, window).
+    multisets A, B and log(2 S_A + S_B) on betas.  Each basis and its design
+    matrix on the fit rows are computed once per build: they are taken from,
+    and added to, `bases`, keyed by (y_max, spacing, window), so one `bases`
+    dict serves one grid.
 
     Stops early once the grid error reaches eps_fit, otherwise returns the
     best pair found; the caller's end-to-end error gate is the authority, and
@@ -477,9 +475,10 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     best_pair = None
     for key in configs:
         if key not in bases:
-            bases[key] = TranslatedKernelBasis(*key)
-        basis = bases[key]
-        coeffs = basis.fit_coeffs(betas[rows], h[rows], weights[rows])
+            basis = TranslatedKernelBasis(*key)
+            bases[key] = (basis, basis.design(betas[rows]))
+        basis, design = bases[key]
+        coeffs = basis.fit_coeffs(design, h[rows], weights[rows])
         if coeffs is None:
             continue
         logs, exps = basis.merged_numerator(coeffs)
@@ -506,15 +505,16 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         if err <= eps_fit:
             return a, b, log_den
     if best_pair is None:
-        raise FitFailureError(f"half-fit produced no candidate at eps={eps_fit}",
-                              best)
+        raise FitFailureError(f"half-fit produced no candidate at eps={eps_fit} "
+                              f"(best achieved error {best:.3e})")
     return best_pair
 
 
 def realize_block(f, t: float, epsilon: float,
                   r_max: float = 20.0,
                   grid_n: int = 10001,
-                  _bases: Optional[Dict[tuple, TranslatedKernelBasis]] = None
+                  _bases: Optional[Dict[tuple, Tuple[TranslatedKernelBasis,
+                                                     np.ndarray]]] = None
                   ) -> PartitionedBlockSystem:
     """Realize a function bounded by 1/2 with vanishing tails as eta_1 - eta_2
     encoded in a partitioned finite probability block.
@@ -523,8 +523,8 @@ def realize_block(f, t: float, epsilon: float,
     rebalances the integer term counts against the block orders 2^n and
     merges the two fractions over a common denominator; the two defining
     identities of the returned system hold identically.  Both halves
-    share their fit bases; a caller that realizes several blocks on one grid
-    may share them further through `_bases`.
+    share their fit bases and design matrices; a caller that realizes several
+    blocks on one grid may share them further through `_bases`.
     """
     if not t > 1.0:
         raise InvalidInputError("t must exceed 1")
@@ -559,11 +559,11 @@ def realize_block(f, t: float, epsilon: float,
     a_set, b_set, log_den1 = _fit_half(fp, betas, eps_fit, bases)
     c_set, d_set, log_den2 = _fit_half(fm, betas, eps_fit, bases)
 
-    l1, k1, t1 = _rebalance(a_set, b_set, log_den1, eps_slack)
-    l2, k2, t2 = _rebalance(c_set, d_set, log_den2, eps_slack)
+    k1, t1 = _rebalance(a_set, b_set, log_den1, eps_slack)
+    k2, t2 = _rebalance(c_set, d_set, log_den2, eps_slack)
 
     # merged numerator/denominator multisets of the two fractions, written with
-    # total term counts l1 = 2N' + M' and l2 = 2P' + Q'
+    # total term counts L1 = 2N' + M' and L2 = 2P' + Q'
     a_p = a_set.scaled(k1)
     extra1 = [a_set.times(t).scaled(2 * k1), b_set.scaled(k1), b_set.times(t).scaled(k1)]
     if t1 > 0:
@@ -574,8 +574,6 @@ def realize_block(f, t: float, epsilon: float,
     if t2 > 0:
         extra2.append(WeightedMultiset({1.0: t2}))
     d_p = WeightedMultiset.union(*extra2)
-    if 2 * a_p.total() + b_p.total() != l1 or 2 * c_p.total() + d_p.total() != l2:
-        raise RealizationError("internal count mismatch after rebalancing")
 
     logt = math.log(t)
 
@@ -597,8 +595,7 @@ def realize_block(f, t: float, epsilon: float,
     # the identity, so the direct form uses c_set, d_set
     direct_eta2 = _direct(c_set.scaled(k2), d_set.scaled(k2), t2)
 
-    system = PartitionedBlockSystem(size=l1 * l2, t=t,
-                                    fractions=(a_p, b_p, c_p, d_p),
+    system = PartitionedBlockSystem(t=t, fractions=(a_p, b_p, c_p, d_p),
                                     achieved_error=0.0,
                                     direct_eta1=direct_eta1,
                                     direct_eta2=direct_eta2)

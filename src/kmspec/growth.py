@@ -27,29 +27,25 @@ class WordMetricGroup:
     growth guard.
     """
 
-    def __init__(self, name: str, identity, gens: Sequence,
-                 mul: Callable, inv: Callable):
+    def __init__(self, name: str, identity, gens: Sequence, mul: Callable):
         self.name = name
         self.identity = identity
         self.gens = tuple(gens)
         self.mul = mul
-        self.inv = inv
 
     @classmethod
     def from_preset(cls, name: str) -> "WordMetricGroup":
         if name == "Z":
-            return cls("Z", 0, (1, -1), lambda a, b: a + b, lambda a: -a)
+            return cls("Z", 0, (1, -1), lambda a, b: a + b)
         if name == "Z2":
             return cls("Z2", (0, 0),
                        ((1, 0), (-1, 0), (0, 1), (0, -1)),
-                       lambda a, b: (a[0] + b[0], a[1] + b[1]),
-                       lambda a: (-a[0], -a[1]))
+                       lambda a, b: (a[0] + b[0], a[1] + b[1]))
         if name == "free-proxy":
             # free semigroup on two letters modeled as tuples; exponential
             # growth, present only so the domain guard has something to reject
             return cls("free-proxy", (),
-                       ((0,), (1,), (2,)),
-                       lambda a, b: a + b, lambda a: a)
+                       ((0,), (1,), (2,)), lambda a, b: a + b)
         raise InvalidInputError(f"unknown group preset {name!r}")
 
     def spheres(self, n_max: int) -> List[set]:
@@ -87,7 +83,7 @@ def ball_census(group: WordMetricGroup, n_max: int) -> BallCensus:
     return BallCensus(counts=counts, rates=rates)
 
 
-def _require_subexponential(group: WordMetricGroup, horizon: int):
+def _require_subexponential(group: WordMetricGroup):
     # |G_k|^{1/k} only settles for large k (for Z^2 it is 1.45 at k = 10 and
     # 1.17 at k = 30), so probe shallowly first to catch exponential growth
     # cheaply, then judge the rate at a depth-30 horizon.
@@ -158,7 +154,6 @@ class CocycleModel:
 @dataclass(frozen=True)
 class LimsupEstimate:
     tails: Tuple[float, ...]     # tails[n] = sup over spheres n+1 .. N
-    horizon: int
 
     @property
     def estimate(self) -> float:
@@ -168,7 +163,7 @@ class LimsupEstimate:
 def limsup_ratio(model: CocycleModel, x: int, beta: float,
                  horizon: int) -> LimsupEstimate:
     """Ball-truncated over-approximation of limsup beta Omega(g,x)/|g|."""
-    _require_subexponential(model.group, horizon)
+    _require_subexponential(model.group)
     spheres = model.group.spheres(horizon)
     sphere_sups = []
     for k in range(1, horizon + 1):
@@ -180,13 +175,12 @@ def limsup_ratio(model: CocycleModel, x: int, beta: float,
         running = max(running, sup)
         tails.append(running)
     tails.reverse()
-    return LimsupEstimate(tails=tuple(tails), horizon=horizon)
+    return LimsupEstimate(tails=tuple(tails))
 
 
 @dataclass(frozen=True)
 class DefectCertificate:
     generator: object
-    s: float
     measured_defect: float
     analytic_bound: float
     truncation_slack: float
@@ -205,10 +199,6 @@ class MeasureNet:
     """Normalized orbit sum sum_g e^{beta Omega(g,x) - |g| s} delta_{g x}."""
 
     atoms: Tuple[Tuple[int, float], ...]    # (state, normalized weight)
-    total_mass: float
-    beta: float
-    s: float
-    radius: int
 
     def __post_init__(self):
         total = math.fsum(w for _, w in self.atoms)
@@ -228,7 +218,7 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
     """
     if s <= 0.0:
         raise InvalidInputError("s must be positive")
-    _require_subexponential(model.group, radius)
+    _require_subexponential(model.group)
     spheres = model.group.spheres(radius)
     weights: Dict[object, float] = {}
     for k, sphere in enumerate(spheres):
@@ -246,8 +236,7 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
         y = model.act(g, x)
         state_mass[y] = state_mass.get(y, 0.0) + w
     atoms = tuple(sorted((y, m / total) for y, m in state_mass.items()))
-    net = MeasureNet(atoms=atoms, total_mass=total, beta=beta, s=s,
-                     radius=radius)
+    net = MeasureNet(atoms=atoms)
 
     idx = np.arange(model.n_states)
     test_functions = [np.ones(model.n_states),
@@ -274,7 +263,7 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
             omega_sup = max(abs(beta * model.omega(h, y))
                             for y in range(model.n_states))
             slack = f_sup * (1.0 + math.exp(omega_sup)) * shell_mass
-            certificates.append(DefectCertificate(generator=h, s=s,
+            certificates.append(DefectCertificate(generator=h,
                                                   measured_defect=measured,
                                                   analytic_bound=bound,
                                                   truncation_slack=slack))

@@ -181,8 +181,20 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     ("growth", dict(GROWTH_CFG, beta="nan"), "beta"),
     ("growth", dict(GROWTH_CFG, s_list=["0.5", "inf"]), "s_list"),
     ("growth", dict(GROWTH_CFG, s_list="0.5"), "s_list"),
+    ("growth", dict(GROWTH_CFG, s_list=[]), "s_list"),
+    ("growth", dict(GROWTH_CFG, s_list=["0.5", "0"]), "s_list"),
+    ("growth", dict(GROWTH_CFG, s_list=["-0.1"]), "s_list"),
+    ("growth", dict(GROWTH_CFG, horizon=16, n_states=0), "n_states"),
+    ("growth", dict(GROWTH_CFG, horizon=16, n_states=-4), "n_states"),
+    ("growth", dict(GROWTH_CFG, horizon=0), "horizon"),
+    ("growth", dict(GROWTH_CFG, horizon=-3), "horizon"),
+    ("growth", dict(GROWTH_CFG, horizon=16, x0=64), "x0"),
+    ("growth", dict(GROWTH_CFG, horizon=16, x0=-65), "x0"),
+    ("growth", dict(GROWTH_CFG, horizon=16, n_states=8, x0=8), "x0"),
 ], ids=["p-text", "max-len-fraction", "horizon-text", "beta-nan", "s-inf",
-        "s-not-list"])
+        "s-not-list", "s-empty", "s-zero", "s-negative", "states-zero",
+        "states-negative", "horizon-zero", "horizon-negative", "x0-past-states",
+        "x0-negative", "x0-past-set-states"])
 def test_bad_numbers_are_config_errors_in_every_mode(tmp_path, capsys,
                                                      command, cfg, key):
     path = write_cfg(tmp_path, cfg)
@@ -191,6 +203,23 @@ def test_bad_numbers_are_config_errors_in_every_mode(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error") and repr(key) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--tol", "0.5"],
+    ["padic", "--grid-n", "7"],
+    ["padic", "--range", "10"],
+    ["verify", "--out", "elsewhere"],
+    ["verify", "--tol", "0.5"],
+], ids=["growth-tol", "padic-grid-n", "padic-range", "verify-out", "verify-tol"])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
+    # only build-spectrum reads a grid, a tolerance or a range, and verify
+    # reads only --config; an override a runner ignores would still enter
+    # the stored config and change its hash
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(tmp_path / "cfg.json")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_wide_wreath_range_is_rejected_before_fitting(tmp_path, capsys):

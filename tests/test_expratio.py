@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from kmspec._arrays import logsumexp
-from kmspec.errors import InvalidInputError, RealizationError
-from kmspec.expratio import (PartitionedBlockSystem, TranslatedKernelBasis,
+from kmspec.errors import InvalidInputError
+from kmspec.expratio import (_FIT_CONFIGS, TranslatedKernelBasis,
                              WeightedMultiset, _admissible_configs,
                              approximate_unit, realize_block)
 
@@ -65,13 +65,20 @@ def test_basis_guard_against_underflow():
 
 
 def test_admissible_fit_configs_at_the_wreath_range():
-    # the CLI fits at r_max = 20, where the node grid guard leaves out both
-    # spacing-0.25 configurations
+    # the CLI fits at r_max = 20, where the node grid guard admits every
+    # configuration
     keys = list(_admissible_configs(20.0))
     assert [(spacing, window) for _, spacing, window in keys] == [
         (1.0, 1), (0.5, 2), (0.5, 4), (0.5, 5)]
     assert {y_max for y_max, _, _ in keys} == {22.0}
-    assert len(list(_admissible_configs(10.0))) == 6
+    assert len(list(_admissible_configs(10.0))) == 4
+
+
+def test_every_fit_configuration_runs_at_the_wreath_range():
+    # every fit runs at r_max >= 20; a configuration the node grid guard
+    # leaves out there is one no build can use
+    keys = list(_admissible_configs(20.0))
+    assert [(spacing, window) for _, spacing, window in keys] == list(_FIT_CONFIGS)
 
 
 def test_basis_columns_peak_at_nodes():
@@ -121,10 +128,6 @@ def test_factored_parts_match_materialized_products():
     for g, w in zip(got, want):
         # a log difference of 1e-12 is a relative error of 1e-12 in the sum
         assert float(np.max(np.abs(g - w))) <= 1e-12
-    with pytest.raises(RealizationError):
-        PartitionedBlockSystem(size=system.size + 1, t=3.0,
-                               fractions=system.fractions, achieved_error=0.0,
-                               direct_eta1=None, direct_eta2=None)
 
 
 def test_realize_block_zero_target():

@@ -3,10 +3,12 @@
 Every module imports only names it uses, every function, class and method
 it defines is named somewhere besides its definition, every parameter
 with a default is set by some call (test_every_default_parameter_is_set),
-the scalar/array convention of beta evaluators lives in one place,
-kmspec._arrays, and so does the log-sum-exp kernel.  One runtime guard checks that fit bases are
-shared within a build and never across builds, another that the
-benchmark's tracer still finds every library name it wraps.
+every dataclass field and instance attribute is read somewhere
+(test_every_field_is_read), the scalar/array convention of beta evaluators
+lives in one place, kmspec._arrays, and so does the log-sum-exp kernel.
+One runtime guard checks that fit bases are shared within a build and
+never across builds, another that the benchmark's tracer still finds every
+library name it wraps and restores each class as it was.
 """
 
 import ast
@@ -154,6 +156,54 @@ def test_every_default_parameter_is_set():
     assert not unset, f"parameters no call sets: {', '.join(unset)}"
 
 
+def _fields(tree):
+    """(class, field, line) for every dataclass field and every attribute a
+    method assigns on self."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in cls.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id, node.lineno
+        for method in cls.body:
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(method):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"):
+                        yield cls.name, node.attr, node.lineno
+
+
+def _read_names():
+    """Attribute names loaded anywhere in src, tests and perfbench, and the
+    strings of every tuple or list a for loop iterates (getattr tables)."""
+    names = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+                elif isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+                    names |= {e.value for e in node.iter.elts
+                              if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return names
+
+
+def test_every_field_is_read():
+    # a field that is written but never read is state no computation uses:
+    # it costs memory and a reader's attention and certifies nothing
+    read = _read_names()
+    unread = sorted({f"{path.name}:{line} {cls}.{name}"
+                     for path in SRC.glob("*.py")
+                     for cls, name, line in _fields(ast.parse(path.read_text()))
+                     if name not in read})
+    assert not unread, f"fields never read: {', '.join(unread)}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_scalar_epilogue_only_in_arrays(path):
     if path.name == "_arrays.py":
@@ -208,11 +258,15 @@ def test_benchmark_tracer_installs_and_uninstalls():
         "perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    before = dict(vars(ke.WeightedMultiset))
+    classes = (ke.WeightedMultiset, ke.TranslatedKernelBasis,
+               ke.PartitionedBlockSystem)
+    before = [dict(vars(cls)) for cls in classes]
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert ke.WeightedMultiset.log_power_sum is not before["log_power_sum"]
+        assert ke.WeightedMultiset.log_power_sum is not before[0]["log_power_sum"]
+        assert isinstance(vars(ke.TranslatedKernelBasis)["fit_coeffs"], staticmethod)
     finally:
         tracer.uninstall()
-    assert dict(vars(ke.WeightedMultiset)) == before
+    # a staticmethod such as fit_coeffs comes back as the same staticmethod
+    assert [dict(vars(cls)) for cls in classes] == before
