@@ -473,20 +473,26 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     rows = slice(None, None, step)
     best = math.inf
     best_pair = None
+    # why each configuration gave no candidate, named by its basis key
+    reasons = []
     for key in configs:
         if key not in bases:
             basis = TranslatedKernelBasis(*key)
             bases[key] = (basis, basis.design(betas[rows]))
         basis, design = bases[key]
+        name = "(y_max={:g}, spacing={:g}, window={})".format(*key)
         coeffs = basis.fit_coeffs(design, h[rows], weights[rows])
         if coeffs is None:
+            reasons.append(f"{name}: NNLS gave no coefficients")
             continue
         logs, exps = basis.merged_numerator(coeffs)
         if logs.size == 0:
+            reasons.append(f"{name}: the merged numerator was empty")
             continue
         keep_a = _grid_relevant(logs, exps, r_max)
         keep_b = _grid_relevant(basis.log_d, basis.exp_d, r_max)
         if not np.any(keep_a):
+            reasons.append(f"{name}: no numerator atom was grid-relevant")
             continue
         # numerator and denominator share one scale so their ratio survives
         # the rounding; counts are big integers, never materialized as floats
@@ -505,8 +511,8 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         if err <= eps_fit:
             return a, b, log_den
     if best_pair is None:
-        raise FitFailureError(f"half-fit produced no candidate at eps={eps_fit} "
-                              f"(best achieved error {best:.3e})")
+        raise FitFailureError(f"half-fit produced no candidate at eps={eps_fit}: "
+                              + "; ".join(reasons))
     return best_pair
 
 

@@ -243,49 +243,65 @@ def fraction_pair(K, k: int, Lambda0_order: int,
     la, lb, lc = math.log(a), math.log(b), math.log(c)
     # term lists shared by the evaluators below
     q_numer = [(2.0 * (k - 1), lb), (l * (1.0 - 1.0 / k), lc)]
+    q2_denom = [(1.0, 0.0), (1.0, la), (l / k, lc)]
     block_sum = [(1.0, 0.0), (2.0 * (k - 1), lb), (1.0, la), (float(l), lc)]
     k_sum = [(float(k), 0.0), (float(k), la), (float(l), lc)]
 
-    @scalar_or_array
-    def bump(betas):
-        return np.maximum(0.0, 1.0 - np.asarray(K.distance(betas), dtype=float))
+    # Undecorated parts on a finite float array; each public evaluator below
+    # takes the scalar/array convention once and shares the log-sums it needs.
 
     def _lse(betas, terms):
         # terms: list of (coefficient, log base); skip zero coefficients
         rows = [math.log(cf) + betas * lbs for cf, lbs in terms if cf > 0.0]
         return logsumexp(np.stack(rows), axis=0)
 
-    def coth_half(betas):
+    def _bump(betas):
+        return np.maximum(0.0, 1.0 - np.asarray(K.distance(betas), dtype=float))
+
+    def _coth_half(betas):
         # (a^beta + 1)/(a^beta - 1); huge but finite near 0, sign of beta
         with np.errstate(divide="ignore"):
             th = np.tanh(betas * (la / 2.0))
             return np.where(th != 0.0, 1.0 / np.where(th != 0.0, th, 1.0), np.inf)
 
+    def _q1(betas, log_block):
+        num = _lse(betas, q_numer)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = -np.exp(num - log_block) * _coth_half(betas)
+        return np.where(betas == 0.0, np.inf, out)
+
+    def _q2(betas):
+        num = _lse(betas, q_numer)
+        den = _lse(betas, q2_denom)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.exp(num - den) * _coth_half(betas)
+        return np.where(betas == 0.0, np.inf, out)
+
+    def _zeta(betas, q):
+        return np.where(betas == 0.0, 0.0, clamp_f(q) * _bump(betas))
+
+    def _phi(betas, prefactor, zeta):
+        return prefactor * (1.0 + np.tanh(betas * (la / 2.0)) * zeta)
+
+    @scalar_or_array
+    def bump(betas):
+        return _bump(betas)
+
     @scalar_or_array
     def q1(betas):
-        num = _lse(betas, q_numer)
-        den = _lse(betas, block_sum)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = -np.exp(num - den) * coth_half(betas)
-        return np.where(betas == 0.0, np.inf, out)
+        return _q1(betas, _lse(betas, block_sum))
 
     @scalar_or_array
     def q2(betas):
-        num = _lse(betas, q_numer)
-        den = _lse(betas, [(1.0, 0.0), (1.0, la), (l / k, lc)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.exp(num - den) * coth_half(betas)
-        return np.where(betas == 0.0, np.inf, out)
+        return _q2(betas)
 
-    def make_zeta(q):
-        @scalar_or_array
-        def zeta(betas):
-            vals = clamp_f(q(betas)) * bump(betas)
-            return np.where(betas == 0.0, 0.0, vals)
-        return zeta
+    @scalar_or_array
+    def zeta1(betas):
+        return _zeta(betas, _q1(betas, _lse(betas, block_sum)))
 
-    zeta1 = make_zeta(q1)
-    zeta2 = make_zeta(q2)
+    @scalar_or_array
+    def zeta2(betas):
+        return _zeta(betas, _q2(betas))
 
     @scalar_or_array
     def prefactor1(betas):
@@ -295,19 +311,22 @@ def fraction_pair(K, k: int, Lambda0_order: int,
     def prefactor2(betas):
         return np.exp(_lse(betas, k_sum) - _lse(betas, block_sum))
 
-    def make_phi(prefactor, zeta):
-        @scalar_or_array
-        def phi(betas):
-            return prefactor(betas) * (1.0 + np.tanh(betas * (la / 2.0))
-                                       * zeta(betas))
-        return phi
+    @scalar_or_array
+    def phi1(betas):
+        log_block = _lse(betas, block_sum)
+        return _phi(betas, np.exp(log_block - _lse(betas, k_sum)),
+                    _zeta(betas, _q1(betas, log_block)))
+
+    @scalar_or_array
+    def phi2(betas):
+        return _phi(betas, np.exp(_lse(betas, k_sum) - _lse(betas, block_sum)),
+                    _zeta(betas, _q2(betas)))
 
     pair = FractionPair(k=k, block_order=Lambda0_order, delta=delta,
                         a=a, b=b, c=c, bump=bump, q1=q1, q2=q2,
                         zeta1=zeta1, zeta2=zeta2,
                         prefactor1=prefactor1, prefactor2=prefactor2,
-                        phi1=make_phi(prefactor1, zeta1),
-                        phi2=make_phi(prefactor2, zeta2))
+                        phi1=phi1, phi2=phi2)
 
     # verify the clamp region: |Q| <= 1/2 wherever |beta| >= delta on the grid
     betas = np.linspace(-r_max, r_max, grid_n)

@@ -4,7 +4,11 @@ their Radon-Nikodym data, and the spectrum solvers.
 The spectrum of the wreath system is {beta : phi(beta) = 1}; the free product
 system requires phi_1(beta) = 1/k and phi_2(beta) = k simultaneously.  Both
 level sets are generically flat, so the solver combines a strict membership
-threshold with golden-section refinement of near-miss local minima.
+threshold with golden-section refinement of near-miss local minima.  All
+brackets of a solve are refined in lockstep, with one evaluator call per
+step; each bracket follows the path a search of it alone would take, bit for
+bit, so the reports are byte-identical to those of a one-bracket-at-a-time
+search.
 """
 
 import math
@@ -79,21 +83,39 @@ class SpectrumReport:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f: Callable, lo: float, hi: float) -> Tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] to 1e-14; robust on kinks."""
+def _golden_mins(f: Callable, lo: np.ndarray,
+                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima of f on the brackets [lo[j], hi[j]] to 1e-14;
+    robust on kinks.
+
+    The brackets are searched in lockstep, with one call of f per step over
+    the brackets still open.  Each bracket does the arithmetic of a search on
+    its own, so with an elementwise f each takes the same path bit for bit.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    n = lo.size
+    if n == 0:
+        return lo, hi
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-14:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    f12 = np.asarray(f(np.concatenate((x1, x2))), dtype=float)
+    f1, f2 = f12[:n], f12[n:]
+    open_ = np.flatnonzero(hi - lo > 1e-14)
+    while open_.size:
+        left = f1[open_] <= f2[open_]
+        s, t = open_[left], open_[~left]
+        # the minimum lies left of x2: [lo, x2] keeps x1 as its new x2
+        hi[s], x2[s], f2[s] = x2[s], x1[s], f1[s]
+        x1[s] = hi[s] - _GOLDEN * (hi[s] - lo[s])
+        # the minimum lies right of x1: [x1, hi] keeps x2 as its new x1
+        lo[t], x1[t], f1[t] = x1[t], x2[t], f2[t]
+        x2[t] = lo[t] + _GOLDEN * (hi[t] - lo[t])
+        fx = np.asarray(f(np.where(left, x1[open_], x2[open_])), dtype=float)
+        f1[s], f2[t] = fx[left], fx[~left]
+        open_ = open_[hi[open_] - lo[open_] > 1e-14]
+    first = f1 <= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
 def _near_misses(m: np.ndarray, tol: float) -> np.ndarray:
@@ -114,24 +136,6 @@ def _near_misses(m: np.ndarray, tol: float) -> np.ndarray:
 _SUB_CELLS = 64
 
 
-def _other_zeros(metric: Callable, scalar: Callable, lo: float, hi: float,
-                 x: float, tol: float, strict: float):
-    """Zeros of the metric in [lo, hi] other than the one found at x.
-
-    Two zeros closer than a grid cell leave a single near-miss minimum on the
-    grid, and its search finds only one of them; on a finer sub-grid of the
-    bracket the others show as further near-miss minima.
-    """
-    sub = np.linspace(lo, hi, _SUB_CELLS + 1)
-    ms = np.asarray(metric(sub), dtype=float)
-    for k in _near_misses(ms, tol):
-        if k in (0, _SUB_CELLS) or sub[k - 1] <= x <= sub[k + 1]:
-            continue
-        y, fy = _golden_min(scalar, sub[k - 1], sub[k + 1])
-        if fy <= strict:
-            yield float(y)
-
-
 def _report_from_metric(metric: Callable, r_max: float, tol: float,
                         grid_n: int, strict: float) -> SpectrumReport:
     """Shared solver: metric(beta) >= 0 vanishes exactly on the spectrum.
@@ -149,23 +153,41 @@ def _report_from_metric(metric: Callable, r_max: float, tol: float,
     m = np.asarray(metric(betas), dtype=float)
     member = m <= strict
 
-    def scalar(b):
-        return float(metric(np.array([b]))[0])
-
-    extra = []
     # refine near-miss local minima: the grid may straddle an off-grid root.
-    # The first and last points search one-sided, over the end cell.
+    # The first and last points search one-sided, over the end cell.  Golden
+    # section, as parabolic steps stall on kink-shaped minima, which is the
+    # generic local shape of |phi - 1| at an isolated spectrum point.
     misses = _near_misses(m, tol)
-    for i in misses[~member[misses]]:
-        lo, hi = max(i - 1, 0), min(i + 1, grid_n - 1)
-        # golden-section search: parabolic steps stall on kink-shaped
-        # minima, which is the generic local shape of |phi - 1| at an
-        # isolated spectrum point
-        x, fx = _golden_min(scalar, betas[lo], betas[hi])
-        if fx <= strict:
-            extra.append(float(x))
-            extra.extend(_other_zeros(metric, scalar, betas[lo], betas[hi],
-                                      x, tol, strict))
+    misses = misses[~member[misses]]
+    cell_lo = betas[np.maximum(misses - 1, 0)]
+    cell_hi = betas[np.minimum(misses + 1, grid_n - 1)]
+    x, fx = _golden_mins(metric, cell_lo, cell_hi)
+    found = np.flatnonzero(fx <= strict)
+
+    # two zeros closer than a grid cell leave a single near-miss minimum on
+    # the grid, and its search finds only one of them; on a finer sub-grid
+    # of the bracket the others show as further near-miss minima
+    owner, sub_lo, sub_hi = [], [], []
+    if found.size:
+        subs = np.array([np.linspace(cell_lo[j], cell_hi[j], _SUB_CELLS + 1)
+                         for j in found])
+        ms = np.asarray(metric(subs.ravel()), dtype=float).reshape(subs.shape)
+        for j, sub, mj in zip(found, subs, ms):
+            for k in _near_misses(mj, tol):
+                if k in (0, _SUB_CELLS) or sub[k - 1] <= x[j] <= sub[k + 1]:
+                    continue
+                owner.append(j)
+                sub_lo.append(sub[k - 1])
+                sub_hi.append(sub[k + 1])
+    y, fy = _golden_mins(metric, sub_lo, sub_hi)
+
+    # each zero found from the grid comes first, then the further zeros of
+    # its bracket in sub-grid order
+    extra = []
+    for j in found:
+        extra.append(float(x[j]))
+        extra += [float(v) for o, v, fv in zip(owner, y, fy)
+                  if o == j and fv <= strict]
 
     # runs of members start where the padded mask rises and end where it falls
     edges = np.diff(np.concatenate(([0], member.astype(np.int8), [0])))
@@ -176,6 +198,9 @@ def _report_from_metric(metric: Callable, r_max: float, tol: float,
     intervals = [(float(betas[i]), float(betas[j]))
                  for i, j in zip(starts[~single], ends[~single])]
     clipped = ((starts == 0) | (ends == grid_n - 1))[~single].tolist()
+
+    def scalar(b):
+        return float(metric(np.array([b]))[0])
 
     warnings = []
     for p in extra:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from kmspec._arrays import logsumexp
-from kmspec.errors import InvalidInputError
+from kmspec.errors import FitFailureError, InvalidInputError
 from kmspec.expratio import (_FIT_CONFIGS, TranslatedKernelBasis,
                              WeightedMultiset, _admissible_configs,
                              approximate_unit, realize_block)
@@ -128,6 +128,21 @@ def test_factored_parts_match_materialized_products():
     for g, w in zip(got, want):
         # a log difference of 1e-12 is a relative error of 1e-12 in the sum
         assert float(np.max(np.abs(g - w))) <= 1e-12
+
+
+def test_fit_failure_names_every_configuration(monkeypatch):
+    # a half-fit with no candidate says why each configuration it tried gave
+    # none, rather than a best error that no candidate ever achieved
+    monkeypatch.setattr(TranslatedKernelBasis, "fit_coeffs",
+                        staticmethod(lambda design, values, weights: None))
+    with pytest.raises(FitFailureError) as info:
+        realize_block(_bump, t=3.0, epsilon=2e-2, r_max=20.0, grid_n=201)
+    message = str(info.value)
+    for spacing, window in _FIT_CONFIGS:
+        assert (f"(y_max=22, spacing={spacing:g}, window={window}): "
+                "NNLS gave no coefficients") in message
+    assert message.count("NNLS gave no coefficients") == len(_FIT_CONFIGS) == 4
+    assert "inf" not in message
 
 
 def test_realize_block_zero_target():

@@ -8,8 +8,8 @@ from kmspec.blocks import FiniteConformalBlock, ProbVector
 from kmspec.errors import DomainError, WindowError
 from kmspec.realize import fraction_pair
 from kmspec.sets import ClosedSetSpec
-from kmspec.spectra import (FreeProductSystem, WreathSystem,
-                            _near_misses, _report_from_metric,
+from kmspec.spectra import (_GOLDEN, FreeProductSystem, WreathSystem,
+                            _golden_mins, _near_misses, _report_from_metric,
                             assemble_free_product,
                             shift_rn_derivative, solve_free_product_spectrum,
                             solve_spectrum, target_phi_from_set,
@@ -87,6 +87,109 @@ def test_near_misses_matches_pointwise_rule():
         for tol in (1e-6, 0.5, 2.0):
             got = _near_misses(m, tol)
             assert got.tolist() == _near_misses_pointwise(m, tol), (m, tol)
+
+
+def _golden_min_reference(f, lo, hi):
+    # the one-bracket golden-section search the lockstep search replaced
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-14:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_golden_mins_matches_scalar_reference():
+    def kinked(b):
+        b = np.asarray(b, dtype=float)
+        return np.where(b < 0.3, 2.0 * (0.3 - b), b - 0.3) * (1.0 + b * b)
+
+    def smooth(b):
+        b = np.asarray(b, dtype=float)
+        return (b - 0.7) ** 2 + 0.1 * np.cos(3.0 * b)
+
+    rng = np.random.default_rng(5)
+    lo = np.concatenate((
+        [0.29, 0.2999, 0.6, -1.0, 0.9, 0.5, 0.31],
+        rng.uniform(-2.0, 2.0, 40)))
+    hi = np.concatenate((
+        # interior brackets; one-sided end cells with the minimum at an end;
+        # brackets already narrower than 1e-14
+        [0.31, 0.3001, 0.8, -0.998, 0.902, 0.5 + 5e-15, 0.31],
+        lo[7:] + rng.uniform(1e-6, 0.5, 40)))
+    for f in (kinked, smooth):
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return f(b)
+
+        x, fx = _golden_mins(counted, lo, hi)
+        ref = [_golden_min_reference(lambda b: float(f(np.array([b]))[0]), a, c)
+               for a, c in zip(lo, hi)]
+        assert _bits(x) == _bits([r[0] for r in ref])
+        assert _bits(fx) == _bits([r[1] for r in ref])
+        # one call for both interior points, then one per step
+        assert calls[0].size == 2 * lo.size
+        assert len(calls) < 80
+
+
+def test_evaluators_do_not_depend_on_the_batch():
+    # a lockstep search evaluates each bracket in a batch of the others;
+    # every evaluator must give a point the value it gives it alone, bit for
+    # bit, or the refined roots would depend on which brackets are open
+    K = ClosedSetSpec(intervals=((1.0, 2.0), (-4.0, -3.5)), points=(-1.25,))
+    pair = fraction_pair(K, k=2, Lambda0_order=5, r_max=10.0)
+    evaluators = [getattr(pair, name) for name in (
+        "bump", "q1", "q2", "zeta1", "zeta2", "prefactor1", "prefactor2",
+        "phi1", "phi2")]
+    evaluators.append(target_phi_from_set(
+        ClosedSetSpec(intervals=((1.0, 2.0),), points=(0.0, -1.25)), 2.0))
+    # 10^4 cells, so beta = 0 is on the grid
+    grid = np.linspace(-10.0, 10.0, 10001)
+    rng = np.random.default_rng(3)
+    picks = np.concatenate(([0, grid.size - 1, grid.size // 2],
+                            rng.choice(grid.size, 200, replace=False)))
+    for fn in evaluators:
+        batch = np.asarray(fn(grid), dtype=float)
+        alone = [float(fn(grid[i:i + 1])[0]) for i in picks]
+        assert _bits(alone) == _bits(batch[picks])
+        assert _bits([fn(float(grid[i])) for i in picks]) == _bits(batch[picks])
+
+
+def test_refinement_calls_do_not_grow_with_the_brackets():
+    # every near-miss bracket is refined in the same lockstep search, so
+    # twelve off-grid points cost as many metric calls as one; none of these
+    # points lies within a cell of another feature, so no merge check runs
+    def calls_to_solve(points):
+        K = ClosedSetSpec(points=(0.0,) + tuple(points))
+        phi = target_phi_from_set(K, 2.0)
+        calls = []
+
+        def counted(b):
+            calls.append(np.size(b))
+            return phi(b)
+
+        report = solve_spectrum(counted, r_max=10.0, tol=1e-6, grid_n=10001)
+        assert np.allclose(report.isolated_roots, sorted((0.0,) + tuple(points)),
+                           rtol=0.0, atol=1e-12)
+        assert report.warnings == ()
+        return len(calls)
+
+    points = [-8.9993 + 1.5 * j for j in range(13) if j != 6]
+    assert len(points) == 12
+    assert calls_to_solve(points) <= calls_to_solve(points[:1])
 
 
 @pytest.mark.parametrize("K", [
