@@ -7,7 +7,7 @@ the normalized beta-th power of mu; everything downstream is built from these
 blocks and their finite products.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 import itertools
 import math
 from typing import Optional, Sequence, Tuple
@@ -104,21 +104,22 @@ class FiniteConformalBlock:
 
     The group table is optional; blocks produced by the large staged
     constructions only carry their order, since no downstream computation on
-    them needs explicit multiplication.
+    them needs explicit multiplication.  The base a is checked against the
+    potential on construction and not kept.
     """
 
     base_measure: ProbVector
     potential: np.ndarray
-    base: float
+    base: InitVar[float]
     group: Optional[FiniteGroupTable] = None
 
-    def __post_init__(self):
+    def __post_init__(self, base):
         h = np.asarray(self.potential, dtype=float)
         if h.shape != (len(self.base_measure),):
             raise InvalidInputError("potential must have one value per group element")
         if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
             raise InvalidInputError("potential values must be strictly positive")
-        a = float(self.base)
+        a = float(base)
         if not a > 1.0:
             raise InvalidInputError("block base must exceed 1")
         if np.any(h > a * (1 + 1e-12)) or np.any(h < (1 + 1e-12) / a):

@@ -10,8 +10,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (EnumerationError, FreenessViolationError,
                      InvalidInputError)
+
+
+def _mul(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, int, int, int]:
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
 @dataclass(frozen=True)
@@ -34,10 +41,7 @@ class Mat2:
         return self.a * self.d - self.b * self.c
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
+        return Mat2(*_mul(self.entries(), other.entries()))
 
     def inv(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
@@ -126,20 +130,29 @@ def default_alphabet() -> Tuple[str, ...]:
 
 
 def enumerate_reduced_words(max_len: int, alphabet: Sequence[str]
-                            ) -> Iterable[Tuple[Letter, ...]]:
-    """All nonempty reduced words up to max_len, in deterministic order."""
+                            ) -> Iterable[Tuple[Tuple[Letter, ...],
+                                                Tuple[int, int, int, int]]]:
+    """All nonempty reduced words up to max_len, in deterministic order, each
+    with the entries of the matrix it evaluates to.
+
+    A word's matrix is its parent's times one letter matrix, carried down the
+    search as a tuple of exact integers; the letter matrices are built, and
+    their determinants checked, once per call.
+    """
     signed = [(k, e) for k in alphabet for e in (1, -1)]
-    stack: List[Tuple[Letter, ...]] = [()]
+    letters = [(letter, letter_matrix(letter).entries())
+               for letter in reversed(signed)]
+    stack = [((), MAT2_IDENTITY.entries())]
     while stack:
-        word = stack.pop()
+        word, m = stack.pop()
         if word:
-            yield word
+            yield word, m
         if len(word) == max_len:
             continue
-        for letter in reversed(signed):
+        for letter, g in letters:
             if word and word[-1][0] == letter[0] and word[-1][1] == -letter[1]:
                 continue
-            stack.append(word + (letter,))
+            stack.append((word + (letter,), _mul(m, g)))
 
 
 def _word_count(max_len: int, n_letters: int) -> int:
@@ -189,9 +202,8 @@ def freeness_suite(max_len: int,
     seen: Dict[Tuple[int, int, int, int], Tuple[Letter, ...]] = {
         MAT2_IDENTITY.entries(): ()}
     evaluated = 0
-    for word in enumerate_reduced_words(half, alphabet):
+    for word, key in enumerate_reduced_words(half, alphabet):
         evaluated += 1
-        key = eval_word(word).entries()
         if key in seen:
             other = seen[key]
             culprit = reduce_word(word + tuple((k, -e) for k, e in reversed(other)))
@@ -220,39 +232,53 @@ def sl2_order(p: int, N: int) -> int:
 
 
 def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
-    """BFS closure of the generated subgroup inside SL(2, Z/p^N Z)."""
+    """Breadth-first closure of the generated subgroup inside SL(2, Z/p^N Z).
+
+    The search runs level by level on int64 arrays of entries (a, b, c, d).
+    An element is keyed by (a, b, c) when a is a unit mod p, else by
+    (a, b, d) offset by p^{3N}: with ad - bc = 1 the missing entry follows
+    from the other three (b is a unit when a is not), so the key is
+    injective and a bool map of 2 p^{3N} entries, 20 MB at ENUM_CAP, marks
+    the visited elements.  The frontier moves one generator step at a time:
+    products already visited are dropped and the rest deduplicated before
+    the next step, so no temporary exceeds one step's products.
+    """
     if not _is_odd_prime(p):
         raise InvalidInputError("p must be an odd prime")
     if N < 1:
         raise InvalidInputError("N must be >= 1")
     if p ** (3 * N) > ENUM_CAP:
         raise EnumerationError(f"p^(3N) = {p ** (3 * N)} exceeds the cap {ENUM_CAP}")
+    # the cap keeps p^N <= 215, so every product and key fits int64 with
+    # room to spare
     modulus = p ** N
-    step_mats = []
+    cube = modulus ** 3
+    steps = []
     for g in gens:
-        step_mats.append(g.reduced(modulus))
-        step_mats.append(g.inv().reduced(modulus))
+        for s in (g, g.inv()):
+            steps.append(np.array(s.reduced(modulus), dtype=np.int64).reshape(2, 2))
 
-    def mul(x, y):
-        return ((x[0] * y[0] + x[1] * y[2]) % modulus,
-                (x[0] * y[1] + x[1] * y[3]) % modulus,
-                (x[2] * y[0] + x[3] * y[2]) % modulus,
-                (x[2] * y[1] + x[3] * y[3]) % modulus)
+    def keys(x):
+        a, b, c, d = x.T
+        head = (a * modulus + b) * modulus
+        return np.where(a % p != 0, head + c, cube + head + d)
 
-    start = (1, 0, 0, 1)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in step_mats:
-                y = mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    visited = np.zeros(2 * cube, dtype=bool)
+    visited[keys(frontier)] = True
+    order = 1
+    while len(frontier):
+        found = []
+        for s in steps:
+            y = (frontier.reshape(-1, 2, 2) @ s).reshape(-1, 4) % modulus
+            k = keys(y)
+            fresh = ~visited[k]
+            k, first = np.unique(k[fresh], return_index=True)
+            visited[k] = True
+            found.append(y[fresh][first])
+        frontier = np.concatenate(found)
+        order += len(frontier)
     expected = sl2_order(p, N)
-    order = len(seen)
     if expected % order:
         raise EnumerationError("closure order does not divide the group order; "
                                "this indicates a bug")

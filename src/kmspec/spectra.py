@@ -12,7 +12,7 @@ search.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -274,6 +274,8 @@ class WreathSystem:
     """
 
     blocks: Tuple[FiniteConformalBlock, ...]
+    _memo: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -288,18 +290,6 @@ class WreathSystem:
     def n_configs(self) -> int:
         return int(np.prod(self.orders))
 
-    def h_values(self) -> np.ndarray:
-        h = np.ones(1)
-        for b in self.blocks:
-            h = np.multiply.outer(h, b.potential).ravel()
-        return h
-
-    def nu_weights(self, beta: float) -> np.ndarray:
-        w = np.ones(1)
-        for b in self.blocks:
-            w = np.multiply.outer(w, conformal_weights(b, beta).weights).ravel()
-        return w
-
     @scalar_or_array
     def phi(self, betas):
         out = np.ones_like(betas)
@@ -307,12 +297,29 @@ class WreathSystem:
             out = out * np.array([integrate_potential(b, float(x)) for x in betas])
         return out
 
-    def eta_weights(self, beta: float) -> np.ndarray:
-        # density d(eta)/d(nu) = phi(beta)^{-1} H^beta; normalization is exact
-        logw = np.log(self.nu_weights(beta)) + beta * np.log(self.h_values())
-        logw -= np.max(logw)
-        w = np.exp(logw)
-        return w / w.sum()
+    def weights(self, beta: float) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """(nu_beta, eta_beta, phi(beta), H), kept for the latest beta.
+
+        The memo is keyed on the exact bits of the float beta, so any other
+        beta, -0.0 against 0.0 included, is computed afresh; its arrays are
+        read-only, so no caller can change what a later call is served.
+        """
+        key = float(beta).hex()
+        if self._memo is None or self._memo[0] != key:
+            nu, h = np.ones(1), np.ones(1)
+            for b in self.blocks:
+                nu = np.multiply.outer(nu, conformal_weights(b, beta).weights).ravel()
+                h = np.multiply.outer(h, b.potential).ravel()
+            # density d(eta)/d(nu) = phi(beta)^{-1} H^beta; normalization is exact
+            logw = np.log(nu) + beta * np.log(h)
+            logw -= np.max(logw)
+            eta = np.exp(logw)
+            eta /= eta.sum()
+            for arr in (nu, eta, h):
+                arr.flags.writeable = False
+            object.__setattr__(self, "_memo",
+                               (key, (nu, eta, self.phi(beta), h)))
+        return self._memo[1]
 
     def cylinder_shift_ratio(self, beta: float, cells: Dict[int, int]) -> float:
         """Brute-force mu_beta((-1) applied cylinder) / mu_beta(cylinder).
@@ -320,8 +327,7 @@ class WreathSystem:
         The coordinate n of the shifted cylinder pins the value cells[n-1];
         factor measures are eta for n <= 0 and nu for n > 0.
         """
-        nu = self.nu_weights(beta)
-        eta = self.eta_weights(beta)
+        nu, eta, _, _ = self.weights(beta)
 
         def mass(assign):
             out = 1.0
@@ -336,9 +342,9 @@ class WreathSystem:
 def shift_rn_derivative(system: WreathSystem, beta: float, x0_cell) -> float:
     """d((-1) . mu_beta)/d mu_beta on the cylinder with coordinate 0 pinned to
     x0_cell: phi(beta) H(x0)^{-beta}."""
-    idx = _flat_index(system.orders, x0_cell)
-    h0 = float(system.h_values()[idx])
-    return float(system.phi(beta)) * math.exp(-beta * math.log(h0))
+    _, _, phi, h = system.weights(beta)
+    h0 = float(h[_flat_index(system.orders, x0_cell)])
+    return phi * math.exp(-beta * math.log(h0))
 
 
 def _flat_index(orders: Sequence[int], cell) -> int:
@@ -358,15 +364,19 @@ def _flat_index(orders: Sequence[int], cell) -> int:
 class FreeProductSystem:
     """Truncated model of Lambda_0^Z x X_1^Z x X_2^Z with the three-case map.
 
-    The Lambda_0 window is kept one coordinate wider than requested so the
-    index shift of the insertion map never leaves the window.  Identity in
-    Lambda_0 is the index 0.
+    The Lambda_0 factor is modelled on the coordinates [-window, window]: a
+    cylinder may pin only coordinates there, and so may its preimage under
+    the index shift of the insertion map.  Identity in Lambda_0 is the index
+    0.  The two factor wreath systems are built once, so each keeps its
+    weights for the latest beta across calls.
     """
 
     q: int
     window: int
     blocks1: Tuple[FiniteConformalBlock, ...]
     blocks2: Tuple[FiniteConformalBlock, ...]
+    _factors: Tuple[WreathSystem, WreathSystem] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q < 2:
@@ -375,16 +385,12 @@ class FreeProductSystem:
             raise WindowError("window must be >= 2 to classify coordinates 0, 1")
         object.__setattr__(self, "blocks1", tuple(self.blocks1))
         object.__setattr__(self, "blocks2", tuple(self.blocks2))
+        object.__setattr__(self, "_factors", (WreathSystem(blocks=self.blocks1),
+                                              WreathSystem(blocks=self.blocks2)))
 
-    def _factor(self, which: int) -> WreathSystem:
-        return WreathSystem(blocks=self.blocks1 if which == 1 else self.blocks2)
-
-    def phi(self, which: int, beta):
-        return self._factor(which).phi(beta)
-
-    def h_value(self, which: int, cell) -> float:
-        factor = self._factor(which)
-        return float(factor.h_values()[_flat_index(factor.orders, cell)])
+    def factor(self, which: int) -> WreathSystem:
+        """The wreath system of X_1 (which = 1) or X_2 (which = 2)."""
+        return self._factors[which - 1]
 
     def classify(self, x_cells: Dict[int, int]) -> int:
         """0, 1 or 2 according to the clopen partition of the Lambda_0 factor."""
@@ -400,12 +406,16 @@ class FreeProductSystem:
         q = float(self.q)
         return (1.0 / q ** 2, (q - 1.0) / q, (q - 1.0) / q ** 2)
 
+    def _check_window(self, x_cells: Dict[int, int]):
+        for n in x_cells:
+            if abs(n) > self.window:
+                raise WindowError(f"Lambda_0 coordinate {n} lies outside the "
+                                  f"window [-{self.window}, {self.window}]")
+
     def _xyz_mass(self, beta, x_cells, y_cells, z_cells) -> float:
         out = float(self.q) ** (-len(x_cells))
         for which, cells in ((1, y_cells), (2, z_cells)):
-            factor = self._factor(which)
-            nu = factor.nu_weights(beta)
-            eta = factor.eta_weights(beta)
+            nu, eta, _, _ = self.factor(which).weights(beta)
             for n, c in cells.items():
                 out *= eta[c] if n < 0 else nu[c]
         return out
@@ -413,7 +423,12 @@ class FreeProductSystem:
     def theta_cylinder_ratio(self, beta: float, x_cells: Dict[int, int],
                              y_cells: Dict[int, int],
                              z_cells: Dict[int, int]) -> float:
-        """Brute-force mu_beta(theta^{-1} C)/mu_beta(C) on a cylinder C."""
+        """Brute-force mu_beta(theta^{-1} C)/mu_beta(C) on a cylinder C.
+
+        Raises WindowError when C, or its preimage, pins a Lambda_0
+        coordinate outside [-window, window].
+        """
+        self._check_window(x_cells)
         case = self.classify(x_cells)
         if case == 0:
             return 1.0
@@ -432,6 +447,7 @@ class FreeProductSystem:
             x_pre.update({n - 1: c for n, c in x_cells.items() if n >= 1})
             y_pre = dict(y_cells)
             z_pre = {n - 1: c for n, c in z_cells.items()}
+        self._check_window(x_pre)
         num = self._xyz_mass(beta, x_pre, y_pre, z_pre)
         den = self._xyz_mass(beta, x_cells, y_cells, z_cells)
         return num / den
@@ -455,15 +471,14 @@ def theta_rn_derivative(system: FreeProductSystem, beta: float,
     case = system.classify(x_cells)
     if case == 0:
         return 1.0
+    cells = y_cells if case == 1 else z_cells
+    if 0 not in cells:
+        raise WindowError(f"coordinate 0 of the X{case} factor is required "
+                          f"on Y{case}")
+    factor = system.factor(case)
+    _, _, phi, h = factor.weights(beta)
+    scale = math.exp(beta * math.log(float(h[_flat_index(factor.orders, cells[0])])))
     if case == 1:
-        if 0 not in y_cells:
-            raise WindowError("coordinate 0 of the X1 factor is required on Y1")
-        h = system.h_value(1, y_cells[0])
-        return (system.phi(1, beta) ** -1 / system.q
-                * math.exp(beta * math.log(h)))
-    if 0 not in z_cells:
-        raise WindowError("coordinate 0 of the X2 factor is required on Y2")
-    h = system.h_value(2, z_cells[0])
-    return (system.q / system.phi(2, beta)
-            * math.exp(beta * math.log(h)))
+        return phi ** -1 / system.q * scale
+    return system.q / phi * scale
 

@@ -156,6 +156,12 @@ def test_every_default_parameter_is_set():
     assert not unset, f"parameters no call sets: {', '.join(unset)}"
 
 
+def _is_initvar(annotation):
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return isinstance(annotation, ast.Name) and annotation.id == "InitVar"
+
+
 def _fields(tree):
     """(class, field, line) for every dataclass field and every attribute a
     method assigns on self."""
@@ -166,7 +172,9 @@ def _fields(tree):
                       for d in cls.decorator_list]
         if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
             for node in cls.body:
-                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                # an InitVar is a constructor argument, not a stored field
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and not _is_initvar(node.annotation)):
                     yield cls.name, node.target.id, node.lineno
         for method in cls.body:
             if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -178,19 +186,33 @@ def _fields(tree):
                         yield cls.name, node.attr, node.lineno
 
 
-def _read_names():
-    """Attribute names loaded anywhere in src, tests and perfbench, and the
-    strings of every tuple or list a for loop iterates (getattr tables)."""
+def _read_in(tree):
+    """Attribute names loaded in one module, and the strings of every tuple
+    or list a for loop iterates (getattr tables).
+
+    A load of self.<name> inside a __post_init__ does not count: checking a
+    field as the object is built is not a use of it."""
+    on_init = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "self"}
     names = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    names.add(node.attr)
-                elif isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
-                    names |= {e.value for e in node.iter.elts
-                              if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in on_init):
+            names.add(node.attr)
+        elif isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+            names |= {e.value for e in node.iter.elts
+                      if isinstance(e, ast.Constant) and isinstance(e.value, str)}
     return names
+
+
+def _read_names():
+    """Names read anywhere in src, tests and perfbench, by _read_in."""
+    return set().union(*(_read_in(ast.parse(path.read_text()))
+                         for folder in ("src", "tests", "perfbench")
+                         for path in (ROOT / folder).rglob("*.py")))
 
 
 def test_every_field_is_read():
@@ -202,6 +224,21 @@ def test_every_field_is_read():
                      for cls, name, line in _fields(ast.parse(path.read_text()))
                      if name not in read})
     assert not unread, f"fields never read: {', '.join(unread)}"
+
+
+def test_field_checked_only_on_construction_is_unread():
+    # the guard once counted a field's own validation as a read, and so
+    # missed a window that was range-checked and then never used
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    width: int\n"
+        "    size: InitVar[int]\n"
+        "    def __post_init__(self, size):\n"
+        "        if self.width < size:\n"
+        "            raise ValueError\n")
+    assert [name for _, name, _ in _fields(tree)] == ["width"]
+    assert "width" not in _read_in(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

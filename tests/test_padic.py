@@ -40,10 +40,21 @@ def test_reduce_word_cancels():
 
 
 def test_enumerate_reduced_words_count():
-    words = list(enumerate_reduced_words(3, ("g1", "g2")))
+    words = [word for word, _ in enumerate_reduced_words(3, ("g1", "g2"))]
     # 4 + 4*3 + 4*9 nonempty reduced words over two free letters
     assert len(words) == 4 + 12 + 36
     assert len(set(words)) == len(words)
+    assert all(reduce_word(word) == word for word in words)
+
+
+def test_prefix_matrices_match_eval_word():
+    # each word's matrix is built from its parent's; eval_word rebuilds it
+    # from the identity, letter by letter, as Mat2 products
+    count = 0
+    for word, entries in enumerate_reduced_words(4, default_alphabet()):
+        assert entries == eval_word(word).entries(), word
+        count += 1
+    assert count == 14 + 14 * 13 + 14 * 13 ** 2 + 14 * 13 ** 3
 
 
 def test_freeness_small():
@@ -52,9 +63,22 @@ def test_freeness_small():
 
 
 def test_freeness_detects_relations():
-    # a and g1 = a^4 satisfy an obvious relation at length 5
-    with pytest.raises(FreenessViolationError):
+    # a and g1 = a^4 commute; the first collision of the search order names
+    # the word below, as the search that evaluated each word afresh did
+    culprit = (("a", 1), ("a", 1), ("g1", 1), ("a", 1), ("g1", -1),
+               ("a", -1), ("a", -1), ("a", -1))
+    with pytest.raises(FreenessViolationError) as info:
         freeness_suite(8, ("a", "g1"))
+    assert str(info.value) == f"reduced word {culprit} evaluates to the identity"
+    assert eval_word(culprit) == MAT2_IDENTITY
+
+
+def test_freeness_at_the_largest_length():
+    cert = freeness_suite(10)
+    # 2n (2n - 1)^(L - 1) nonempty reduced words of length L over n letters
+    assert cert.prefix_words_evaluated == sum(14 * 13 ** k for k in range(5))
+    assert cert.words_certified == 14 * (13 ** 10 - 1) // 12
+    assert not cert.identity_found
 
 
 def test_freeness_guard():
@@ -99,6 +123,45 @@ def test_closure_lagrange_on_proper_subgroup():
     out = subgroup_closure_mod(3, 1, [generator("g1")])
     assert not out["is_full"]
     assert sl2_order(3, 1) % out["order"] == 0
+
+
+def _closure_by_set(p, N, gens):
+    """The closure as a breadth-first search over a set of entry tuples."""
+    modulus = p ** N
+    steps = [m.reduced(modulus) for g in gens for m in (g, g.inv())]
+    seen = {(1, 0, 0, 1)}
+    frontier = [(1, 0, 0, 1)]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in steps:
+                y = ((x[0] * s[0] + x[1] * s[2]) % modulus,
+                     (x[0] * s[1] + x[1] * s[3]) % modulus,
+                     (x[2] * s[0] + x[3] * s[2]) % modulus,
+                     (x[2] * s[1] + x[3] * s[3]) % modulus)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+GENERATOR_SETS = {"g1,g2": [generator("g1"), generator("g2")],
+                  "g1": [generator("g1")],
+                  "g1,h1": [generator("g1"), generator("h", 1)]}
+
+
+@pytest.mark.parametrize("gens", GENERATOR_SETS)
+@pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+def test_closure_matches_set_search(p, N, gens):
+    elements = _closure_by_set(p, N, GENERATOR_SETS[gens])
+    out = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
+    assert out["order"] == len(elements)
+    assert sl2_order(p, N) % out["order"] == 0
+    assert out["is_full"] == (out["order"] == sl2_order(p, N))
+    if gens == "g1,g2":
+        # elements with a non-unit corner take the (a, b, d) key
+        assert any(x[0] % p == 0 for x in elements)
 
 
 def test_closure_rejects_even_prime():

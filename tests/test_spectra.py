@@ -340,3 +340,50 @@ def test_theta_window_errors():
 def test_partition_masses_sum_to_one():
     system = build_free_system()
     assert abs(sum(system.partition_masses()) - 1.0) < 1e-15
+
+
+def test_theta_cylinder_outside_window():
+    system = build_free_system()
+    assert system.window == 3
+    # on Y1 the insertion shifts coordinates n >= 0 up by one: a pin at 3 is
+    # inside the window, its preimage at 4 is not
+    with pytest.raises(WindowError, match="coordinate 4 "):
+        system.theta_cylinder_ratio(1.0, {0: 1, 3: 0}, {0: 0}, {0: 0})
+    with pytest.raises(WindowError, match="coordinate -4 "):
+        system.theta_cylinder_ratio(1.0, {-4: 0, 0: 0, 1: 1}, {0: 0}, {0: 0})
+    inside = system.theta_cylinder_ratio(1.0, {0: 1, 2: 0}, {0: 0}, {0: 0})
+    formula = theta_rn_derivative(system, 1.0, {0: 1, 2: 0}, {0: 0}, {0: 0})
+    assert math.isclose(inside, formula, rel_tol=1e-10)
+
+
+def test_rn_weights_memo_is_never_stale():
+    # the systems keep their weights for the latest beta only; going back to
+    # an earlier beta must give what a fresh system gives, bit for bit
+    blocks = (rand_block(3), rand_block(2))
+    wreath = WreathSystem(blocks=blocks)
+    free = build_free_system()
+    cylinders = [({0: 1, 1: 2}, {0: 1, -1: 0}, {0: 0, 1: 1}),
+                 ({0: 0, 1: 3}, {0: 2, -1: 1}, {0: 1, 1: 0})]
+
+    def values(w, f, beta):
+        out = [shift_rn_derivative(w, beta, 4),
+               w.cylinder_shift_ratio(beta, {-1: 2, 0: 4, 1: 5})]
+        for xc, yc, zc in cylinders:
+            out += [theta_rn_derivative(f, beta, xc, yc, zc),
+                    f.theta_cylinder_ratio(beta, xc, yc, zc)]
+        return out
+
+    seen = []
+    for beta in (1.0, -2.0, 1.0):
+        fresh_wreath = WreathSystem(blocks=blocks)
+        fresh_free = FreeProductSystem(q=free.q, window=free.window,
+                                       blocks1=free.blocks1, blocks2=free.blocks2)
+        got = values(wreath, free, beta)
+        assert got == values(fresh_wreath, fresh_free, beta)
+        seen.append(got)
+    assert seen[0] == seen[2] != seen[1]
+    # the memo is not part of a system's value
+    assert wreath == WreathSystem(blocks=blocks) == fresh_wreath
+    assert free == fresh_free
+    nu, eta, _, h = wreath.weights(1.0)
+    assert not (nu.flags.writeable or eta.flags.writeable or h.flags.writeable)
