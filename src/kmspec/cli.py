@@ -127,7 +127,7 @@ def _csv(header: Tuple[str, ...], *columns) -> str:
     """One CSV line per row of the columns, every value written by repr:
     pass NumPy arrays as lists, since np.float64 has its own repr."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
+    lines.extend(map(",".join, zip(*(list(map(repr, col)) for col in columns))))
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import nnls
 
 from ._arrays import _as_array, logsumexp, scalar_or_array
 from .errors import (FitFailureError, InvalidInputError, QuadratureError,
@@ -105,6 +103,7 @@ def approximate_unit(n: int) -> Tuple[Callable, float]:
     """
     if n < 1:
         raise InvalidInputError("n must be a positive integer")
+    from scipy.integrate import quad  # scipy loads only where it is used
 
     def unnormalized(x):
         return math.exp(-n * np.logaddexp(x * LN2, -x * LN2))
@@ -245,6 +244,7 @@ class TranslatedKernelBasis:
         toward the minimax one; the best of _LAWSON_ITERS iterates by weighted
         sup residual is returned.
         """
+        from scipy.optimize import nnls  # scipy loads only where it is used
         w = weights.copy()
         best = None
         best_sup = math.inf

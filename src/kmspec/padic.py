@@ -8,7 +8,7 @@ modular shortcuts are taken in the freeness checks.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -199,17 +199,20 @@ def freeness_suite(max_len: int,
         alphabet = default_alphabet()
     alphabet = tuple(alphabet)
     half = (max_len + 1) // 2
-    seen: Dict[Tuple[int, int, int, int], Tuple[Letter, ...]] = {
-        MAT2_IDENTITY.entries(): ()}
+    identity = MAT2_IDENTITY.entries()
+    seen = {identity}
     evaluated = 0
     for word, key in enumerate_reduced_words(half, alphabet):
         evaluated += 1
         if key in seen:
-            other = seen[key]
+            # only keys are kept; the earlier word is found again on a
+            # collision, which ends the search
+            other = () if key == identity else next(
+                w for w, m in enumerate_reduced_words(half, alphabet) if m == key)
             culprit = reduce_word(word + tuple((k, -e) for k, e in reversed(other)))
             raise FreenessViolationError(
                 f"reduced word {culprit} evaluates to the identity")
-        seen[key] = word
+        seen.add(key)
     return FreenessCertificate(max_len=max_len, alphabet=alphabet,
                                prefix_len=half,
                                prefix_words_evaluated=evaluated,

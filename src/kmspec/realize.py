@@ -153,6 +153,8 @@ def build_realizable(zeta: Callable, a: float, stages: int,
 # {phi_2 = k} = K, for closed K avoiding 0.
 
 _CEILING = 1e12  # largest b and a the doubling searches of fraction_pair try
+_EVALUATORS = ("bump", "q1", "q2", "zeta1", "zeta2", "prefactor1", "prefactor2",
+               "phi1", "phi2")
 
 def clamp_f(value):
     """Piecewise-linear clamp: identity on [-1/2,1/2], folded to 0 beyond 1."""
@@ -241,97 +243,75 @@ def fraction_pair(K, k: int, Lambda0_order: int,
                                     "beta >= delta inequalities")
 
     la, lb, lc = math.log(a), math.log(b), math.log(c)
-    # term lists shared by the evaluators below
-    q_numer = [(2.0 * (k - 1), lb), (l * (1.0 - 1.0 / k), lc)]
-    q2_denom = [(1.0, 0.0), (1.0, la), (l / k, lc)]
-    block_sum = [(1.0, 0.0), (2.0 * (k - 1), lb), (1.0, la), (float(l), lc)]
-    k_sum = [(float(k), 0.0), (float(k), la), (float(l), lc)]
 
-    # Undecorated parts on a finite float array; each public evaluator below
-    # takes the scalar/array convention once and shares the log-sums it needs.
+    def columns(terms):
+        # (log coefficients, log bases) of an exponential sum's terms, as
+        # columns against a row of betas; zero coefficients are skipped
+        kept = np.array([(math.log(cf), lbs) for cf, lbs in terms if cf > 0.0])
+        return kept[:, :1], kept[:, 1:]
 
-    def _lse(betas, terms):
-        # terms: list of (coefficient, log base); skip zero coefficients
-        rows = [math.log(cf) + betas * lbs for cf, lbs in terms if cf > 0.0]
-        return logsumexp(np.stack(rows), axis=0)
+    q_numer = columns([(2.0 * (k - 1), lb), (l * (1.0 - 1.0 / k), lc)])
+    q2_denom = columns([(1.0, 0.0), (1.0, la), (l / k, lc)])
+    block_sum = columns([(1.0, 0.0), (2.0 * (k - 1), lb), (1.0, la), (float(l), lc)])
+    k_sum = columns([(float(k), 0.0), (float(k), la), (float(l), lc)])
 
-    def _bump(betas):
-        return np.maximum(0.0, 1.0 - np.asarray(K.distance(betas), dtype=float))
+    def _lse(betas, cols):
+        # row i is log_base_i * beta + log(coef_i), the same arithmetic for a
+        # beta whatever array it comes in, so no value depends on the batch
+        log_coef, log_base = (c.reshape(c.shape[:1] + (1,) * betas.ndim)
+                              for c in cols)
+        return logsumexp(log_base * betas + log_coef, axis=0)
 
-    def _coth_half(betas):
-        # (a^beta + 1)/(a^beta - 1); huge but finite near 0, sign of beta
-        with np.errstate(divide="ignore"):
-            th = np.tanh(betas * (la / 2.0))
-            return np.where(th != 0.0, 1.0 / np.where(th != 0.0, th, 1.0), np.inf)
+    memo = {}  # the parts of the latest beta array, keyed on its exact bits
 
-    def _q1(betas, log_block):
-        num = _lse(betas, q_numer)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = -np.exp(num - log_block) * _coth_half(betas)
-        return np.where(betas == 0.0, np.inf, out)
-
-    def _q2(betas):
+    def _parts(betas):
+        """Every evaluator's value on a finite float array, computed once
+        per array; -0.0 and 0.0 are different keys, and the arrays are
+        read-only, so no caller can change what a later call is served."""
+        key = (betas.shape, betas.tobytes())
+        if memo.get("key") == key:
+            return memo["parts"]
+        log_block = _lse(betas, block_sum)
+        log_k = _lse(betas, k_sum)
         num = _lse(betas, q_numer)
         den = _lse(betas, q2_denom)
+        bump = np.maximum(0.0, 1.0 - np.asarray(K.distance(betas), dtype=float))
+        th = np.tanh(betas * (la / 2.0))
+        # coth = (a^beta + 1)/(a^beta - 1); huge but finite near 0, sign of beta
+        with np.errstate(divide="ignore"):
+            coth = np.where(th != 0.0, 1.0 / np.where(th != 0.0, th, 1.0), np.inf)
+        at_zero = betas == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.exp(num - den) * _coth_half(betas)
-        return np.where(betas == 0.0, np.inf, out)
+            q1 = np.where(at_zero, np.inf, -np.exp(num - log_block) * coth)
+            q2 = np.where(at_zero, np.inf, np.exp(num - den) * coth)
+        zeta1 = np.where(at_zero, 0.0, clamp_f(q1) * bump)
+        zeta2 = np.where(at_zero, 0.0, clamp_f(q2) * bump)
+        prefactor1 = np.exp(log_block - log_k)
+        prefactor2 = np.exp(log_k - log_block)
+        parts = {"bump": bump, "q1": q1, "q2": q2, "zeta1": zeta1,
+                 "zeta2": zeta2, "prefactor1": prefactor1,
+                 "prefactor2": prefactor2,
+                 "phi1": prefactor1 * (1.0 + th * zeta1),
+                 "phi2": prefactor2 * (1.0 + th * zeta2)}
+        for arr in parts.values():
+            arr.flags.writeable = False
+        memo.update(key=key, parts=parts)
+        return parts
 
-    def _zeta(betas, q):
-        return np.where(betas == 0.0, 0.0, clamp_f(q) * _bump(betas))
-
-    def _phi(betas, prefactor, zeta):
-        return prefactor * (1.0 + np.tanh(betas * (la / 2.0)) * zeta)
-
-    @scalar_or_array
-    def bump(betas):
-        return _bump(betas)
-
-    @scalar_or_array
-    def q1(betas):
-        return _q1(betas, _lse(betas, block_sum))
-
-    @scalar_or_array
-    def q2(betas):
-        return _q2(betas)
-
-    @scalar_or_array
-    def zeta1(betas):
-        return _zeta(betas, _q1(betas, _lse(betas, block_sum)))
-
-    @scalar_or_array
-    def zeta2(betas):
-        return _zeta(betas, _q2(betas))
-
-    @scalar_or_array
-    def prefactor1(betas):
-        return np.exp(_lse(betas, block_sum) - _lse(betas, k_sum))
-
-    @scalar_or_array
-    def prefactor2(betas):
-        return np.exp(_lse(betas, k_sum) - _lse(betas, block_sum))
-
-    @scalar_or_array
-    def phi1(betas):
-        log_block = _lse(betas, block_sum)
-        return _phi(betas, np.exp(log_block - _lse(betas, k_sum)),
-                    _zeta(betas, _q1(betas, log_block)))
-
-    @scalar_or_array
-    def phi2(betas):
-        return _phi(betas, np.exp(_lse(betas, k_sum) - _lse(betas, block_sum)),
-                    _zeta(betas, _q2(betas)))
+    def evaluator(name):
+        def part(betas):
+            return _parts(betas)[name]
+        part.__name__ = part.__qualname__ = name
+        return scalar_or_array(part)
 
     pair = FractionPair(k=k, block_order=Lambda0_order, delta=delta,
-                        a=a, b=b, c=c, bump=bump, q1=q1, q2=q2,
-                        zeta1=zeta1, zeta2=zeta2,
-                        prefactor1=prefactor1, prefactor2=prefactor2,
-                        phi1=phi1, phi2=phi2)
+                        a=a, b=b, c=c,
+                        **{name: evaluator(name) for name in _EVALUATORS})
 
     # verify the clamp region: |Q| <= 1/2 wherever |beta| >= delta on the grid
     betas = np.linspace(-r_max, r_max, grid_n)
     outside = np.abs(betas) >= delta
-    for q, name in ((q1, "Q1"), (q2, "Q2")):
+    for q, name in ((pair.q1, "Q1"), (pair.q2, "Q2")):
         qv = np.asarray(q(betas), dtype=float)
         bad = np.abs(qv[outside]) > 0.5 + 1e-12
         if np.any(bad):

@@ -440,9 +440,8 @@ class FreeProductSystem:
             y_pre = {n - 1: c for n, c in y_cells.items()}
             z_pre = dict(z_cells)
         else:
-            # preimages lie in Y1 and map by (insertion, id, shift)
-            if 1 not in x_cells:
-                raise WindowError("a Y2 cylinder must pin coordinate 1")
+            # preimages lie in Y1 and map by (insertion, id, shift); classify
+            # returns 2 only when coordinate 1 is pinned
             x_pre = {n: c for n, c in x_cells.items() if n < 0}
             x_pre.update({n - 1: c for n, c in x_cells.items() if n >= 1})
             y_pre = dict(y_cells)

@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from kmspec.cli import (canonical_json, config_hash, execute, load_config,
-                        main)
+from kmspec.cli import (_csv, canonical_json, config_hash, execute,
+                        load_config, main)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 WREATH_CFG = {
     "mode": "wreath",
@@ -251,3 +257,48 @@ def test_verify_rejects_a_stored_one_point_grid(tmp_path, capsys):
     assert main(["verify", "--config", str(out)]) == 1
     printed = capsys.readouterr().out
     assert printed.startswith("FAIL") and "'grid_n'" in printed
+
+
+def test_csv_matches_a_row_wise_reference():
+    floats = [-0.0, 1e-05, 1e+16, math.inf, math.nan, 0.1 + 0.2]
+    ints = list(range(-2, len(floats) - 2))
+    strings = ["a,b", "c, d", ", ", ",", "", "e"]
+    header = ("x", "n", "s")
+    expect = "\n".join([",".join(header)] + [
+        ",".join(repr(v) for v in row) for row in zip(floats, ints, strings)]) + "\n"
+    assert _csv(header, floats, ints, strings).encode() == expect.encode()
+    assert _csv(header, [], [], []) == "x,n,s\n"
+
+
+# pytest itself loads scipy, so the probe runs in a fresh interpreter: only a
+# wreath fit should load it
+SCIPY_PROBE = """
+import json, sys
+import kmspec
+from kmspec.cli import execute, load_config
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import kmspec": scipy_modules()}
+*paths, wreath = sys.argv[1:]
+for path in paths:
+    execute(load_config(path, {}))
+    loaded[path] = scipy_modules()
+execute(load_config(wreath, {}))
+loaded["wreath"] = "scipy.optimize" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_for_a_wreath_fit(tmp_path):
+    paths = [str(ROOT / "configs" / f"{name}.json")
+             for name in ("free_points", "padic_default", "growth_coboundary")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *paths, write_cfg(tmp_path, WREATH_CFG)],
+        env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded.pop("wreath") is True
+    assert loaded == {name: [] for name in ["import kmspec"] + paths}

@@ -130,6 +130,52 @@ def test_fraction_pair_values():
     assert np.all(np.abs(np.asarray(pair.phi2(outside)) - 2.0) > 1e-13)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_fraction_pair_memo_serves_what_a_fresh_pair_computes():
+    # the evaluators share one computation per beta array; whatever was
+    # asked before, each must give the value a fresh pair gives
+    K = ClosedSetSpec(intervals=((1.0, 2.0), (-4.0, -3.5)), points=(-1.25,))
+
+    def fresh():
+        return fraction_pair(K, k=2, Lambda0_order=5, r_max=10.0, grid_n=101)
+
+    # A and B have one shape, so only their values tell them apart
+    grids = {"A": np.linspace(-10.0, 10.0, 2001), "B": np.linspace(-3.0, 3.0, 2001),
+             "zero": np.array([0.0]), "minus zero": np.array([-0.0])}
+    reference = {(name, g): _bits(getattr(fresh(), name)(grid))
+                 for name in kr._EVALUATORS for g, grid in grids.items()}
+
+    def check(pair, name, g):
+        assert _bits(getattr(pair, name)(grids[g])) == reference[name, g], (name, g)
+
+    pair = fresh()
+    for g in ("A", "B"):
+        check(pair, "phi2", g)
+        check(pair, "phi1", g)
+    for name in kr._EVALUATORS:
+        for order in (("A", "B", "A"), ("zero", "minus zero", "zero")):
+            pair = fresh()
+            for g in order:
+                check(pair, name, g)
+        for g, beta in (("zero", 0.0), ("minus zero", -0.0), ("zero", 0.0)):
+            assert _bits([getattr(pair, name)(beta)]) == reference[name, g], (name, g)
+
+
+def test_fraction_pair_arrays_are_read_only():
+    pair = fraction_pair(ClosedSetSpec(points=(-1.0, 2.0)), k=2,
+                         Lambda0_order=4, r_max=10.0)
+    betas = np.linspace(-5.0, 5.0, 11)
+    for name in kr._EVALUATORS:
+        with pytest.raises(ValueError):
+            getattr(pair, name)(betas)[0] = 1.0
+    assert _bits(pair.phi1(betas)) == _bits(fraction_pair(
+        ClosedSetSpec(points=(-1.0, 2.0)), k=2, Lambda0_order=4,
+        r_max=10.0).phi1(betas))
+
+
 def test_fraction_pair_rejects_zero_in_K():
     with pytest.raises(InvalidInputError):
         fraction_pair(ClosedSetSpec(intervals=((-1.0, 1.0),)), k=2,
