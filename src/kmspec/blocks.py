@@ -145,6 +145,16 @@ def conformal_weights(block: FiniteConformalBlock, beta: float) -> ProbVector:
     return ProbVector(np.exp(logw - logsumexp(logw)))
 
 
+def product_conformal_weights(blocks: Sequence[FiniteConformalBlock],
+                              beta: float) -> np.ndarray:
+    """Product of the blocks' conformal measures at beta, flat over the
+    configurations in mixed-radix order: the last block varies fastest."""
+    out = np.ones(1)
+    for block in blocks:
+        out = np.multiply.outer(out, conformal_weights(block, beta).weights).ravel()
+    return out
+
+
 def integrate_potential(block: FiniteConformalBlock, beta: float) -> float:
     """Value of the block factor: integral of H^beta against the beta-conformal measure."""
     _require_finite(beta, "beta")
@@ -185,14 +195,8 @@ class TruncatedProductSystem:
 
     def measure_on_truncation(self, beta: float) -> dict:
         """Product conformal measure as a dict {configuration tuple: mass}."""
-        per_block = [conformal_weights(b, beta) for b in self.blocks]
-        out = {}
-        for cfg in self.configurations():
-            m = 1.0
-            for i, c in enumerate(cfg):
-                m *= per_block[i].weights[c]
-            out[cfg] = m
-        return out
+        return dict(zip(self.configurations(),
+                        product_conformal_weights(self.blocks, beta).tolist()))
 
 
 @dataclass(frozen=True)

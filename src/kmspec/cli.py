@@ -24,12 +24,11 @@ from .growth import (CocycleModel, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu,
                      uniquely_ergodic_classifier)
 from .padic import default_alphabet, freeness_suite, generator, subgroup_closure_mod
-from .realize import build_realizable, eval_phi, fraction_pair
+from .realize import (PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK, build_realizable,
+                      eval_phi, fraction_pair)
 from .sets import ClosedSetSpec
 from .spectra import (solve_free_product_spectrum, solve_spectrum,
                       target_phi_from_set)
-
-MODES = ("wreath", "free-product", "growth", "padic")
 
 
 def canonical_json(obj) -> str:
@@ -112,15 +111,13 @@ def check_config(config: dict) -> dict:
                                     "measure must exist at beta = 0")
         if mode == "free-product" and contains_zero:
             raise InvalidInputError("free-product mode requires 0 outside K")
+        if mode == "wreath" and "t" not in config:
+            raise InvalidInputError("config key 't' is required in wreath mode")
     return config
 
 
-def _num(config, key, default=None) -> float:
-    if key not in config:
-        if default is None:
-            raise InvalidInputError(f"config key {key!r} is required")
-        return default
-    return float(config[key])
+def _num(config, key, default) -> float:
+    return float(config[key]) if key in config else default
 
 
 def _csv(header: Tuple[str, ...], *columns) -> str:
@@ -149,7 +146,7 @@ def run_build_spectrum(config: dict):
     artifacts = {}
 
     if config["mode"] == "wreath":
-        t = _num(config, "t")
+        t = float(config["t"])
         stages = int(config.get("stages", 2))
         phi = target_phi_from_set(K, t)
 
@@ -165,10 +162,9 @@ def run_build_spectrum(config: dict):
         psi_vals = np.asarray(eval_phi(cocycle, betas), dtype=float)
         certificates.append(_cert("block-identity-residual",
                                   residual <= 1e-10, residual, 1e-10))
-        budget = 2.0 ** (1 - stages)
         certificates.append(_cert("staged-approximation-error",
-                                  cocycle.certified_error <= budget,
-                                  cocycle.certified_error, budget))
+                                  cocycle.certified_error <= cocycle.budget,
+                                  cocycle.certified_error, cocycle.budget))
         phi0 = abs(float(phi(0.0)) - 1.0)
         certificates.append(_cert("phi-at-zero", phi0 <= 1e-12, phi0, 1e-12))
         cphi0 = abs(eval_phi(cocycle, 0.0) - 1.0)
@@ -183,22 +179,20 @@ def run_build_spectrum(config: dict):
     else:
         k = int(config.get("k", 2))
         order = int(config.get("lambda0_order", 2 * k))
+        # the pair measures its own certificates and leaves this grid in its
+        # memo, so the samples are read from there before the solve
         pair = fraction_pair(K, k, order, grid_n=grid_n, r_max=r_max)
-        e1 = abs(float(pair.phi1(0.0)) - 1.0)
-        e2 = abs(float(pair.phi2(0.0)) - 1.0)
-        certificates.append(_cert("phi1-at-zero", e1 <= 1e-12, e1, 1e-12))
-        certificates.append(_cert("phi2-at-zero", e2 <= 1e-12, e2, 1e-12))
-        outside = np.abs(betas) >= pair.delta
-        qmax = max(float(np.max(np.abs(np.asarray(pair.q1(betas))[outside]))),
-                   float(np.max(np.abs(np.asarray(pair.q2(betas))[outside]))))
-        certificates.append(_cert("q-bounded-off-delta", qmax <= 0.5 + 1e-12,
-                                  qmax, 0.5))
+        for name, err in zip(("phi1-at-zero", "phi2-at-zero"), pair.phi_at_zero):
+            certificates.append(_cert(name, err <= PHI_AT_ZERO_TOL, err,
+                                      PHI_AT_ZERO_TOL))
+        certificates.append(_cert("q-bounded-off-delta",
+                                  pair.q_max <= Q_BOUND + Q_SLACK, pair.q_max,
+                                  Q_BOUND))
+        artifacts["samples.csv"] = _csv(("beta", "phi1", "phi2"), betas.tolist(),
+                                        pair.phi1(betas).tolist(),
+                                        pair.phi2(betas).tolist())
         report = solve_free_product_spectrum(pair, r_max=r_max, tol=tol,
                                              grid_n=grid_n)
-        v1 = np.asarray(pair.phi1(betas), dtype=float)
-        v2 = np.asarray(pair.phi2(betas), dtype=float)
-        artifacts["samples.csv"] = _csv(("beta", "phi1", "phi2"), betas.tolist(),
-                                        v1.tolist(), v2.tolist())
 
     artifacts["report.json"] = canonical_json(report.to_dict())
     return artifacts, certificates
@@ -289,8 +283,13 @@ def run_padic(config: dict):
     return artifacts, certificates
 
 
-RUNNERS = {"wreath": run_build_spectrum, "free-product": run_build_spectrum,
-           "growth": run_growth, "padic": run_padic}
+# each command and the runner of each mode it runs; verify replays any mode
+COMMANDS = {"build-spectrum": dict.fromkeys(("wreath", "free-product"),
+                                            run_build_spectrum),
+            "verify": {}, "growth": {"growth": run_growth},
+            "padic": {"padic": run_padic}}
+RUNNERS = {mode: run for modes in COMMANDS.values() for mode, run in modes.items()}
+MODES = tuple(RUNNERS)
 
 
 def execute(config: dict):
@@ -366,7 +365,7 @@ def main(argv=None) -> int:
         prog="kmspec",
         description="Constructions and certificates for prescribed KMS spectra")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("build-spectrum", "verify", "growth", "padic"):
+    for name in COMMANDS:
         cp = sub.add_parser(name)
         cp.add_argument("--config", required=True)
         if name != "verify":    # verify replays in memory and writes nothing
@@ -383,9 +382,7 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key, None) for key in ("grid_n", "tol", "range")}
     try:
         config = load_config(args.config, overrides)
-        expected_mode = {"build-spectrum": ("wreath", "free-product"),
-                         "growth": ("growth",), "padic": ("padic",)}
-        if config["mode"] not in expected_mode[args.command]:
+        if config["mode"] not in COMMANDS[args.command]:
             raise InvalidInputError(f"config mode {config['mode']!r} does not "
                                     f"match command {args.command!r}")
     except (KmspecError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -516,28 +516,24 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     return best_pair
 
 
-def realize_block(f, t: float, epsilon: float,
-                  r_max: float = 20.0,
-                  grid_n: int = 10001,
-                  _bases: Optional[Dict[tuple, Tuple[TranslatedKernelBasis,
-                                                     np.ndarray]]] = None
+def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float,
+                  bases: Dict[tuple, Tuple[TranslatedKernelBasis, np.ndarray]]
                   ) -> PartitionedBlockSystem:
-    """Realize a function bounded by 1/2 with vanishing tails as eta_1 - eta_2
-    encoded in a partitioned finite probability block.
+    """Realize a function bounded by 1/2 with vanishing tails, given by its
+    values fvals on the symmetric grid betas, as eta_1 - eta_2 encoded in a
+    partitioned finite probability block.
 
     The construction fits the positive and negative parts separately, then
     rebalances the integer term counts against the block orders 2^n and
     merges the two fractions over a common denominator; the two defining
-    identities of the returned system hold identically.  Both halves
-    share their fit bases and design matrices; a caller that realizes several
-    blocks on one grid may share them further through `_bases`.
+    identities of the returned system hold identically.  Both halves take
+    their fit bases and design matrices from `bases` and add new ones to it;
+    one dict serves every block realized on one grid.
     """
     if not t > 1.0:
         raise InvalidInputError("t must exceed 1")
     if epsilon <= 0.0:
         raise InvalidInputError("epsilon must be positive")
-    betas = np.linspace(-r_max, r_max, grid_n)
-    fvals = np.asarray(f(betas), dtype=float)
     if float(np.max(np.abs(fvals))) > 0.5 + 1e-9:
         raise InvalidInputError("f must be bounded by 1/2")
 
@@ -561,7 +557,6 @@ def realize_block(f, t: float, epsilon: float,
         fp = (root + ft) / 2.0
         fm = (root - ft) / 2.0
 
-    bases = {} if _bases is None else _bases
     a_set, b_set, log_den1 = _fit_half(fp, betas, eps_fit, bases)
     c_set, d_set, log_den2 = _fit_half(fm, betas, eps_fit, bases)
 

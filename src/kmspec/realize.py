@@ -67,6 +67,11 @@ class RealizableCocycle:
     stages: Tuple[PartitionedBlockSystem, ...]
     certified_error: float
 
+    @property
+    def budget(self) -> float:
+        """2^(1-K), the sup-norm error a build of K stages may certify."""
+        return 2.0 ** (1 - len(self.stages))
+
     def identity_residual(self, beta) -> float:
         return max(s.identity_residual(beta) for s in self.stages)
 
@@ -87,19 +92,20 @@ def build_realizable(zeta: Callable, a: float, stages: int,
 
     Stage k fits the running residual (phi - psi_{k-1})/(psi_{k-1} P_k) to
     tolerance min{(4 C_k)^{-1}, 2^{-k}} with a block of order 2^n at the base
-    a_k = 1 + (a-1)/k^2; the residual follows the stable recursion
+    a_k = 1 + (a-1)/k^2.  The residual is kept as values on the build grid
+    and follows the stable recursion
     res_{k+1} = (P_k/P_{k+1}) (res_k - zeta_k)/(1+P_k zeta_k), which has no
     singularity at beta = 0.
     """
     if stages < 1:
         raise InvalidInputError("stages must be >= 1")
     betas = np.linspace(-r_max, r_max, grid_n)
+    res = np.asarray(zeta(betas), dtype=float)
     # mobius_eval rejects a base a <= 1
-    phi_vals = 1.0 + mobius_eval(a, betas) * np.asarray(zeta(betas), dtype=float)
+    phi_vals = 1.0 + mobius_eval(a, betas) * res
     schedule = default_schedule(a, stages)
 
     stage_blocks = []
-    res = zeta
     psi_vals = np.ones_like(betas)
     # fit bases and their design matrices, shared by every stage and retry
     # of this build; they all fit on the same grid
@@ -115,8 +121,8 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         # the final product-level error gate below is the binding certificate
         for eps_try in (eps_k, 2.0 * eps_k, 4.0 * eps_k):
             try:
-                system = realize_block(res, t=a_k, epsilon=eps_try,
-                                       r_max=r_max, grid_n=grid_n, _bases=bases)
+                system = realize_block(res, betas, t=a_k, epsilon=eps_try,
+                                       bases=bases)
                 break
             except (FitFailureError, RealizationError) as exc:
                 last_exc = exc
@@ -129,23 +135,15 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         if float(np.max(np.abs(psi_vals))) > 2.0 + 1e-9:
             raise RealizationError(f"stage {k}: |psi| exceeds 2")
         stage_blocks.append(system)
-
-        @scalar_or_array
-        def next_res(bts, prev=res, sys_k=system, l1=math.log(a_k),
-                     l2=math.log(schedule[k])):
-            return (tanh_ratio(l1, l2, bts)
-                    * (np.asarray(prev(bts), dtype=float) - sys_k.zeta(bts))
-                    / sys_k.factor(bts))
-
-        res = next_res
+        res = (tanh_ratio(math.log(a_k), math.log(schedule[k]), betas)
+               * (res - system.zeta(betas)) / factor_vals)
 
     certified = float(np.max(np.abs(phi_vals - psi_vals)))
-    budget = 2.0 ** (1 - stages)
-    if certified > budget:
+    cocycle = RealizableCocycle(stages=tuple(stage_blocks), certified_error=certified)
+    if not certified <= cocycle.budget:
         raise RealizationError(f"certified error {certified} exceeds "
-                               f"2^(1-K) = {budget}")
-    return RealizableCocycle(stages=tuple(stage_blocks),
-                             certified_error=certified)
+                               f"2^(1-K) = {cocycle.budget}")
+    return cocycle
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +153,9 @@ def build_realizable(zeta: Callable, a: float, stages: int,
 _CEILING = 1e12  # largest b and a the doubling searches of fraction_pair try
 _EVALUATORS = ("bump", "q1", "q2", "zeta1", "zeta2", "prefactor1", "prefactor2",
                "phi1", "phi2")
+# a fraction pair has |phi_i(0) - 1| <= PHI_AT_ZERO_TOL, and |Q_i| <= Q_BOUND
+# (+ Q_SLACK) wherever |beta| >= delta on its grid, where the clamp is linear
+PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK = 1e-12, 0.5, 1e-12
 
 def clamp_f(value):
     """Piecewise-linear clamp: identity on [-1/2,1/2], folded to 0 beyond 1."""
@@ -183,6 +184,8 @@ class FractionPair:
     prefactor2: Callable
     phi1: Callable
     phi2: Callable
+    phi_at_zero: Tuple[float, float]    # |phi_1(0) - 1|, |phi_2(0) - 1|
+    q_max: float    # max |Q_i| on the grid points with |beta| >= delta
 
     @property
     def l(self) -> int:
@@ -304,19 +307,18 @@ def fraction_pair(K, k: int, Lambda0_order: int,
         part.__name__ = part.__qualname__ = name
         return scalar_or_array(part)
 
-    pair = FractionPair(k=k, block_order=Lambda0_order, delta=delta,
-                        a=a, b=b, c=c,
-                        **{name: evaluator(name) for name in _EVALUATORS})
-
-    # verify the clamp region: |Q| <= 1/2 wherever |beta| >= delta on the grid
+    # |phi_i(0) - 1| first and the grid last, so the memo keeps the grid;
+    # a NaN fails both checks
+    at_zero = _parts(np.zeros(1))
+    phi_at_zero = tuple(abs(float(at_zero[n][0]) - 1.0) for n in ("phi1", "phi2"))
+    if not all(e <= PHI_AT_ZERO_TOL for e in phi_at_zero):
+        raise ConstructionError("phi(0) != 1; the 2k+l cancellation failed")
     betas = np.linspace(-r_max, r_max, grid_n)
-    outside = np.abs(betas) >= delta
-    for q, name in ((pair.q1, "Q1"), (pair.q2, "Q2")):
-        qv = np.asarray(q(betas), dtype=float)
-        bad = np.abs(qv[outside]) > 0.5 + 1e-12
-        if np.any(bad):
-            raise ConstructionError(f"|{name}| exceeds 1/2 outside [-delta, delta]")
-    for phi, target in ((pair.phi1, 1.0), (pair.phi2, 1.0)):
-        if abs(phi(0.0) - target) > 1e-12:
-            raise ConstructionError("phi(0) != 1; the 2k+l cancellation failed")
-    return pair
+    on_grid = _parts(betas)
+    q_off = np.abs([on_grid[n][np.abs(betas) >= delta] for n in ("q1", "q2")])
+    q_max = float(np.max(q_off, initial=0.0))    # 0.0 when no point is off
+    if not q_max <= Q_BOUND + Q_SLACK:
+        raise ConstructionError("|Q| exceeds 1/2 outside [-delta, delta]")
+    return FractionPair(k=k, block_order=Lambda0_order, delta=delta,
+                        a=a, b=b, c=c, phi_at_zero=phi_at_zero, q_max=q_max,
+                        **{name: evaluator(name) for name in _EVALUATORS})

@@ -18,7 +18,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ._arrays import scalar_or_array
-from .blocks import FiniteConformalBlock, conformal_weights, integrate_potential
+from .blocks import (FiniteConformalBlock, integrate_potential,
+                     product_conformal_weights)
 from .errors import DomainError, InvalidInputError, WindowError
 from .realize import FractionPair
 from .sets import ClosedSetSpec
@@ -306,9 +307,8 @@ class WreathSystem:
         """
         key = float(beta).hex()
         if self._memo is None or self._memo[0] != key:
-            nu, h = np.ones(1), np.ones(1)
+            nu, h = product_conformal_weights(self.blocks, beta), np.ones(1)
             for b in self.blocks:
-                nu = np.multiply.outer(nu, conformal_weights(b, beta).weights).ravel()
                 h = np.multiply.outer(h, b.potential).ravel()
             # density d(eta)/d(nu) = phi(beta)^{-1} H^beta; normalization is exact
             logw = np.log(nu) + beta * np.log(h)

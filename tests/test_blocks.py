@@ -75,6 +75,26 @@ def test_cohomologous_transform_inverts():
     assert np.max(np.abs(out.weights - mu.weights)) < 1e-14
 
 
+def test_measure_on_truncation_matches_a_per_configuration_product():
+    # the flat product measure against the product of the block weights
+    # taken configuration by configuration, left to right: equal bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        blocks = [random_block(int(n), with_group=False, rng=rng)
+                  for n in rng.integers(1, 5, size=4)]
+        system = TruncatedProductSystem(blocks=blocks)
+        for beta in (-7.5, 0.0, 0.3, 11.0):
+            per_block = [conformal_weights(b, beta).weights for b in blocks]
+            expect = {}
+            for cfg in system.configurations():
+                m = 1.0
+                for weights, c in zip(per_block, cfg):
+                    m *= weights[c]
+                expect[cfg] = float(m)
+            got = system.measure_on_truncation(beta)
+            assert list(got.items()) == list(expect.items())
+
+
 def test_conformality_pass_and_perturbation_fail():
     blocks = [random_block(3), random_block(4)]
     system = TruncatedProductSystem(blocks=blocks)

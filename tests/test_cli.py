@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kmspec.cli import (_csv, canonical_json, config_hash, execute,
                         load_config, main)
+from kmspec.sets import ClosedSetSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -226,6 +228,46 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
         main([*argv, "--config", str(tmp_path / "cfg.json")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_wreath_config_without_t_is_a_config_error(tmp_path, capsys):
+    cfg = {key: value for key, value in WREATH_CFG.items() if key != "t"}
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'t'" in err
+    assert not out.exists()
+
+
+def test_free_product_set_beyond_the_range(tmp_path, capsys):
+    # d(0, K) = 15 exceeds the range 10: no grid point has |beta| >= delta,
+    # so the clamp certificate holds vacuously and nothing is reported
+    cfg = dict(FREE_CFG, K={"points": ["15"]})
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["isolated_roots"] == report["flat_intervals"] == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    q_cert, = (c for c in manifest["certificates"]
+               if c["name"] == "q-bounded-off-delta")
+    assert q_cert["passed"] and q_cert["value"] == "0.0"
+
+
+def test_free_product_run_measures_its_grid_once(monkeypatch):
+    # the pair's closing check leaves the grid in its memo, and the samples
+    # and the solver are served from there
+    sizes = []
+    original = ClosedSetSpec.distance
+
+    def counting(self, betas):
+        sizes.append(np.size(betas))
+        return original(self, betas)
+
+    monkeypatch.setattr(ClosedSetSpec, "distance", counting)
+    execute(dict(FREE_CFG))
+    assert sizes.count(FREE_CFG["grid_n"]) == 1
 
 
 def test_wide_wreath_range_is_rejected_before_fitting(tmp_path, capsys):

@@ -100,8 +100,8 @@ def _bump(beta):
 
 
 def test_realize_block_bump_target():
-    system = realize_block(_bump, t=3.0, epsilon=2e-2, r_max=20.0, grid_n=4001)
     grid = np.linspace(-20.0, 20.0, 4001)
+    system = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
     assert float(np.max(np.abs(system.zeta(grid) - _bump(grid)))) <= 2e-2
     assert system.identity_residual(grid) <= 1e-10
     # the factor 1 + P_1 zeta equals 1 exactly at beta = 0
@@ -114,14 +114,14 @@ def test_factored_parts_match_materialized_products():
     # the parts f0 = A x (2C + D), f1 = (2A + B) x C, f2 = A x D + B x (C + D),
     # built term by term as exact multisets, are the reference for the part
     # sums the block evaluates from its four fraction multisets
-    system = realize_block(_bump, t=3.0, epsilon=2e-2, r_max=20.0, grid_n=501)
+    grid = np.linspace(-20.0, 20.0, 501)
+    system = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
     a, b, c, d = system.fractions
     product, union = WeightedMultiset.product, WeightedMultiset.union
     ac, ad, bc, bd = product(a, c), product(a, d), product(b, c), product(b, d)
     parts = (union(ac.scaled(2), ad), union(ac.scaled(2), bc), union(ad, bc, bd))
     assert tuple(p.total() for p in parts) == system.part_totals()
     assert system.size == sum(p.total() for p in parts)
-    grid = np.linspace(-20.0, 20.0, 501)
     want = [p.log_power_sum(grid) for p in parts]
     want.append(logsumexp(np.stack(want), axis=0))
     got = system._log_part_sums(grid)
@@ -135,8 +135,9 @@ def test_fit_failure_names_every_configuration(monkeypatch):
     # none, rather than a best error that no candidate ever achieved
     monkeypatch.setattr(TranslatedKernelBasis, "fit_coeffs",
                         staticmethod(lambda design, values, weights: None))
+    grid = np.linspace(-20.0, 20.0, 201)
     with pytest.raises(FitFailureError) as info:
-        realize_block(_bump, t=3.0, epsilon=2e-2, r_max=20.0, grid_n=201)
+        realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
     message = str(info.value)
     for spacing, window in _FIT_CONFIGS:
         assert (f"(y_max=22, spacing={spacing:g}, window={window}): "
@@ -146,8 +147,9 @@ def test_fit_failure_names_every_configuration(monkeypatch):
 
 
 def test_realize_block_zero_target():
-    system = realize_block(lambda b: np.zeros_like(np.asarray(b, dtype=float)),
-                           t=2.0, epsilon=1e-2, r_max=20.0, grid_n=2001)
+    betas = np.linspace(-20.0, 20.0, 2001)
+    system = realize_block(np.zeros_like(betas), betas, t=2.0, epsilon=1e-2,
+                           bases={})
     grid = np.linspace(-20.0, 20.0, 801)
     assert float(np.max(np.abs(system.zeta(grid)))) <= 1e-2
     assert system.identity_residual(grid) <= 1e-10

@@ -5,7 +5,8 @@ it defines is named somewhere besides its definition, every parameter
 with a default is set by some call (test_every_default_parameter_is_set),
 every dataclass field and instance attribute is read somewhere
 (test_every_field_is_read), the scalar/array convention of beta evaluators
-lives in one place, kmspec._arrays, and so does the log-sum-exp kernel.
+lives in one place, kmspec._arrays, and so does the log-sum-exp kernel; no
+function is defined inside a loop.
 One runtime guard checks that fit bases are shared within a build and
 never across builds, another that the benchmark's tracer still finds every
 library name it wraps and restores each class as it was.
@@ -262,6 +263,19 @@ def test_one_logsumexp_kernel(path):
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("scipy.special") for a in node.names), (
                 f"{path.name} imports scipy.special; use kmspec._arrays.logsumexp")
+
+
+def test_no_function_defined_in_a_loop():
+    # a closure made in a loop captures the loop variables late, unless
+    # they are bound as default arguments; pass the values on instead
+    found = sorted({f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}"
+                    for path in MODULES
+                    for loop in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(loop, (ast.For, ast.AsyncFor, ast.While))
+                    for node in ast.walk(loop)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.Lambda))})
+    assert not found, f"functions defined in a loop: {', '.join(found)}"
 
 
 def test_each_build_makes_its_own_bases(monkeypatch):
