@@ -53,19 +53,20 @@ def _positive(v) -> bool:
 
 
 # every value a runner passes through int() or float(): integers must parse
-# and floats be finite; a grid needs two points, a build one stage, a growth
-# model one state and a limsup one sphere; a range, a tolerance and every s
-# must be positive and the wreath base t above 1
+# and floats be finite; a grid needs two points, a free product k >= 2, a
+# build one stage, a growth model one state, a limsup one sphere and a padic
+# run one level; the freeness search takes words of length 1..10; a range,
+# a tolerance and every s must be positive and the wreath base t above 1
 _INTEGER = (_integer, "an integer")
 _FINITE = (_finite, "a finite number")
 _NUMERIC_KEYS = {
-    "grid_n": (lambda v: int(v) >= 2, "an integer >= 2"),
-    **dict.fromkeys(("stages", "n_states", "horizon"),
+    **dict.fromkeys(("grid_n", "k"), (lambda v: int(v) >= 2, "an integer >= 2")),
+    **dict.fromkeys(("stages", "n_states", "horizon", "N"),
                     (lambda v: int(v) >= 1, "an integer >= 1")),
+    "max_len": (lambda v: 1 <= int(v) <= 10, "an integer in 1..10"),
     **dict.fromkeys(("range", "tol"), (_positive, "finite and positive")),
     "t": (lambda v: 1.0 < float(v) < math.inf, "finite and above 1"),
-    **dict.fromkeys(("k", "lambda0_order", "p", "N", "max_len", "step",
-                     "radius", "x0"), _INTEGER),
+    **dict.fromkeys(("lambda0_order", "p", "step", "radius", "x0"), _INTEGER),
     **dict.fromkeys(("c", "beta"), _FINITE),
     "s_list": (lambda v: isinstance(v, list) and v != [] and all(map(_positive, v)),
                "a non-empty list of finite positive numbers"),

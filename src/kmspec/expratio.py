@@ -11,6 +11,7 @@ identically.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -30,60 +31,51 @@ _LAWSON_ITERS = 4  # reweighted NNLS solves per fit
 
 
 class WeightedMultiset:
-    """Multiset of positive weights stored as {weight: count} with big-int counts.
+    """Multiset of weights 2^u stored as {u: count}, with integer exponents u
+    and big-int counts.
 
-    Power sums sum_g count_g * w_g^beta are evaluated in the log domain; this
-    is the compact representation of the huge index sets produced by the
-    integer rebalancing, which are never materialized element by element.
+    Power sums sum_u count_u 2^(u beta) are evaluated in the log domain, with
+    log weight u ln 2; this is the compact representation of the huge index
+    sets produced by the integer rebalancing, which are never materialized
+    element by element.  Integer keys make unions and products exact.
     """
 
     __slots__ = ("items",)
 
-    def __init__(self, items: Dict[float, int]):
-        self.items = {float(b): int(c) for b, c in items.items() if c}
-        for b in self.items:
-            if not (b > 0.0 and math.isfinite(b)):
-                raise InvalidInputError(f"multiset weight {b!r} must be positive finite")
+    def __init__(self, items: Dict[int, int]):
+        for u in items:
+            if not isinstance(u, numbers.Integral):
+                raise InvalidInputError(f"multiset exponent {u!r} must be an integer")
+        self.items = {int(u): int(c) for u, c in items.items() if c}
 
     def total(self) -> int:
         return sum(self.items.values())
 
     def scaled(self, k: int) -> "WeightedMultiset":
-        return WeightedMultiset({b: c * k for b, c in self.items.items()})
-
-    def times(self, factor: float) -> "WeightedMultiset":
-        out: Dict[float, int] = {}
-        for b, c in self.items.items():
-            nb = b * factor
-            out[nb] = out.get(nb, 0) + c
-        return WeightedMultiset(out)
+        return WeightedMultiset({u: c * k for u, c in self.items.items()})
 
     @staticmethod
     def union(*multisets: "WeightedMultiset") -> "WeightedMultiset":
-        out: Dict[float, int] = {}
+        out: Dict[int, int] = {}
         for m in multisets:
-            for b, c in m.items.items():
-                out[b] = out.get(b, 0) + c
+            for u, c in m.items.items():
+                out[u] = out.get(u, 0) + c
         return WeightedMultiset(out)
 
     @staticmethod
     def product(x: "WeightedMultiset", y: "WeightedMultiset") -> "WeightedMultiset":
-        out: Dict[float, int] = {}
-        for bx, cx in x.items.items():
-            for by, cy in y.items.items():
-                b = bx * by
-                out[b] = out.get(b, 0) + cx * cy
+        out: Dict[int, int] = {}
+        for ux, cx in x.items.items():
+            for uy, cy in y.items.items():
+                out[ux + uy] = out.get(ux + uy, 0) + cx * cy
         return WeightedMultiset(out)
 
-    def log_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        bases = np.array(sorted(self.items), dtype=float)
-        logc = np.array([math.log(self.items[b]) for b in bases])
-        return np.log(bases), logc
-
     def log_power_sum(self, beta) -> np.ndarray:
-        """log of sum count * w^beta, vectorized over beta, chunked."""
+        """log of sum count * 2^(u beta), vectorized over beta, chunked."""
         betas = _as_array(beta)
-        logb, logc = self.log_arrays()
+        exps = sorted(self.items)
+        logb = np.array(exps, dtype=float) * LN2
+        logc = np.array([math.log(self.items[u]) for u in exps])
         out = np.empty_like(betas)
         for i in range(0, betas.size, _CHUNK):
             chunk = betas[i:i + _CHUNK]
@@ -294,43 +286,55 @@ def _admissible_configs(r_max: float):
 # Block realization: from a bounded decaying function to a finite probability
 # block whose partitioned conformal sums reproduce eta_1, eta_2 identically.
 
+def _log_count(n: int) -> float:
+    """log of a big-integer count, -inf for 0."""
+    return math.log(n) if n else -math.inf
+
+
 @dataclass
 class PartitionedBlockSystem:
     """Finite set F = F_1 x F_2 (of order 2^n from realize_block) with the
     product measure mu of two rebalanced fractions, a 3-part partition and
     the pair of functions the parts encode.
 
-    The fractions are four grouped multisets of unnormalized weights
-    (A, B, C, D): F_1 carries 2A + B and F_2 carries 2C + D.  The parts are
-    f0 = A x (2C + D), f1 = (2A + B) x C and f2 = A x D + B x (C + D), and
-    they are never materialized: a power sum over a product of multisets is
-    the product of their power sums.  The defining identities relate eta_1,
-    eta_2 to partial power sums of mu and hold as exact algebra, so their
-    residual is a bug detector rather than an approximation error.
+    A block is its fit: the fitted multisets (A, B, C, D), with
+    eta_1 = S_A / (2 S_A + S_B) and eta_2 = S_C / (2 S_C + S_D), and the
+    rebalancing integers scales = (K1, T1, K2, T2).  F_1 carries 2A' + B' and
+    F_2 carries 2C' + D', with A' = K1 A, B' = K1 (2 tA + B + tB) + T1,
+    C' = K2 tC and D' = K2 (2C + D + tD) + T2 (tX: the weights of X times t,
+    T: weights 1).  The parts are f0 = A' x (2C' + D'), f1 = (2A' + B') x C'
+    and f2 = A' x D' + B' x (C' + D'); none is materialized, since a power sum
+    over a product of multisets is the product of their power sums.  The
+    defining identities relate eta_1, eta_2 to partial power sums of mu and
+    hold as exact algebra, so their residual is a bug detector rather than
+    an approximation error.
     """
 
     t: float
     fractions: Tuple[WeightedMultiset, WeightedMultiset,
                      WeightedMultiset, WeightedMultiset]
+    scales: Tuple[int, int, int, int]
     achieved_error: float
-    direct_eta1: Callable
-    direct_eta2: Callable
-    _memo: Optional[Tuple[np.ndarray, Tuple[np.ndarray, ...]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    _memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        """|F| = (2A + B)(2C + D), the sum of the three part totals."""
+        """|F| = (2A' + B')(2C' + D'), the sum of the three part totals."""
         return sum(self.part_totals())
 
     def part_totals(self) -> Tuple[int, int, int]:
         """Exact element counts of the three parts."""
         a, b, c, d = (m.total() for m in self.fractions)
+        k1, t1, k2, t2 = self.scales
+        a, b = k1 * a, k1 * (2 * a + 2 * b) + t1
+        c, d = k2 * c, k2 * (2 * c + 2 * d) + t2
         return a * (2 * c + d), (2 * a + b) * c, a * d + b * (c + d)
 
-    def _log_part_sums(self, betas: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """log of the three part sums and of their total, (s0, s1, s2, total),
-        from one power sum per fraction multiset.
+    def _log_sums(self, betas: np.ndarray
+                  ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+        """log power sums of the fitted fractions, (S_A, S_B, S_C, S_D), and
+        of the three parts and their total, (s0, s1, s2, total), from one
+        power sum per fraction multiset.
 
         They are kept for the most recent grid, compared by value against a
         private copy, so a grid mutated in place is never served stale sums.
@@ -338,27 +342,36 @@ class PartitionedBlockSystem:
         memo = self._memo
         if memo is not None and np.array_equal(memo[0], betas):
             return memo[1]
-        la, lb, lc, ld = (m.log_power_sum(betas) for m in self.fractions)
-        sums = [la + np.logaddexp(LN2 + lc, ld),                  # A x (2C + D)
-                np.logaddexp(LN2 + la, lb) + lc,                  # (2A + B) x C
-                np.logaddexp(la + ld, lb + np.logaddexp(lc, ld))]
-        # the total as the sum of the parts, not (2A + B)(2C + D), so that
-        # factor(0) is 1 to the last bit
+        fitted = tuple(m.log_power_sum(betas) for m in self.fractions)
+        la, lb, lc, ld = fitted
+        lk1, lt1, lk2, lt2 = map(_log_count, self.scales)
+        logt = betas * math.log(self.t)
+        log1pt = np.logaddexp(0.0, logt)                    # log(1 + t^beta)
+        # the rebalanced fractions A', B', C', D'
+        a = lk1 + la
+        b = np.logaddexp(lk1 + np.logaddexp(LN2 + logt + la, log1pt + lb), lt1)
+        c = lk2 + logt + lc
+        d = np.logaddexp(lk2 + np.logaddexp(LN2 + lc, log1pt + ld), lt2)
+        sums = [a + np.logaddexp(LN2 + c, d),                     # A' x (2C' + D')
+                np.logaddexp(LN2 + a, b) + c,                     # (2A' + B') x C'
+                np.logaddexp(a + d, b + np.logaddexp(c, d))]
+        # the total as the sum of the parts, not (2A' + B')(2C' + D'), so
+        # that factor(0) is 1 to the last bit
         sums.append(logsumexp(np.stack(sums), axis=0))
-        for arr in sums:
+        for arr in fitted + tuple(sums):
             arr.flags.writeable = False
-        self._memo = (np.array(betas, dtype=float), tuple(sums))
+        self._memo = (np.array(betas, dtype=float), (fitted, tuple(sums)))
         return self._memo[1]
 
     @scalar_or_array
     def eta1(self, betas):
-        s = self._log_part_sums(betas)
+        _, s = self._log_sums(betas)
         logt = math.log(self.t)
         return np.exp(np.logaddexp(0.0, betas * logt) + s[0] - s[3])
 
     @scalar_or_array
     def eta2(self, betas):
-        s = self._log_part_sums(betas)
+        _, s = self._log_sums(betas)
         logt = math.log(self.t)
         return np.exp(np.logaddexp(0.0, betas * logt) - betas * logt
                       + s[1] - s[3])
@@ -369,21 +382,26 @@ class PartitionedBlockSystem:
     @scalar_or_array
     def factor(self, betas):
         """The realizable factor 1 + P_t(beta) * zeta(beta) = integral H^beta dmu_beta."""
-        s = self._log_part_sums(betas)
+        _, s = self._log_sums(betas)
         logt = math.log(self.t)
         num = logsumexp(np.stack([betas * logt + s[0], -betas * logt + s[1], s[2]]),
                         axis=0)
         return np.exp(num - s[3])
 
     def identity_residual(self, beta) -> float:
-        """Max residual of the two defining identities over the given grid."""
+        """Max residual of the two defining identities over the given grid:
+        s0/total = eta_1/(1 + t^beta) and s1/total = eta_2 t^beta/(1 + t^beta),
+        with eta_1 = K1 S_A / (2 K1 S_A + K1 S_B + T1/(1 + t^beta)) and eta_2
+        the same in K2, S_C, S_D, T2."""
         betas = _as_array(beta)
-        s = self._log_part_sums(betas)
-        logt = math.log(self.t)
-        log_weight1 = -np.logaddexp(0.0, betas * logt)          # 1/(1+t^beta)
-        log_weight2 = betas * logt - np.logaddexp(0.0, betas * logt)
-        lhs1 = np.asarray(self.direct_eta1(betas)) * np.exp(log_weight1)
-        lhs2 = np.asarray(self.direct_eta2(betas)) * np.exp(log_weight2)
+        (la, lb, lc, ld), s = self._log_sums(betas)
+        lk1, lt1, lk2, lt2 = map(_log_count, self.scales)
+        logt = betas * math.log(self.t)
+        log1pt = np.logaddexp(0.0, logt)
+        den1 = logsumexp(np.stack([LN2 + lk1 + la, lk1 + lb, lt1 - log1pt]), axis=0)
+        den2 = logsumexp(np.stack([LN2 + lk2 + lc, lk2 + ld, lt2 - log1pt]), axis=0)
+        lhs1 = np.exp(lk1 + la - den1 - log1pt)
+        lhs2 = np.exp(lk2 + lc - den2 + logt - log1pt)
         rhs1 = np.exp(s[0] - s[3])
         rhs2 = np.exp(s[1] - s[3])
         return float(max(np.max(np.abs(lhs1 - rhs1)), np.max(np.abs(lhs2 - rhs2))))
@@ -425,15 +443,11 @@ def _int_exp_scaled(delta: float, q: int) -> int:
 
 
 def _rationalize(log_coeffs: np.ndarray, exps: np.ndarray,
-                 shift: float, q: int) -> Dict[float, int]:
-    """Integer counts round(exp(lc - shift) * q) grouped by base 2^u."""
-    items: Dict[float, int] = {}
-    for lc, u in zip(log_coeffs, exps):
-        c = _int_exp_scaled(float(lc) - shift, q)
-        if c > 0:
-            base = float(2.0 ** u)
-            items[base] = items.get(base, 0) + c
-    return items
+                 shift: float, q: int) -> Dict[int, int]:
+    """Integer counts round(exp(lc - shift) * q) keyed by the exponent u of
+    base 2^u; exps holds distinct integral values."""
+    return {int(u): _int_exp_scaled(float(lc) - shift, q)
+            for lc, u in zip(log_coeffs, exps)}
 
 
 def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
@@ -453,8 +467,8 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     q = 10 ** 12
     if float(np.max(fvals)) <= eps_fit / 2.0:
         # near-zero target: one numerator atom against a heavy denominator
-        a = WeightedMultiset({1.0: 1})
-        b = WeightedMultiset({0.5: q, 2.0: q})
+        a = WeightedMultiset({0: 1})
+        b = WeightedMultiset({-1: q, 1: q})
         return a, b, np.logaddexp(LN2 + a.log_power_sum(betas),
                                   b.log_power_sum(betas))
     if float(np.max(fvals)) >= 0.5 - 1e-9:
@@ -524,9 +538,9 @@ def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float
     partitioned finite probability block.
 
     The construction fits the positive and negative parts separately, then
-    rebalances the integer term counts against the block orders 2^n and
-    merges the two fractions over a common denominator; the two defining
-    identities of the returned system hold identically.  Both halves take
+    rebalances the integer term counts against the block orders 2^n; the
+    returned system keeps the four fitted multisets and the rebalancing
+    integers, and its two defining identities hold identically.  Both halves take
     their fit bases and design matrices from `bases` and add new ones to it;
     one dict serves every block realized on one grid.
     """
@@ -563,43 +577,8 @@ def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float
     k1, t1 = _rebalance(a_set, b_set, log_den1, eps_slack)
     k2, t2 = _rebalance(c_set, d_set, log_den2, eps_slack)
 
-    # merged numerator/denominator multisets of the two fractions, written with
-    # total term counts L1 = 2N' + M' and L2 = 2P' + Q'
-    a_p = a_set.scaled(k1)
-    extra1 = [a_set.times(t).scaled(2 * k1), b_set.scaled(k1), b_set.times(t).scaled(k1)]
-    if t1 > 0:
-        extra1.append(WeightedMultiset({1.0: t1}))
-    b_p = WeightedMultiset.union(*extra1)
-    c_p = c_set.times(t).scaled(k2)
-    extra2 = [c_set.scaled(2 * k2), d_set.scaled(k2), d_set.times(t).scaled(k2)]
-    if t2 > 0:
-        extra2.append(WeightedMultiset({1.0: t2}))
-    d_p = WeightedMultiset.union(*extra2)
-
-    logt = math.log(t)
-
-    def _direct(numer: WeightedMultiset, denom: WeightedMultiset,
-                tail_count: int):
-        @scalar_or_array
-        def evaluator(bts):
-            ln = numer.log_power_sum(bts)
-            stacked = [LN2 + ln, denom.log_power_sum(bts)]
-            if tail_count > 0:
-                stacked.append(math.log(tail_count) - np.logaddexp(0.0, bts * logt))
-            ld = logsumexp(np.stack(stacked), axis=0)
-            return np.exp(ln - ld)
-
-        return evaluator
-
-    direct_eta1 = _direct(a_set.scaled(k1), b_set.scaled(k1), t1)
-    # eta2's own fraction carries plain bases; the t^beta weight is applied in
-    # the identity, so the direct form uses c_set, d_set
-    direct_eta2 = _direct(c_set.scaled(k2), d_set.scaled(k2), t2)
-
-    system = PartitionedBlockSystem(t=t, fractions=(a_p, b_p, c_p, d_p),
-                                    achieved_error=0.0,
-                                    direct_eta1=direct_eta1,
-                                    direct_eta2=direct_eta2)
+    system = PartitionedBlockSystem(t=t, fractions=(a_set, b_set, c_set, d_set),
+                                    scales=(k1, t1, k2, t2), achieved_error=0.0)
     achieved = float(np.max(np.abs(system.zeta(betas) - fvals)))
     if achieved > epsilon * (1.0 + 1e-9):
         raise RealizationError(f"achieved error {achieved} exceeds epsilon {epsilon}")

@@ -16,11 +16,10 @@ from kmspec.spectra import WreathSystem, target_phi_from_set
 
 
 def _block_system():
-    fractions = (WeightedMultiset({1.0: 1}), WeightedMultiset({2.0: 1}),
-                 WeightedMultiset({0.5: 1}), WeightedMultiset({1.0: 1}))
+    fractions = (WeightedMultiset({0: 1}), WeightedMultiset({1: 1}),
+                 WeightedMultiset({-1: 1}), WeightedMultiset({0: 1}))
     return PartitionedBlockSystem(t=2.0, fractions=fractions,
-                                  achieved_error=0.0,
-                                  direct_eta1=None, direct_eta2=None)
+                                  scales=(1, 0, 1, 0), achieved_error=0.0)
 
 
 def _pair():

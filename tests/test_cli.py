@@ -169,9 +169,10 @@ def test_overrides_change_hash(tmp_path):
     (dict(WREATH_CFG, t="1"), [], "t"),
     (dict(FREE_CFG, k="x"), [], "k"),
     (dict(FREE_CFG, lambda0_order="y"), [], "lambda0_order"),
+    (dict(FREE_CFG, k=1), [], "k"),
 ], ids=["range-negative", "range-zero", "range-inf", "grid-one", "grid-zero",
         "tol-negative", "tol-nan", "stages-zero", "t-inf", "t-one", "k-text",
-        "order-text"])
+        "order-text", "k-one"])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -185,6 +186,8 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
 @pytest.mark.parametrize("command,cfg,key", [
     ("padic", dict(PADIC_CFG, p="q"), "p"),
     ("padic", dict(PADIC_CFG, max_len="1.5"), "max_len"),
+    ("padic", dict(PADIC_CFG, N=0), "N"),
+    ("padic", dict(PADIC_CFG, max_len=11), "max_len"),
     ("growth", dict(GROWTH_CFG, horizon="z"), "horizon"),
     ("growth", dict(GROWTH_CFG, beta="nan"), "beta"),
     ("growth", dict(GROWTH_CFG, s_list=["0.5", "inf"]), "s_list"),
@@ -199,7 +202,8 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     ("growth", dict(GROWTH_CFG, horizon=16, x0=64), "x0"),
     ("growth", dict(GROWTH_CFG, horizon=16, x0=-65), "x0"),
     ("growth", dict(GROWTH_CFG, horizon=16, n_states=8, x0=8), "x0"),
-], ids=["p-text", "max-len-fraction", "horizon-text", "beta-nan", "s-inf",
+], ids=["p-text", "max-len-fraction", "level-zero", "max-len-eleven",
+        "horizon-text", "beta-nan", "s-inf",
         "s-not-list", "s-empty", "s-zero", "s-negative", "states-zero",
         "states-negative", "horizon-zero", "horizon-negative", "x0-past-states",
         "x0-negative", "x0-past-set-states"])

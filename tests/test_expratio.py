@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,18 +31,25 @@ def test_approximate_unit_integrates_to_one(n):
 
 
 def test_multiset_power_sum_matches_bruteforce():
-    m = WeightedMultiset({2.0: 3, 0.5: 2, 1.25: 7})
+    m = WeightedMultiset({1: 3, -1: 2, 3: 7})
     for beta in (-4.0, 0.0, 2.5):
-        brute = 3 * 2.0 ** beta + 2 * 0.5 ** beta + 7 * 1.25 ** beta
+        brute = 3 * 2.0 ** beta + 2 * 0.5 ** beta + 7 * 8.0 ** beta
         assert abs(math.exp(m.log_power_sum(beta)[0]) - brute) < 1e-12 * brute
+
+
+@pytest.mark.parametrize("key", [0.5, 1.0, "1"])
+def test_multiset_keys_must_be_integer_exponents(key):
+    with pytest.raises(InvalidInputError):
+        WeightedMultiset({key: 1})
 
 
 @given(st.integers(1, 50), st.integers(1, 50), st.floats(-5, 5))
 @settings(max_examples=50, deadline=None)
 def test_multiset_union_additive(c1, c2, beta):
-    a = WeightedMultiset({2.0: c1, 0.5: 3})
-    b = WeightedMultiset({2.0: c2})
+    a = WeightedMultiset({1: c1, -1: 3})
+    b = WeightedMultiset({1: c2})
     u = WeightedMultiset.union(a, b)
+    assert u.items == {1: c1 + c2, -1: 3}
     lhs = math.exp(u.log_power_sum(beta)[0])
     rhs = (math.exp(a.log_power_sum(beta)[0])
            + math.exp(b.log_power_sum(beta)[0]))
@@ -49,9 +57,11 @@ def test_multiset_union_additive(c1, c2, beta):
 
 
 def test_multiset_product_is_pointwise_product():
-    a = WeightedMultiset({2.0: 2, 0.5: 1})
-    b = WeightedMultiset({4.0: 3, 1.0: 5})
+    a = WeightedMultiset({1: 2, -1: 1})
+    b = WeightedMultiset({2: 3, 0: 5})
     p = WeightedMultiset.product(a, b)
+    # 2^u x 2^w = 2^(u + w) exactly: 2^1 x 2^0 and 2^-1 x 2^2 share a key
+    assert p.items == {3: 6, 1: 10 + 3, -1: 5}
     for beta in (-2.0, 1.3):
         lhs = math.exp(p.log_power_sum(beta)[0])
         rhs = (math.exp(a.log_power_sum(beta)[0])
@@ -110,21 +120,54 @@ def test_realize_block_bump_target():
     assert bin(system.size).count("1") == 1
 
 
+def _lift(items, v, k):
+    """{(u, v): k * count}: every weight 2^u of a fitted fraction times t^v."""
+    return Counter({(u, v): k * c for u, c in items.items()})
+
+
+def _times(x, y):
+    out = Counter()
+    for (ux, vx), cx in x.items():
+        for (uy, vy), cy in y.items():
+            out[ux + uy, vx + vy] += cx * cy
+    return out
+
+
+def _materialized_parts(system):
+    """The three parts as exact {(u, v): count} multisets of weights 2^u t^v,
+    built term by term from the fitted fractions and the scales."""
+    a, b, c, d = (m.items for m in system.fractions)
+    k1, t1, k2, t2 = system.scales
+    ones1, ones2 = Counter({(0, 0): t1}), Counter({(0, 0): t2})
+    a1 = _lift(a, 0, k1)                                            # K1 A
+    b1 = _lift(a, 1, 2 * k1) + _lift(b, 0, k1) + _lift(b, 1, k1) + ones1
+    c1 = _lift(c, 1, k2)                                            # K2 tC
+    d1 = _lift(c, 0, 2 * k2) + _lift(d, 0, k2) + _lift(d, 1, k2) + ones2
+    ac, ad, bc, bd = _times(a1, c1), _times(a1, d1), _times(b1, c1), _times(b1, d1)
+    return ac + ac + ad, ac + ac + bc, ad + bc + bd
+
+
+def _brute_log_power_sum(part, t, betas):
+    keys = list(part)
+    logc = np.array([math.log(part[key]) for key in keys])
+    logw = np.array([u * math.log(2.0) + v * math.log(t) for u, v in keys])
+    return logsumexp(logc[None, :] + betas[:, None] * logw[None, :], axis=1)
+
+
 def test_factored_parts_match_materialized_products():
-    # the parts f0 = A x (2C + D), f1 = (2A + B) x C, f2 = A x D + B x (C + D),
-    # built term by term as exact multisets, are the reference for the part
-    # sums the block evaluates from its four fraction multisets
+    # the parts f0 = A' x (2C' + D'), f1 = (2A' + B') x C' and
+    # f2 = A' x D' + B' x (C' + D') of the rebalanced fractions, built term by
+    # term as exact multisets, are the reference for the part sums the block
+    # evaluates from the power sums of its four fitted fractions
     grid = np.linspace(-20.0, 20.0, 501)
     system = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
-    a, b, c, d = system.fractions
-    product, union = WeightedMultiset.product, WeightedMultiset.union
-    ac, ad, bc, bd = product(a, c), product(a, d), product(b, c), product(b, d)
-    parts = (union(ac.scaled(2), ad), union(ac.scaled(2), bc), union(ad, bc, bd))
-    assert tuple(p.total() for p in parts) == system.part_totals()
-    assert system.size == sum(p.total() for p in parts)
-    want = [p.log_power_sum(grid) for p in parts]
+    parts = _materialized_parts(system)
+    assert any(system.scales[1::2])   # a rebalancing tail is covered
+    assert tuple(sum(p.values()) for p in parts) == system.part_totals()
+    assert system.size == sum(sum(p.values()) for p in parts)
+    want = [_brute_log_power_sum(p, system.t, grid) for p in parts]
     want.append(logsumexp(np.stack(want), axis=0))
-    got = system._log_part_sums(grid)
+    _, got = system._log_sums(grid)
     for g, w in zip(got, want):
         # a log difference of 1e-12 is a relative error of 1e-12 in the sum
         assert float(np.max(np.abs(g - w))) <= 1e-12

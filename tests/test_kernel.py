@@ -122,18 +122,24 @@ def test_design_is_recomputed_for_a_mutated_grid():
 
 
 def _small_system() -> PartitionedBlockSystem:
-    fractions = (WeightedMultiset({2.0: 1}), WeightedMultiset({0.5: 1}),
-                 WeightedMultiset({1.0: 1}), WeightedMultiset({3.0: 1}))
+    fractions = (WeightedMultiset({1: 1}), WeightedMultiset({-1: 1}),
+                 WeightedMultiset({0: 1}), WeightedMultiset({2: 1}))
     return PartitionedBlockSystem(t=2.0, fractions=fractions,
-                                  achieved_error=0.0,
-                                  direct_eta1=None, direct_eta2=None)
+                                  scales=(3, 1, 2, 0), achieved_error=0.0)
 
 
 def _factor_by_hand(betas: np.ndarray) -> np.ndarray:
-    # parts A x (2C + D), (2A + B) x C and A x D + B x (C + D) written out
-    s0 = 2 * 2.0 ** betas + 6.0 ** betas
-    s1 = 2 * 2.0 ** betas + 0.5 ** betas
-    s2 = 6.0 ** betas + 0.5 ** betas + 1.5 ** betas
+    # A = {2}, B = {1/2}, C = {1}, D = {4}, t = 2 and (K1, T1, K2, T2) =
+    # (3, 1, 2, 0): the rebalanced fractions A' = K1 A, B' = K1 (2tA + B + tB)
+    # + T1, C' = K2 tC and D' = K2 (2C + D + tD) + T2 written out, then the
+    # parts A' x (2C' + D'), (2A' + B') x C' and A' x D' + B' x (C' + D')
+    a = 3 * 2.0 ** betas
+    b = 6 * 4.0 ** betas + 3 * 0.5 ** betas + 3.0 + 1.0
+    c = 2 * 2.0 ** betas
+    d = 4.0 + 2 * 4.0 ** betas + 2 * 8.0 ** betas
+    s0 = a * (2 * c + d)
+    s1 = (2 * a + b) * c
+    s2 = a * d + b * (c + d)
     return (2.0 ** betas * s0 + 2.0 ** -betas * s1 + s2) / (s0 + s1 + s2)
 
 

@@ -93,12 +93,14 @@ def test_build_realizable_retries_only_fit_failures(monkeypatch):
 
 
 def test_build_realizable_never_builds_multiset_products(monkeypatch):
-    # block parts are evaluated from the two fractions' power sums; the
-    # product multisets stay a test reference only
-    def refuse(x, y):
-        raise AssertionError("block parts were materialized")
+    # a block keeps its four fitted fractions and evaluates its parts from
+    # their power sums; no merged, scaled or product multiset is built
+    def refuse(*args):
+        raise AssertionError("block multisets were materialized")
 
-    monkeypatch.setattr(WeightedMultiset, "product", staticmethod(refuse))
+    for name in ("product", "union"):
+        monkeypatch.setattr(WeightedMultiset, name, staticmethod(refuse))
+    monkeypatch.setattr(WeightedMultiset, "scaled", refuse)
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
     cocycle = build_realizable(zeta_from_interval(K), a=3.0, stages=2,
                                r_max=20.0, grid_n=401)
