@@ -22,11 +22,10 @@ from .errors import (FitFailureError, InvalidInputError, QuadratureError,
                      RealizationError)
 
 LN2 = math.log(2.0)
-_CHUNK = 512  # beta-grid chunk for grouped power sums (bounds peak memory)
-# bound on |(beta - c) u ln2| within one chunk of the batched design matrix:
-# every scaled sum then lies between e^-64 and (2m+1) e^64, far from float
-# overflow and underflow, so the scaling costs no accuracy
-_DESIGN_SCALE = 64.0
+# bound on |(beta - c) u ln2| within one beta chunk of the power-sum kernel:
+# every scaled sum then lies between e^-256 and (number of terms) e^256, far
+# from float overflow and underflow, so the scaling costs no accuracy
+_EXP_SCALE = 256.0
 _LAWSON_ITERS = 4  # reweighted NNLS solves per fit
 
 
@@ -37,7 +36,7 @@ class WeightedMultiset:
     Power sums sum_u count_u 2^(u beta) are evaluated in the log domain, with
     log weight u ln 2; this is the compact representation of the huge index
     sets produced by the integer rebalancing, which are never materialized
-    element by element.  Integer keys make unions and products exact.
+    element by element.  Integer keys make products exact.
     """
 
     __slots__ = ("items",)
@@ -51,17 +50,6 @@ class WeightedMultiset:
     def total(self) -> int:
         return sum(self.items.values())
 
-    def scaled(self, k: int) -> "WeightedMultiset":
-        return WeightedMultiset({u: c * k for u, c in self.items.items()})
-
-    @staticmethod
-    def union(*multisets: "WeightedMultiset") -> "WeightedMultiset":
-        out: Dict[int, int] = {}
-        for m in multisets:
-            for u, c in m.items.items():
-                out[u] = out.get(u, 0) + c
-        return WeightedMultiset(out)
-
     @staticmethod
     def product(x: "WeightedMultiset", y: "WeightedMultiset") -> "WeightedMultiset":
         out: Dict[int, int] = {}
@@ -71,17 +59,45 @@ class WeightedMultiset:
         return WeightedMultiset(out)
 
     def log_power_sum(self, beta) -> np.ndarray:
-        """log of sum count * 2^(u beta), vectorized over beta, chunked."""
-        betas = _as_array(beta)
+        """log of sum count * 2^(u beta), vectorized over beta: one row of
+        the power-sum kernel `_log_power_sums`."""
         exps = sorted(self.items)
-        logb = np.array(exps, dtype=float) * LN2
-        logc = np.array([math.log(self.items[u]) for u in exps])
-        out = np.empty_like(betas)
-        for i in range(0, betas.size, _CHUNK):
-            chunk = betas[i:i + _CHUNK]
-            out[i:i + _CHUNK] = logsumexp(logc[None, :] + chunk[:, None] * logb[None, :],
-                                          axis=1)
-        return out
+        logc = np.array([[math.log(self.items[u]) for u in exps]])
+        return _log_power_sums(logc, np.array(exps, dtype=float), _as_array(beta))[:, 0]
+
+
+def _log_power_sums(logs: np.ndarray, exps: np.ndarray,
+                    betas: np.ndarray) -> np.ndarray:
+    """log sum_u exp(logs[s, u]) 2^(exps[u] beta) for every row s of logs
+    and every beta of a 1-d array, one row per beta and one column per sum.
+
+    This is the one evaluator of power sums over a beta array: the design
+    matrix, the bump peaks and `log_power_sum` all call it.  logs holds one
+    row of log coefficients per sum, -inf where a sum has no term, and exps
+    the integer exponents u shared by its columns.  In a chunk of betas
+    around a centre c, the term (s, u) is exp(logs[s,u] + c u ln2 - g_s)
+    * exp((beta - c) u ln2) * e^g_s, with g_s the largest exponent of sum s
+    at c.  The first factor is at most 1 and the chunk width keeps the
+    second within e^(+-_EXP_SCALE) for the largest |u|, so one matmul of the
+    two exponentiated matrices gives every sum of the chunk, and g_s is
+    added back in the log.  Chunks group betas by value, so the grid need
+    not be sorted.  A logsumexp over all terms is the reference the tests
+    compare against.
+    """
+    lattice = exps * LN2
+    out = np.empty((betas.size, logs.shape[0]))
+    width = 2.0 * _EXP_SCALE / (max(1.0, float(np.max(np.abs(exps)))) * LN2)
+    chunks = np.floor((betas - np.min(betas)) / width)
+    for key in np.unique(chunks):
+        rows = np.flatnonzero(chunks == key)
+        chunk = betas[rows]
+        c = 0.5 * (float(np.min(chunk)) + float(np.max(chunk)))
+        coeffs = logs + c * lattice
+        g = np.max(coeffs, axis=1)
+        np.exp(coeffs - g[:, None], out=coeffs)
+        sums = np.exp(np.outer(chunk - c, lattice)) @ coeffs.T
+        out[rows] = np.log(sums) + g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +191,6 @@ class TranslatedKernelBasis:
         for f in reversed(facs):
             suffix.append(_conv_log(suffix[-1], f))
         suffix.reverse()
-        self.log_d = prefix[m]
-        self.exp_d = np.arange(m, -m - 1, -2, dtype=float)
         # every numerator and the denominator on the exponent lattice
         # u = -m, ..., m (base 2^u): rows 0..m-1 hold the bumps, row m the
         # denominator, -inf where a sum has no term.  The step is 1, not 2:
@@ -189,40 +203,22 @@ class TranslatedKernelBasis:
             used = m - (hi - lo + 1)
             numer = _conv_log(prefix[lo], suffix[hi + 1])
             logs[i, m - used:m + used + 1:2] = numer[::-1]
-        logs[m, ::2] = self.log_d[::-1]
+        logs[m, ::2] = prefix[m][::-1]
         self._lattice_logs = logs
-        powers = np.outer(self.nodes, self._lattice * LN2)
-        self.log_peaks = (logsumexp(logs[:m] + powers, axis=1)
-                          - logsumexp(logs[m] + powers, axis=1))
+        at_nodes = _log_power_sums(logs, self._lattice, self.nodes)
+        self.log_peaks = np.diagonal(at_nodes) - at_nodes[:, m]
 
     def design(self, betas: np.ndarray) -> np.ndarray:
-        """Matrix of peak-normalized bump values, one column per node.
-
-        In a chunk of betas around a centre c, the term (i, u) of lattice
-        sum i is exp(L[i,u] + c u ln2 - g_i) * exp((beta - c) u ln2) * e^g_i,
-        with g_i the largest exponent of sum i at c.  The first factor is at
-        most 1, the second within e^(+-_DESIGN_SCALE), so one matmul of the
-        two exponentiated matrices gives every bump numerator and the
-        denominator at once, and e^g_i enters only through the ratio of the
-        scales.  Nothing is cached here: `_fit_half` computes the matrix once
-        per basis per build and keeps it, read-only, next to the basis.
+        """Matrix of peak-normalized bump values, one column per node: each
+        bump numerator over the denominator, all lattice rows from one call
+        of the power-sum kernel, divided by the bump's value at its node.
+        Nothing is cached here: `_fit_half` computes the matrix once per
+        basis per build and keeps it, read-only, next to the basis.
         """
-        betas = np.array(betas, dtype=float)
         m = self.nodes.size
-        lattice = self._lattice * LN2
-        out = np.empty((betas.size, m))
-        width = 2.0 * _DESIGN_SCALE / (m * LN2)
-        chunks = np.floor((betas - np.min(betas)) / width)
-        for key in np.unique(chunks):
-            rows = np.flatnonzero(chunks == key)
-            chunk = betas[rows]
-            c = 0.5 * (float(np.min(chunk)) + float(np.max(chunk)))
-            coeffs = self._lattice_logs + c * lattice
-            g = np.max(coeffs, axis=1)
-            np.exp(coeffs - g[:, None], out=coeffs)
-            sums = np.exp(np.outer(chunk - c, lattice)) @ coeffs.T
-            out[rows] = (sums[:, :m] / sums[:, m:]
-                         * np.exp(g[:m] - g[m] - self.log_peaks))
+        sums = _log_power_sums(self._lattice_logs, self._lattice,
+                               np.asarray(betas, dtype=float))
+        out = np.exp(sums[:, :m] - sums[:, m:] - self.log_peaks)
         out.flags.writeable = False
         return out
 
@@ -503,17 +499,20 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         if logs.size == 0:
             reasons.append(f"{name}: the merged numerator was empty")
             continue
+        den = basis._lattice_logs[-1]
+        present = np.isfinite(den)
+        log_d, exp_d = den[present], basis._lattice[present]
         keep_a = _grid_relevant(logs, exps, r_max)
-        keep_b = _grid_relevant(basis.log_d, basis.exp_d, r_max)
+        keep_b = _grid_relevant(log_d, exp_d, r_max)
         if not np.any(keep_a):
             reasons.append(f"{name}: no numerator atom was grid-relevant")
             continue
         # numerator and denominator share one scale so their ratio survives
         # the rounding; counts are big integers, never materialized as floats
         shift = min(float(np.min(logs[keep_a])),
-                    float(np.min(basis.log_d[keep_b])))
+                    float(np.min(log_d[keep_b])))
         a_items = _rationalize(logs[keep_a], exps[keep_a], shift, q)
-        b_items = _rationalize(basis.log_d[keep_b], basis.exp_d[keep_b], shift, q)
+        b_items = _rationalize(log_d[keep_b], exp_d[keep_b], shift, q)
         a = WeightedMultiset(a_items)
         b = WeightedMultiset(b_items)
         log_sa = a.log_power_sum(betas)

@@ -3,7 +3,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from kmspec._arrays import logsumexp
@@ -41,19 +40,6 @@ def test_multiset_power_sum_matches_bruteforce():
 def test_multiset_keys_must_be_integer_exponents(key):
     with pytest.raises(InvalidInputError):
         WeightedMultiset({key: 1})
-
-
-@given(st.integers(1, 50), st.integers(1, 50), st.floats(-5, 5))
-@settings(max_examples=50, deadline=None)
-def test_multiset_union_additive(c1, c2, beta):
-    a = WeightedMultiset({1: c1, -1: 3})
-    b = WeightedMultiset({1: c2})
-    u = WeightedMultiset.union(a, b)
-    assert u.items == {1: c1 + c2, -1: 3}
-    lhs = math.exp(u.log_power_sum(beta)[0])
-    rhs = (math.exp(a.log_power_sum(beta)[0])
-           + math.exp(b.log_power_sum(beta)[0]))
-    assert abs(lhs - rhs) < 1e-12 * rhs
 
 
 def test_multiset_product_is_pointwise_product():

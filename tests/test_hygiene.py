@@ -7,8 +7,10 @@ every dataclass field and instance attribute is read somewhere
 (test_every_field_is_read), the scalar/array convention of beta evaluators
 lives in one place, kmspec._arrays, and so does the log-sum-exp kernel; no
 function is defined inside a loop.
-One runtime guard checks that fit bases are shared within a build and
-never across builds, another that the benchmark's tracer still finds every
+Runtime guards check that the bump peaks, the design matrix and
+`log_power_sum` all evaluate their power sums through the one kernel
+`kmspec.expratio._log_power_sums`, that fit bases are shared within a build
+and never across builds, and that the benchmark's tracer still finds every
 library name it wraps and restores each class as it was.
 """
 
@@ -263,6 +265,26 @@ def test_one_logsumexp_kernel(path):
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("scipy.special") for a in node.names), (
                 f"{path.name} imports scipy.special; use kmspec._arrays.logsumexp")
+
+
+def test_one_power_sum_kernel(monkeypatch):
+    # every power sum over a beta array goes through one evaluator; a second
+    # evaluation path for any of the three callers would miss this count
+    calls = []
+    original = ke._log_power_sums
+
+    def counting(logs, exps, betas):
+        calls.append(logs.shape[0])
+        return original(logs, exps, betas)
+
+    monkeypatch.setattr(ke, "_log_power_sums", counting)
+    basis = ke.TranslatedKernelBasis(6.0, 1.0, 2)
+    rows = basis.nodes.size + 1     # every bump numerator and the denominator
+    assert calls == [rows]          # the bump peaks
+    basis.design(np.linspace(-5.0, 5.0, 11))
+    assert calls == [rows, rows]
+    ke.WeightedMultiset({0: 1, 3: 2}).log_power_sum(0.5)
+    assert calls == [rows, rows, 1]
 
 
 def test_no_function_defined_in_a_loop():

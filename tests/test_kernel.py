@@ -1,9 +1,12 @@
-"""The log-domain exponential-sum kernel and the evaluations built on it.
+"""The log-domain exponential-sum kernels and the evaluations built on it.
 
 scipy's logsumexp and a plain per-column evaluation serve as references;
-the library itself uses kmspec._arrays.logsumexp throughout.
+the library itself uses kmspec._arrays.logsumexp throughout, and
+kmspec.expratio._log_power_sums for power sums over a beta array.
 """
 
+import math
+import random
 import warnings
 
 import numpy as np
@@ -11,8 +14,9 @@ import pytest
 from scipy.special import logsumexp as reference_lse
 
 from kmspec._arrays import logsumexp
-from kmspec.expratio import (LN2, _FIT_CONFIGS, PartitionedBlockSystem,
-                             TranslatedKernelBasis, WeightedMultiset)
+from kmspec.expratio import (LN2, _EXP_SCALE, _FIT_CONFIGS,
+                             PartitionedBlockSystem, TranslatedKernelBasis,
+                             WeightedMultiset, _log_power_sums)
 
 EPS = np.finfo(float).eps
 
@@ -57,6 +61,59 @@ def test_kernel_single_elements_are_exact():
     for x in xs:
         assert logsumexp([x]) == x
     assert isinstance(logsumexp(xs), float)
+
+
+def _reference_power_sums(logs: np.ndarray, exps: np.ndarray, betas: np.ndarray):
+    """One scipy logsumexp over all terms per sum, one column per sum, and
+    at each point the larger of |log S| and the largest |log term|: any
+    evaluation of the terms, the reference's too, rounds them to about eps
+    times that."""
+    powers = np.outer(betas, exps * LN2)
+    sums, scales = [], []
+    for row in logs:
+        terms = row[None, :] + powers
+        sums.append(reference_lse(terms, axis=1))
+        scales.append(np.max(np.abs(terms), axis=1, where=np.isfinite(terms),
+                             initial=0.0))
+    want = np.stack(sums, axis=1)
+    return want, np.maximum(np.abs(want), np.stack(scales, axis=1))
+
+
+def _assert_log_close(got, want, scale):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, scale))
+
+
+def test_power_sum_kernel_matches_reference():
+    exps = np.arange(-89, 90, dtype=float)
+    draw = random.Random(11)
+    counts = [[draw.randrange(1, 1 << 200) for _ in exps] for _ in range(3)]
+    logs = np.array([[math.log(c) for c in row] for row in counts])
+    logs[1, ::3] = -np.inf      # a sum with gaps in its exponents
+    logs[2, :170] = -np.inf     # a sum of the largest exponents only, whose
+                                # log crosses 0 near beta = -2.46
+    grid = np.linspace(-20.0, 20.0, 4001)
+    # the grid spans several beta chunks of the kernel
+    assert 40.0 > 3 * (2.0 * _EXP_SCALE / (89 * LN2))
+    want, scale = _reference_power_sums(logs, exps, grid)
+    _assert_log_close(_log_power_sums(logs, exps, grid), want, scale)
+    order = np.random.default_rng(2).permutation(grid.size)
+    _assert_log_close(_log_power_sums(logs, exps, grid[order]),
+                      want[order], scale[order])
+    multiset = WeightedMultiset(dict(zip(range(-89, 90), counts[0])))
+    _assert_log_close(multiset.log_power_sum(grid), want[:, 0], scale[:, 0])
+    want, scale = _reference_power_sums(logs[:1], exps, np.array([-7.3]))
+    _assert_log_close(multiset.log_power_sum(-7.3), want[:, 0], scale[:, 0])
+
+
+@pytest.mark.parametrize("count", [1, 7, (1 << 200) + 1])
+def test_power_sum_kernel_single_exponent_zero(count):
+    # the near-zero half fit builds {0: 1} for its numerator
+    want = math.log(count)
+    grid = np.linspace(-20.0, 20.0, 4001)
+    for beta in (grid, 3.0):
+        got = WeightedMultiset({0: count}).log_power_sum(beta)
+        assert np.all(np.abs(got - want) <= 1e-14 * max(1.0, want))
 
 
 def _per_column_design(basis: TranslatedKernelBasis, betas: np.ndarray) -> np.ndarray:

@@ -94,13 +94,11 @@ def test_build_realizable_retries_only_fit_failures(monkeypatch):
 
 def test_build_realizable_never_builds_multiset_products(monkeypatch):
     # a block keeps its four fitted fractions and evaluates its parts from
-    # their power sums; no merged, scaled or product multiset is built
+    # their power sums; no product multiset is built
     def refuse(*args):
         raise AssertionError("block multisets were materialized")
 
-    for name in ("product", "union"):
-        monkeypatch.setattr(WeightedMultiset, name, staticmethod(refuse))
-    monkeypatch.setattr(WeightedMultiset, "scaled", refuse)
+    monkeypatch.setattr(WeightedMultiset, "product", staticmethod(refuse))
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
     cocycle = build_realizable(zeta_from_interval(K), a=3.0, stages=2,
                                r_max=20.0, grid_n=401)
