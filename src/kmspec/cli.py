@@ -166,8 +166,6 @@ def run_build_spectrum(config: dict):
         certificates.append(_cert("staged-approximation-error",
                                   cocycle.certified_error <= cocycle.budget,
                                   cocycle.certified_error, cocycle.budget))
-        phi0 = abs(float(phi(0.0)) - 1.0)
-        certificates.append(_cert("phi-at-zero", phi0 <= 1e-12, phi0, 1e-12))
         cphi0 = abs(eval_phi(cocycle, 0.0) - 1.0)
         certificates.append(_cert("cocycle-phi-at-zero", cphi0 <= 1e-12,
                                   cphi0, 1e-12))

@@ -26,6 +26,10 @@ LN2 = math.log(2.0)
 # every scaled sum then lies between e^-256 and (number of terms) e^256, far
 # from float overflow and underflow, so the scaling costs no accuracy
 _EXP_SCALE = 256.0
+# and at most this many betas per chunk, each with its own centre, so that a
+# chunk's (betas x exponents) working arrays grow with the exponent count, not
+# with the grid: about 1 MB for the 179 exponents of an 89-node basis
+_CHUNK_ROWS = 512
 _LAWSON_ITERS = 4  # reweighted NNLS solves per fit
 
 
@@ -80,24 +84,36 @@ def _log_power_sums(logs: np.ndarray, exps: np.ndarray,
     at c.  The first factor is at most 1 and the chunk width keeps the
     second within e^(+-_EXP_SCALE) for the largest |u|, so one matmul of the
     two exponentiated matrices gives every sum of the chunk, and g_s is
-    added back in the log.  Chunks group betas by value, so the grid need
-    not be sorted.  A logsumexp over all terms is the reference the tests
-    compare against.
+    added back in the log.  Chunks group betas by value, at most _CHUNK_ROWS
+    of them, so the grid need not be sorted.  A logsumexp over all terms is
+    the reference the tests compare against.
     """
     lattice = exps * LN2
     out = np.empty((betas.size, logs.shape[0]))
     width = 2.0 * _EXP_SCALE / (max(1.0, float(np.max(np.abs(exps)))) * LN2)
     chunks = np.floor((betas - np.min(betas)) / width)
     for key in np.unique(chunks):
-        rows = np.flatnonzero(chunks == key)
-        chunk = betas[rows]
-        c = 0.5 * (float(np.min(chunk)) + float(np.max(chunk)))
-        coeffs = logs + c * lattice
-        g = np.max(coeffs, axis=1)
-        np.exp(coeffs - g[:, None], out=coeffs)
-        sums = np.exp(np.outer(chunk - c, lattice)) @ coeffs.T
-        out[rows] = np.log(sums) + g
+        same = np.flatnonzero(chunks == key)
+        for start in range(0, same.size, _CHUNK_ROWS):
+            rows = same[start:start + _CHUNK_ROWS]
+            out[rows] = _chunk_log_power_sums(logs, lattice, betas[rows])
     return out
+
+
+def _chunk_log_power_sums(logs: np.ndarray, lattice: np.ndarray,
+                          chunk: np.ndarray) -> np.ndarray:
+    """One chunk of `_log_power_sums`, scaled about the chunk's centre; its
+    working arrays are freed on return, before the next chunk allocates."""
+    c = 0.5 * (float(np.min(chunk)) + float(np.max(chunk)))
+    coeffs = logs + c * lattice
+    g = np.max(coeffs, axis=1)
+    np.exp(coeffs - g[:, None], out=coeffs)
+    scaled = np.outer(chunk - c, lattice)
+    np.exp(scaled, out=scaled)
+    sums = scaled @ coeffs.T
+    np.log(sums, out=sums)
+    sums += g
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +234,11 @@ class TranslatedKernelBasis:
         m = self.nodes.size
         sums = _log_power_sums(self._lattice_logs, self._lattice,
                                np.asarray(betas, dtype=float))
-        out = np.exp(sums[:, :m] - sums[:, m:] - self.log_peaks)
+        # in place, so that a call holds no full-size array beyond its result
+        out = sums[:, :m]
+        out -= sums[:, m:]
+        out -= self.log_peaks
+        np.exp(out, out=out)
         out.flags.writeable = False
         return out
 
@@ -228,17 +248,37 @@ class TranslatedKernelBasis:
         """Weighted nonnegative least-squares fit with Lawson reweighting, on
         a design matrix computed once per basis per build.
 
+        Each solve works on the n x n normal equations, not on the m x n
+        weighted design: with A = design * w and the Cholesky factor
+        L L^T = A^T A, the NNLS problem min |L^T c - L^-1 A^T (values w)| has
+        the objective |A c - values w|^2 less a constant, so its cost scales
+        with the node count n rather than the grid rows m.  A Gram matrix
+        that is not positive definite raises `LinAlgError` when it occurs
+        before any iterate, and ends the reweighting otherwise, as an NNLS
+        failure does.
+
         Reweighting by the running residual pulls the least-squares solution
         toward the minimax one; the best of _LAWSON_ITERS iterates by weighted
-        sup residual is returned.
+        sup residual on the full design is returned, None if NNLS gave none.
         """
-        from scipy.optimize import nnls  # scipy loads only where it is used
+        # scipy loads only where it is used
+        from scipy.linalg import LinAlgError, cholesky, solve_triangular
+        from scipy.optimize import nnls
         w = weights.copy()
         best = None
         best_sup = math.inf
         for _ in range(_LAWSON_ITERS):
+            a = design * w[:, None]
             try:
-                coeffs, _ = nnls(design * w[:, None], values * w,
+                chol = cholesky(a.T @ a, lower=True, check_finite=False)
+            except LinAlgError:
+                if best is None:
+                    raise
+                break
+            rhs = solve_triangular(chol, a.T @ (values * w), lower=True,
+                                   check_finite=False)
+            try:
+                coeffs, _ = nnls(chol.T, rhs,
                                  maxiter=max(1000, 50 * design.shape[1]))
             except RuntimeError:
                 break
@@ -491,7 +531,11 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
             bases[key] = (basis, basis.design(betas[rows]))
         basis, design = bases[key]
         name = "(y_max={:g}, spacing={:g}, window={})".format(*key)
-        coeffs = basis.fit_coeffs(design, h[rows], weights[rows])
+        try:
+            coeffs = basis.fit_coeffs(design, h[rows], weights[rows])
+        except np.linalg.LinAlgError:
+            reasons.append(f"{name}: normal equations not positive definite")
+            continue
         if coeffs is None:
             reasons.append(f"{name}: NNLS gave no coefficients")
             continue

@@ -3,8 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
+from scipy.optimize import nnls
 
+from kmspec import expratio as ke
 from kmspec._arrays import logsumexp
 from kmspec.errors import FitFailureError, InvalidInputError
 from kmspec.expratio import (_FIT_CONFIGS, TranslatedKernelBasis,
@@ -173,6 +176,94 @@ def test_fit_failure_names_every_configuration(monkeypatch):
                 "NNLS gave no coefficients") in message
     assert message.count("NNLS gave no coefficients") == len(_FIT_CONFIGS) == 4
     assert "inf" not in message
+
+
+def _not_positive_definite(*args, **kwargs):
+    raise np.linalg.LinAlgError("leading minor not positive definite")
+
+
+def test_normal_equations_failure_names_every_configuration(monkeypatch):
+    # a Gram matrix that cannot be factored leaves its configuration without
+    # a candidate, as an NNLS failure does, and the reason says which
+    monkeypatch.setattr(scipy.linalg, "cholesky", _not_positive_definite)
+    grid = np.linspace(-20.0, 20.0, 201)
+    with pytest.raises(FitFailureError) as info:
+        realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
+    message = str(info.value)
+    for spacing, window in _FIT_CONFIGS:
+        assert (f"(y_max=22, spacing={spacing:g}, window={window}): "
+                "normal equations not positive definite") in message
+    assert message.count("not positive definite") == len(_FIT_CONFIGS)
+
+
+def _half_fit_problem(spacing, window):
+    """Design, half target h and row weights of one fit at the wreath range
+    (y_max 22) on a 2001-row grid: the smooth positive half of _bump, mapped
+    and weighted as `_fit_half` does."""
+    grid = np.linspace(-20.0, 20.0, 2001)
+    f = _bump(grid)
+    s = min(0.5, 8.0 * float(np.max(np.abs(f))))
+    half = (np.sqrt(f * f + s * s) + f) / 2.0
+    h = half / (1.0 - 2.0 * half)
+    return (TranslatedKernelBasis(22.0, spacing, window).design(grid), h,
+            1.0 / np.square(1.0 + 2.0 * h))
+
+
+def _reference_fit(design, values, weights, iters):
+    """The Lawson loop with each NNLS solve on the m x n weighted design:
+    the best iterate by weighted sup residual."""
+    w = weights.copy()
+    best, best_sup = None, math.inf
+    for _ in range(iters):
+        coeffs, _ = nnls(design * w[:, None], values * w,
+                         maxiter=max(1000, 50 * design.shape[1]))
+        res = weights * np.abs(design @ coeffs - values)
+        sup = float(np.max(res))
+        if sup < best_sup:
+            best, best_sup = coeffs, sup
+        w = w * (res / sup + 0.05)
+    return best
+
+
+@pytest.mark.parametrize("spacing,window", _FIT_CONFIGS)
+def test_normal_equation_fit_matches_full_design_reference(spacing, window,
+                                                           monkeypatch):
+    design, h, weights = _half_fit_problem(spacing, window)
+
+    def sup(coeffs):
+        return float(np.max(weights * np.abs(design @ coeffs - h)))
+
+    def objective(coeffs):
+        return float(np.sum(np.square(weights * (design @ coeffs - h))))
+
+    got = TranslatedKernelBasis.fit_coeffs(design, h, weights)
+    want = _reference_fit(design, h, weights, ke._LAWSON_ITERS)
+    assert abs(sup(got) - sup(want)) <= 1e-9 * sup(want)
+    # the first solve minimizes the same objective as the m x n one
+    monkeypatch.setattr(ke, "_LAWSON_ITERS", 1)
+    first = TranslatedKernelBasis.fit_coeffs(design, h, weights)
+    assert objective(first) <= objective(_reference_fit(design, h, weights, 1)) * (1.0 + 1e-12)
+
+
+def test_normal_equations_failure_after_an_iterate_keeps_it(monkeypatch):
+    # a factorization that fails on the second solve ends the reweighting
+    # with the first iterate, as an NNLS failure there would
+    design, h, weights = _half_fit_problem(0.5, 2)
+    factor = scipy.linalg.cholesky
+    calls = []
+
+    def fail_after_one(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            _not_positive_definite()
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(ke, "_LAWSON_ITERS", 1)
+    first = TranslatedKernelBasis.fit_coeffs(design, h, weights)
+    monkeypatch.setattr(ke, "_LAWSON_ITERS", 4)
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail_after_one)
+    assert np.array_equal(TranslatedKernelBasis.fit_coeffs(design, h, weights), first)
+    assert len(calls) == 2
 
 
 def test_realize_block_zero_target():

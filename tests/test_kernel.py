@@ -7,6 +7,7 @@ kmspec.expratio._log_power_sums for power sums over a beta array.
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,6 +177,22 @@ def test_design_is_recomputed_for_a_mutated_grid():
     fresh = TranslatedKernelBasis(6.0, 1.0, 2).design(grid)
     assert np.array_equal(basis.design(grid), fresh)
     assert not np.array_equal(first, fresh)
+
+
+def test_design_working_memory_is_bounded_by_the_chunk_rows():
+    # on wreath-deep's 4001-point output grid a chunk of width alone holds
+    # over 1,600 betas; bounded to _CHUNK_ROWS betas, one design call holds
+    # at most 2 MB beyond the matrix it returns (over 6 MB unbounded)
+    basis = TranslatedKernelBasis(22.0, 0.5, 5)
+    betas = np.linspace(-10.0, 10.0, 4001)
+    tracemalloc.start()
+    try:
+        design = basis.design(betas)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design.shape == (4001, 89)
+    assert peak - held <= 2e6
 
 
 def _small_system() -> PartitionedBlockSystem:
