@@ -14,8 +14,8 @@ from .expratio import (PartitionedBlockSystem, WeightedMultiset,
 from .growth import (BallCensus, CocycleModel, DefectCertificate, MeasureNet,
                      WordMetricGroup, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu)
-from .padic import (Mat2, default_alphabet, eval_word, freeness_suite,
-                    generator, reduce_word, sl2_order, subgroup_closure_mod)
+from .padic import (Mat2, default_alphabet, freeness_suite, generator,
+                    reduce_word, sl2_order, subgroup_closure_mod)
 from .realize import (FractionPair, RealizableCocycle, build_realizable,
                       eval_phi, fraction_pair, mobius_eval, ratio_bound)
 from .sets import ClosedSetSpec

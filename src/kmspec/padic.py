@@ -118,13 +118,6 @@ def reduce_word(letters: Sequence[Letter]) -> Tuple[Letter, ...]:
     return tuple(out)
 
 
-def eval_word(word: Sequence[Letter]) -> Mat2:
-    out = MAT2_IDENTITY
-    for letter in word:
-        out = out * letter_matrix(letter)
-    return out
-
-
 def default_alphabet() -> Tuple[str, ...]:
     return ("g1", "g2") + tuple(f"h:{n}" for n in range(-2, 3))
 
@@ -237,14 +230,20 @@ def sl2_order(p: int, N: int) -> int:
 def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
     """Breadth-first closure of the generated subgroup inside SL(2, Z/p^N Z).
 
-    The search runs level by level on int64 arrays of entries (a, b, c, d).
-    An element is keyed by (a, b, c) when a is a unit mod p, else by
-    (a, b, d) offset by p^{3N}: with ad - bc = 1 the missing entry follows
-    from the other three (b is a unit when a is not), so the key is
-    injective and a bool map of 2 p^{3N} entries, 20 MB at ENUM_CAP, marks
-    the visited elements.  The frontier moves one generator step at a time:
-    products already visited are dropped and the rest deduplicated before
-    the next step, so no temporary exceeds one step's products.
+    A matrix is held as its two rows, each an index x m + y in [0, m^2)
+    with m = p^N.  Right multiplication by a generator acts on each row
+    alone, as a table of m^2 row indices built once per call.  An element
+    is keyed by (a, b, c) when a is a unit mod p, else by (a, b, d) offset
+    by p^{3N}: with ad - bc = 1 the missing entry follows from the other
+    three (b is a unit when a is not), so the key is injective.  Each
+    generator step reads the key of a product straight from the rows of
+    its factor, through lookup tables composed with the row table, so the
+    search multiplies no matrices and reduces and sorts no entries.
+
+    Two bool maps of 2 p^{3N} entries each, 40 MB at ENUM_CAP (2 MB at
+    p = 3, N = 4), mark the visited elements and the next level.  Each step
+    sets both for its unvisited keys, which deduplicates them; the next
+    frontier is the set entries of the level map, decoded back to rows.
     """
     if not _is_odd_prime(p):
         raise InvalidInputError("p must be an odd prime")
@@ -252,35 +251,56 @@ def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
         raise InvalidInputError("N must be >= 1")
     if p ** (3 * N) > ENUM_CAP:
         raise EnumerationError(f"p^(3N) = {p ** (3 * N)} exceeds the cap {ENUM_CAP}")
-    # the cap keeps p^N <= 215, so every product and key fits int64 with
-    # room to spare
-    modulus = p ** N
-    cube = modulus ** 3
+    # the cap keeps p^N <= 215, so every key and decode product fits int64
+    # with room to spare
+    m = p ** N
+    square = m * m
+    cube = square * m
+    x, y = np.divmod(np.arange(square, dtype=np.int64), m)
+    # the key of rows (r1, r2) is r1 m + low[pick[r1] + r2]: pick is m^2 on
+    # the rows whose first entry is a unit mod p, and low holds p^{3N} + d
+    # for every second row r2, then c
+    pick = np.where(x % p != 0, square, 0)
+    low = np.concatenate([cube + y, x])
     steps = []
     for g in gens:
         for s in (g, g.inv()):
-            steps.append(np.array(s.reduced(modulus), dtype=np.int64).reshape(2, 2))
+            s0, s1, s2, s3 = s.reduced(m)
+            image = (x * s0 + y * s2) % m * m + (x * s1 + y * s3) % m
+            # the product of rows (r1, r2) with s has the key
+            # head[r1] + tail[turn[r1] + r2]
+            steps.append((image * m, pick[image],
+                          low[np.concatenate([image, image + square])]))
+    inverse = np.zeros(m, dtype=np.int64)
+    for u in range(1, m):
+        if u % p:
+            inverse[u] = pow(u, -1, m)
 
-    def keys(x):
-        a, b, c, d = x.T
-        head = (a * modulus + b) * modulus
-        return np.where(a % p != 0, head + c, cube + head + d)
-
-    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64)
     visited = np.zeros(2 * cube, dtype=bool)
-    visited[keys(frontier)] = True
+    level = np.zeros(2 * cube, dtype=bool)
+    # the identity: rows (1, 0) and (0, 1), key (1, 0, 0)
+    r1, r2 = np.array([m]), np.array([1])
+    visited[square] = True
     order = 1
-    while len(frontier):
-        found = []
-        for s in steps:
-            y = (frontier.reshape(-1, 2, 2) @ s).reshape(-1, 4) % modulus
-            k = keys(y)
-            fresh = ~visited[k]
-            k, first = np.unique(k[fresh], return_index=True)
+    while len(r1):
+        for head, turn, tail in steps:
+            k = head[r1] + tail[turn[r1] + r2]
+            k = k[~visited[k]]
             visited[k] = True
-            found.append(y[fresh][first])
-        frontier = np.concatenate(found)
-        order += len(frontier)
+            level[k] = True
+        k = np.flatnonzero(level)
+        level[k] = False
+        order += len(k)
+        # the keys come sorted, the (a, b, c) keys first; the missing entry
+        # is d = (1 + bc) / a for those and c = (ad - 1) / b for the rest
+        n = np.searchsorted(k, cube)
+        k[n:] -= cube
+        r1 = k // m
+        e = k - r1 * m
+        a, b = x[r1], y[r1]
+        r2 = np.empty_like(k)
+        r2[:n] = e[:n] * m + (1 + b[:n] * e[:n]) * inverse[a[:n]] % m
+        r2[n:] = (a[n:] * e[n:] - 1) * inverse[b[n:]] % m * m + e[n:]
     expected = sl2_order(p, N)
     if expected % order:
         raise EnumerationError("closure order does not divide the group order; "

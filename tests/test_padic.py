@@ -1,13 +1,23 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmspec.errors import FreenessViolationError, InvalidInputError
 from kmspec.padic import (MAT2_IDENTITY, Mat2, default_alphabet,
-                          enumerate_reduced_words, eval_word, freeness_suite,
-                          generator, letter_matrix, reduce_word, sl2_order,
+                          enumerate_reduced_words, freeness_suite, generator,
+                          letter_matrix, reduce_word, sl2_order,
                           subgroup_closure_mod)
+
+
+def eval_word(word):
+    """A word's matrix rebuilt from the identity, letter by letter, as Mat2
+    products: the from-scratch reference for the search's matrices."""
+    out = MAT2_IDENTITY
+    for letter in word:
+        out = out * letter_matrix(letter)
+    return out
 
 
 def test_generator_matrices():
@@ -148,11 +158,18 @@ def _closure_by_set(p, N, gens):
 
 GENERATOR_SETS = {"g1,g2": [generator("g1"), generator("g2")],
                   "g1": [generator("g1")],
-                  "g1,h1": [generator("g1"), generator("h", 1)]}
+                  "g1,h1": [generator("g1"), generator("h", 1)],
+                  # a cyclic subgroup: unlike a full group, its order
+                  # shows a wrong decode of the (a, b, d) keys
+                  "cat": [Mat2(2, 1, 1, 1)],
+                  "1,g1": [MAT2_IDENTITY, generator("g1")],
+                  "1": [MAT2_IDENTITY],
+                  "none": []}
 
 
 @pytest.mark.parametrize("gens", GENERATOR_SETS)
-@pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+@pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1),
+                                 (11, 1)])
 def test_closure_matches_set_search(p, N, gens):
     elements = _closure_by_set(p, N, GENERATOR_SETS[gens])
     out = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
@@ -162,6 +179,57 @@ def test_closure_matches_set_search(p, N, gens):
     if gens == "g1,g2":
         # elements with a non-unit corner take the (a, b, d) key
         assert any(x[0] % p == 0 for x in elements)
+
+
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 3), (5, 2)])
+def test_closure_with_a_kernel_generator(p, N):
+    # Mat2(1, p, 0, 1) lies in the kernel of reduction mod p and has order
+    # p^(N-1); with the swap (0, -1, 1, 0) the subgroup also holds elements
+    # with a non-unit corner, so both key and both decode branches run
+    kernel, swap = Mat2(1, p, 0, 1), Mat2(0, -1, 1, 0)
+    assert subgroup_closure_mod(p, N, [kernel])["order"] == p ** (N - 1)
+    elements = _closure_by_set(p, N, [kernel, swap])
+    assert subgroup_closure_mod(p, N, [kernel, swap])["order"] == len(elements)
+    assert {x[0] % p == 0 for x in elements} == {True, False}
+
+
+def _lift(moves):
+    """An integer det-1 matrix as a product of elementary matrices; these
+    reduce onto all of SL(2, Z/m Z)."""
+    out = MAT2_IDENTITY
+    for upper, t in moves:
+        out = out * (Mat2(1, t, 0, 1) if upper else Mat2(1, 0, t, 1))
+    return out
+
+
+MODULI = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (17, 1),
+          (19, 1), (23, 1)]
+MOVES = st.lists(st.tuples(st.booleans(), st.integers(-30, 30)),
+                 min_size=1, max_size=4)
+
+
+@given(st.sampled_from(MODULI), MOVES, MOVES)
+@settings(max_examples=15, deadline=None)
+def test_closure_of_random_pairs_matches_set_search(modulus, moves1, moves2):
+    p, N = modulus
+    gens = [_lift(moves1), _lift(moves2)]
+    assert subgroup_closure_mod(p, N, gens)["order"] == len(_closure_by_set(p, N, gens))
+
+
+def test_closure_memory_peak():
+    # the rows, keys and two bool maps of the search: 15.1 MB measured at
+    # p = 3, N = 4 (frontier up to 163,798 elements), where the search that
+    # multiplied int64 entry arrays and sorted each step's keys peaked at
+    # 25.1 MB
+    gens = [generator("g1"), generator("g2")]
+    tracemalloc.start()
+    try:
+        out = subgroup_closure_mod(3, 4, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["is_full"]
+    assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_closure_rejects_even_prime():
