@@ -109,6 +109,17 @@ def test_realize_block_bump_target():
     assert bin(system.size).count("1") == 1
 
 
+def test_realize_block_returns_what_it_measured():
+    # an epsilon the basis cannot reach is a target, not a gate: the block
+    # comes back with its achieved error measured on the grid
+    grid = np.linspace(-20.0, 20.0, 501)
+    target = _bump(grid)
+    system = realize_block(target, grid, t=3.0, epsilon=1e-4, bases={})
+    assert system.achieved_error > 1e-4
+    assert system.achieved_error == float(np.max(np.abs(system.zeta(grid) - target)))
+    assert system.identity_residual(grid) <= 1e-10
+
+
 def _lift(items, v, k):
     """{(u, v): k * count}: every weight 2^u of a fitted fraction times t^v."""
     return Counter({(u, v): k * c for u, c in items.items()})

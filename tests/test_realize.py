@@ -5,7 +5,8 @@ import pytest
 
 import kmspec.realize as kr
 from kmspec.blocks import conformal_weights, integrate_potential
-from kmspec.errors import DomainError, InvalidInputError
+from kmspec.errors import (DomainError, FitFailureError, InvalidInputError,
+                           RealizationError)
 from kmspec.expratio import WeightedMultiset
 from kmspec.realize import (build_realizable, clamp_f, default_schedule,
                             eval_phi, fraction_pair, mobius_eval, ratio_bound,
@@ -76,9 +77,9 @@ def test_build_realizable_guards():
         build_realizable(zeta_from_interval(K), a=2.0, stages=0)
 
 
-def test_build_realizable_retries_only_fit_failures(monkeypatch):
-    # a programming error inside a stage propagates at once; only fit and
-    # realization failures are retried at a looser tolerance
+def test_build_realizable_propagates_programming_errors(monkeypatch):
+    # a programming error inside a stage propagates as it is, after the one
+    # realize_block call the stage makes
     calls = []
 
     def broken(*args, **kwargs):
@@ -89,6 +90,71 @@ def test_build_realizable_retries_only_fit_failures(monkeypatch):
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
     with pytest.raises(ZeroDivisionError):
         build_realizable(zeta_from_interval(K), a=3.0, stages=1, grid_n=101)
+    assert len(calls) == 1
+
+
+def _stage_tolerances(a, stages):
+    sched = default_schedule(a, stages)
+    return [min(1.0 / (4.0 * ratio_bound(sched[k - 1], sched[k])), 2.0 ** (-k))
+            for k in range(1, stages + 1)]
+
+
+def test_build_realizable_fits_each_stage_once(monkeypatch):
+    # K = {0} u [1, 2], t = 2, two stages on a 501-point build grid: stage 1
+    # misses eps_1 but stays within 4 eps_1, and its block is kept rather
+    # than fitted again at a looser tolerance
+    calls, blocks = [], []
+    real = kr.realize_block
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["epsilon"])
+        blocks.append(real(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(kr, "realize_block", counted)
+    K = ClosedSetSpec(intervals=((1.0, 2.0),), points=(0.0,))
+    cocycle = build_realizable(zeta_from_interval(K), a=2.0, stages=2,
+                               r_max=20.0, grid_n=501)
+    eps = _stage_tolerances(2.0, 2)
+    assert calls == eps
+    assert blocks == list(cocycle.stages)
+    first = cocycle.stages[0]
+    assert eps[0] < first.achieved_error <= 4.0 * eps[0]
+    assert cocycle.certified_error <= cocycle.budget
+
+
+def test_build_realizable_rejects_a_stage_beyond_four_eps(monkeypatch):
+    real = kr.realize_block
+
+    def loose(*args, **kwargs):
+        system = real(*args, **kwargs)
+        system.achieved_error = 4.0 * kwargs["epsilon"] * (1.0 + 1e-6)
+        return system
+
+    monkeypatch.setattr(kr, "realize_block", loose)
+    K = ClosedSetSpec(intervals=((-1.0, 1.0),))
+    eps_1 = _stage_tolerances(3.0, 2)[0]
+    with pytest.raises(RealizationError) as info:
+        build_realizable(zeta_from_interval(K), a=3.0, stages=2, grid_n=401)
+    message = str(info.value)
+    assert message.startswith("stage 1 failed: achieved error")
+    assert f"4 eps_k = {4.0 * eps_1}" in message
+
+
+def test_build_realizable_reports_a_fit_failure_after_one_call(monkeypatch):
+    calls = []
+    failure = FitFailureError("half-fit produced no candidate")
+
+    def failing(*args, **kwargs):
+        calls.append(kwargs["epsilon"])
+        raise failure
+
+    monkeypatch.setattr(kr, "realize_block", failing)
+    K = ClosedSetSpec(intervals=((-1.0, 1.0),))
+    with pytest.raises(RealizationError) as info:
+        build_realizable(zeta_from_interval(K), a=3.0, stages=2, grid_n=101)
+    assert str(info.value) == "stage 1 failed: half-fit produced no candidate"
+    assert info.value.__cause__ is failure
     assert len(calls) == 1
 
 
