@@ -7,10 +7,9 @@ from .blocks import (ConformalityReport, FiniteConformalBlock, FiniteGroupTable,
                      integrate_potential)
 from .errors import (ConstructionError, ConvergenceError, DomainError,
                      EnumerationError, FitFailureError, FreenessViolationError,
-                     InvalidInputError, KmspecError, QuadratureError,
-                     RealizationError, UnsupportedGeneratorError, WindowError)
-from .expratio import (PartitionedBlockSystem, WeightedMultiset,
-                       approximate_unit, realize_block)
+                     InvalidInputError, KmspecError, RealizationError,
+                     UnsupportedGeneratorError, WindowError)
+from .expratio import PartitionedBlockSystem, WeightedMultiset, realize_block
 from .growth import (BallCensus, CocycleModel, DefectCertificate, MeasureNet,
                      WordMetricGroup, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu)

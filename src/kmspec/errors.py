@@ -13,10 +13,6 @@ class UnsupportedGeneratorError(KmspecError):
     """A generator refers to coordinates outside the current truncation."""
 
 
-class QuadratureError(KmspecError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
-
-
 class FitFailureError(KmspecError):
     """No fit configuration produced a candidate."""
 

@@ -13,13 +13,12 @@ identically.
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ._arrays import _as_array, logsumexp, scalar_or_array
-from .errors import (FitFailureError, InvalidInputError, QuadratureError,
-                     RealizationError)
+from .errors import FitFailureError, InvalidInputError, RealizationError
 
 LN2 = math.log(2.0)
 # bound on |(beta - c) u ln2| within one beta chunk of the power-sum kernel:
@@ -114,35 +113,6 @@ def _chunk_log_power_sums(logs: np.ndarray, lattice: np.ndarray,
     np.log(sums, out=sums)
     sums += g
     return sums
-
-
-# ---------------------------------------------------------------------------
-# Approximate unit
-
-def approximate_unit(n: int) -> Tuple[Callable, float]:
-    """Normalized kernel phi_n(x) = D_n^{-1} (2^x + 2^{-x})^{-n} and its constant D_n.
-
-    D_n is computed by adaptive quadrature to relative error 1e-10; the n = 1
-    constant has the closed form pi / (2 ln 2), used as an oracle in tests.
-    """
-    if n < 1:
-        raise InvalidInputError("n must be a positive integer")
-    from scipy.integrate import quad  # scipy loads only where it is used
-
-    def unnormalized(x):
-        return math.exp(-n * np.logaddexp(x * LN2, -x * LN2))
-
-    val, err = quad(unnormalized, -np.inf, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
-    if not math.isfinite(val) or err > 1e-10 * val:
-        raise QuadratureError(f"normalization integral for n={n}: value {val}, "
-                              f"error estimate {err}")
-    d_n = val
-
-    @scalar_or_array
-    def phi(xs):
-        return np.exp(-n * np.logaddexp(xs * LN2, -xs * LN2) - math.log(d_n))
-
-    return phi, d_n
 
 
 # ---------------------------------------------------------------------------

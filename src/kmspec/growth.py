@@ -1,9 +1,11 @@
 """Word-metric balls, the limsup criterion, measure nets and the four-way
 spectrum classifier for groups of subexponential growth.
 
-State spaces are finite grids standing in for rotation actions; all limsup
-style quantities are ball-truncated and reported together with their horizon,
-never as verdicts about the true limits.
+The group is Z, which has linear growth by construction, so the
+sphere-summation argument always applies and no runtime growth guard is
+needed.  State spaces are finite grids standing in for rotation actions; all
+limsup style quantities are ball-truncated and reported together with their
+horizon, never as verdicts about the true limits.
 """
 
 import math
@@ -15,38 +17,20 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, EnumerationError,
                      InvalidInputError)
 
-GROWTH_RATE_CAP = 1.2    # empirical |G_k|^{1/k} above this rejects the input
 ENUMERATION_CAP = 10 ** 7
 
 
 class WordMetricGroup:
     """Finitely generated group with sphere enumeration.
 
-    Elements are hashable; gens is the symmetric generating set.  Presets
-    cover Z, Z^2 and a free-semigroup proxy used only to exercise the
-    growth guard.
+    Elements are hashable; gens is the symmetric generating set.  The cocycle
+    models build Z with generators +1 and -1.
     """
 
-    def __init__(self, name: str, identity, gens: Sequence, mul: Callable):
-        self.name = name
+    def __init__(self, identity, gens: Sequence, mul: Callable):
         self.identity = identity
         self.gens = tuple(gens)
         self.mul = mul
-
-    @classmethod
-    def from_preset(cls, name: str) -> "WordMetricGroup":
-        if name == "Z":
-            return cls("Z", 0, (1, -1), lambda a, b: a + b)
-        if name == "Z2":
-            return cls("Z2", (0, 0),
-                       ((1, 0), (-1, 0), (0, 1), (0, -1)),
-                       lambda a, b: (a[0] + b[0], a[1] + b[1]))
-        if name == "free-proxy":
-            # free semigroup on two letters modeled as tuples; exponential
-            # growth, present only so the domain guard has something to reject
-            return cls("free-proxy", (),
-                       ((0,), (1,), (2,)), lambda a, b: a + b)
-        raise InvalidInputError(f"unknown group preset {name!r}")
 
     def spheres(self, n_max: int) -> List[set]:
         """Exact spheres G_0 .. G_{n_max} by breadth-first expansion."""
@@ -72,31 +56,11 @@ class WordMetricGroup:
 @dataclass(frozen=True)
 class BallCensus:
     counts: Tuple[int, ...]
-    rates: Tuple[float, ...]
 
 
 def ball_census(group: WordMetricGroup, n_max: int) -> BallCensus:
-    """Exact sphere counts |G_k| with the growth indicator |G_k|^{1/k}."""
-    spheres = group.spheres(n_max)
-    counts = tuple(len(s) for s in spheres)
-    rates = tuple(c ** (1.0 / k) for k, c in enumerate(counts) if k >= 1)
-    return BallCensus(counts=counts, rates=rates)
-
-
-def _require_subexponential(group: WordMetricGroup):
-    # |G_k|^{1/k} only settles for large k (for Z^2 it is 1.45 at k = 10 and
-    # 1.17 at k = 30), so probe shallowly first to catch exponential growth
-    # cheaply, then judge the rate at a depth-30 horizon.
-    shallow = ball_census(group, 8)
-    if shallow.rates[-1] > 2.0:
-        raise DomainError(f"group {group.name!r} has empirical growth rate "
-                          f"{shallow.rates[-1]:.3f} at radius 8; the "
-                          "sphere-summation argument does not apply")
-    census = ball_census(group, 30)
-    if census.rates[-1] > GROWTH_RATE_CAP:
-        raise DomainError(f"group {group.name!r} has empirical growth rate "
-                          f"{census.rates[-1]:.3f} above {GROWTH_RATE_CAP}; the "
-                          "sphere-summation argument does not apply")
+    """Exact sphere counts |G_k|."""
+    return BallCensus(counts=tuple(len(s) for s in group.spheres(n_max)))
 
 
 class CocycleModel:
@@ -116,7 +80,7 @@ class CocycleModel:
     @classmethod
     def from_preset(cls, name: str, n_states: int = 64, step: int = 7,
                     c: float = 1.0) -> "CocycleModel":
-        group = WordMetricGroup.from_preset("Z")
+        group = WordMetricGroup(0, (1, -1), lambda a, b: a + b)
 
         def act(g, x):
             return (x + g * step) % n_states
@@ -163,7 +127,6 @@ class LimsupEstimate:
 def limsup_ratio(model: CocycleModel, x: int, beta: float,
                  horizon: int) -> LimsupEstimate:
     """Ball-truncated over-approximation of limsup beta Omega(g,x)/|g|."""
-    _require_subexponential(model.group)
     spheres = model.group.spheres(horizon)
     sphere_sups = []
     for k in range(1, horizon + 1):
@@ -218,7 +181,6 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
     """
     if s <= 0.0:
         raise InvalidInputError("s must be positive")
-    _require_subexponential(model.group)
     spheres = model.group.spheres(radius)
     weights: Dict[object, float] = {}
     for k, sphere in enumerate(spheres):

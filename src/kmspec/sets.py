@@ -49,18 +49,17 @@ class ClosedSetSpec:
             d = np.minimum(d, np.abs(betas - p))
         return d
 
-    def contains(self, beta) -> bool:
-        return bool(self.distance(float(beta)) == 0.0)
-
-    def is_bounded(self) -> bool:
-        return all(math.isfinite(lo) and math.isfinite(hi)
-                   for lo, hi in self.intervals)
-
     @classmethod
     def from_config(cls, spec: dict) -> "ClosedSetSpec":
         """Parse {"intervals": [[lo, hi], ...], "points": [p, ...]} with
-        decimal-string numerics; "inf"/"-inf" are accepted as endpoints."""
-        intervals = tuple((float(lo), float(hi))
-                          for lo, hi in spec.get("intervals", []))
-        points = tuple(float(p) for p in spec.get("points", []))
+        decimal-string numerics; "inf"/"-inf" are accepted as endpoints.
+        A spec of any other shape raises InvalidInputError naming 'K'."""
+        try:
+            intervals = tuple((float(lo), float(hi))
+                              for lo, hi in spec.get("intervals", []))
+            points = tuple(float(p) for p in spec.get("points", []))
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                "config key 'K' must map 'intervals' to [[lo, hi], ...] and "
+                f"'points' to [p, ...] with numeric values, got {spec!r}") from exc
         return cls(intervals=intervals, points=points)

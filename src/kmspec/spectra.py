@@ -18,8 +18,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ._arrays import scalar_or_array
-from .blocks import (FiniteConformalBlock, integrate_potential,
-                     product_conformal_weights)
+from .blocks import (FiniteConformalBlock, ProbVector, cohomologous_transform,
+                     integrate_potential, product_conformal_weights)
 from .errors import DomainError, InvalidInputError, WindowError
 from .realize import FractionPair
 from .sets import ClosedSetSpec
@@ -59,14 +59,6 @@ class SpectrumReport:
     grid_n: int
     r_max: float
     warnings: Tuple[str, ...] = ()
-
-    def member_grid(self, betas: np.ndarray) -> np.ndarray:
-        out = np.zeros(betas.shape, dtype=bool)
-        for p in self.isolated_roots:
-            out |= np.isclose(betas, p, rtol=0.0, atol=1e-12)
-        for lo, hi in self.flat_intervals:
-            out |= (betas >= lo - 1e-12) & (betas <= hi + 1e-12)
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -310,11 +302,8 @@ class WreathSystem:
             nu, h = product_conformal_weights(self.blocks, beta), np.ones(1)
             for b in self.blocks:
                 h = np.multiply.outer(h, b.potential).ravel()
-            # density d(eta)/d(nu) = phi(beta)^{-1} H^beta; normalization is exact
-            logw = np.log(nu) + beta * np.log(h)
-            logw -= np.max(logw)
-            eta = np.exp(logw)
-            eta /= eta.sum()
+            # density d(eta)/d(nu) = phi(beta)^{-1} H^beta = e^{beta log H} / phi(beta)
+            eta = cohomologous_transform(ProbVector(nu), np.log(h), beta).weights
             for arr in (nu, eta, h):
                 arr.flags.writeable = False
             object.__setattr__(self, "_memo",
@@ -401,10 +390,6 @@ class FreeProductSystem:
         if 1 not in x_cells:
             raise WindowError("coordinate 1 is required when x_0 = e")
         return 0 if x_cells[1] == 0 else 2
-
-    def partition_masses(self) -> Tuple[float, float, float]:
-        q = float(self.q)
-        return (1.0 / q ** 2, (q - 1.0) / q, (q - 1.0) / q ** 2)
 
     def _check_window(self, x_cells: Dict[int, int]):
         for n in x_cells:

@@ -6,18 +6,15 @@ capture, then asserts, so a failed criterion is a failed test.
 
 import itertools
 import json
-import math
 import sys
 import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from kmspec.blocks import (FiniteConformalBlock, FiniteGroupTable, ProbVector,
                            TruncatedProductSystem, check_conformality)
 from kmspec.cli import execute
-from kmspec.expratio import approximate_unit
 from kmspec.growth import (CocycleModel, build_measure_net, classify_spectrum,
                            limsup_ratio, SPECTRUM_CLASSES)
 from kmspec.padic import (freeness_suite, generator, sl2_order,
@@ -180,20 +177,6 @@ def test_rn_oracles():
     emit("rn-oracles", worst <= 1e-10,
          f"shift and theta derivatives vs exhaustive window-3 cylinder "
          f"ratios at beta in {{-2,0,1}}: worst rel err {worst:.2e} <= 1e-10")
-
-
-def test_approximate_unit():
-    _, d1 = approximate_unit(1)
-    d1_err = abs(d1 - math.pi / (2.0 * math.log(2.0)))
-    worst = 0.0
-    for n in range(1, 6):
-        phi, _ = approximate_unit(n)
-        val, quad_err = quad(phi, -60.0, 60.0, limit=300)
-        worst = max(worst, abs(val - 1.0) - quad_err)
-    ok = d1_err <= 1e-9 and worst <= 1e-8
-    emit("approximate-unit", ok,
-         f"D_1 = pi/(2 ln 2) within {d1_err:.2e} <= 1e-9; "
-         f"integrals of phi_n, n <= 5, equal 1 within {max(worst, 0.0):.2e} <= 1e-8")
 
 
 def test_growth_classifier_and_defects():

@@ -7,8 +7,7 @@ import pytest
 
 from kmspec.blocks import FiniteConformalBlock, ProbVector
 from kmspec.errors import InvalidInputError
-from kmspec.expratio import (PartitionedBlockSystem, WeightedMultiset,
-                             approximate_unit)
+from kmspec.expratio import PartitionedBlockSystem, WeightedMultiset
 from kmspec.realize import (RealizableCocycle, eval_phi,
                             fraction_pair, mobius_eval, tanh_ratio)
 from kmspec.sets import ClosedSetSpec
@@ -40,7 +39,6 @@ def _wreath():
 EVALUATORS = {
     "mobius_eval": lambda: lambda b: mobius_eval(2.0, b),
     "tanh_ratio": lambda: lambda b: tanh_ratio(1.0, 2.0, b),
-    "approximate_unit": lambda: approximate_unit(2)[0],
     "target_phi_from_set": lambda: target_phi_from_set(
         ClosedSetSpec(intervals=((-1.0, 1.0),)), 2.0),
     "eval_phi": lambda: lambda b: eval_phi(_cocycle(), b),

@@ -156,6 +156,11 @@ def test_overrides_change_hash(tmp_path):
     assert tweaked["grid_n"] == 2001
 
 
+MALFORMED_K = {"list": [1, 2], "text": "x", "intervals-number": {"intervals": 5},
+               "points-number": {"points": 3},
+               "null-endpoint": {"intervals": [[None, 2]]}}
+
+
 @pytest.mark.parametrize("cfg,flags,key", [
     (dict(WREATH_CFG, range="-10"), [], "range"),
     (WREATH_CFG, ["--range", "0"], "range"),
@@ -170,9 +175,10 @@ def test_overrides_change_hash(tmp_path):
     (dict(FREE_CFG, k="x"), [], "k"),
     (dict(FREE_CFG, lambda0_order="y"), [], "lambda0_order"),
     (dict(FREE_CFG, k=1), [], "k"),
+    *((dict(FREE_CFG, K=K), [], "K") for K in MALFORMED_K.values()),
 ], ids=["range-negative", "range-zero", "range-inf", "grid-one", "grid-zero",
         "tol-negative", "tol-nan", "stages-zero", "t-inf", "t-one", "k-text",
-        "order-text", "k-one"])
+        "order-text", "k-one", *(f"K-{name}" for name in MALFORMED_K)])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -303,6 +309,19 @@ def test_verify_rejects_a_stored_one_point_grid(tmp_path, capsys):
     assert main(["verify", "--config", str(out)]) == 1
     printed = capsys.readouterr().out
     assert printed.startswith("FAIL") and "'grid_n'" in printed
+
+
+@pytest.mark.parametrize("K", MALFORMED_K.values(), ids=MALFORMED_K.keys())
+def test_verify_rejects_a_stored_malformed_K(tmp_path, capsys, K):
+    path = write_cfg(tmp_path, FREE_CFG)
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    _tamper_manifest(out, lambda m: m["config"].update(K=K))
+    assert main(["verify", "--config", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL certificate replay: the stored config "
+                              "does not run") and "'K'" in printed
 
 
 def test_csv_matches_a_row_wise_reference():

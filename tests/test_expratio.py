@@ -4,7 +4,6 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import quad
 from scipy.optimize import nnls
 
 from kmspec import expratio as ke
@@ -12,20 +11,7 @@ from kmspec._arrays import logsumexp
 from kmspec.errors import FitFailureError, InvalidInputError
 from kmspec.expratio import (_FIT_CONFIGS, TranslatedKernelBasis,
                              WeightedMultiset, _admissible_configs,
-                             approximate_unit, realize_block)
-
-
-def test_approximate_unit_normalization_constant():
-    # D_1 = integral of sech-type kernel: pi / (2 ln 2)
-    _, d1 = approximate_unit(1)
-    assert abs(d1 - math.pi / (2.0 * math.log(2.0))) < 1e-9
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_approximate_unit_integrates_to_one(n):
-    phi, _ = approximate_unit(n)
-    val, err = quad(phi, -60.0, 60.0, limit=300)
-    assert abs(val - 1.0) < 1e-8 + err
+                             realize_block)
 
 
 

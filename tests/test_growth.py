@@ -3,36 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from kmspec.errors import (ConvergenceError, DomainError, InvalidInputError)
-from kmspec.growth import (CocycleModel, WordMetricGroup, ball_census,
+from kmspec.errors import ConvergenceError, DomainError
+from kmspec.growth import (CocycleModel, ball_census,
                            build_measure_net, classify_spectrum, limsup_ratio,
                            omega_mu, uniquely_ergodic_classifier,
                            SPECTRUM_CLASSES)
 
 
 def test_ball_census_z():
-    census = ball_census(WordMetricGroup.from_preset("Z"), 12)
+    census = ball_census(CocycleModel.from_preset("coboundary").group, 12)
     assert census.counts == (1,) + (2,) * 12
-
-
-def test_ball_census_z2():
-    # l1 spheres in the square lattice have 4k points
-    census = ball_census(WordMetricGroup.from_preset("Z2"), 10)
-    assert census.counts == (1,) + tuple(4 * k for k in range(1, 11))
-
-
-def test_free_proxy_rejected_by_growth_guard():
-    model = CocycleModel.from_preset("coboundary")
-    group = WordMetricGroup.from_preset("free-proxy")
-    with pytest.raises(DomainError):
-        limsup_ratio(CocycleModel(group=group, n_states=model.n_states,
-                                  act=lambda g, x: x, omega=lambda g, x: 0.0),
-                     0, 1.0, 10)
-
-
-def test_unknown_preset():
-    with pytest.raises(InvalidInputError):
-        WordMetricGroup.from_preset("heisenberg")
 
 
 @pytest.mark.parametrize("preset", ["coboundary", "homomorphism", "mixed"])

@@ -1,7 +1,9 @@
 """Static checks on the library source, by ast (no linter is assumed).
 
 Every module imports only names it uses, every function, class and method
-it defines is named somewhere besides its definition, every parameter
+it defines is named somewhere in the library or the benchmark besides its
+definition (a test or a re-export in kmspec/__init__.py does not count, so
+code that only tests reach is reported), every parameter
 with a default is set by some call (test_every_default_parameter_is_set),
 every dataclass field and instance attribute is read somewhere
 (test_every_field_is_read), the scalar/array convention of beta evaluators
@@ -85,18 +87,50 @@ def _definitions(tree):
                 yield node.name, node.lineno
 
 
-def test_every_definition_is_referenced():
-    # a definition whose name occurs nowhere else, not in a call, a test,
-    # the benchmark or a docstring, is code that nothing can reach
+def _is_library(path):
+    return path.parts[0] == "src" and path.name != "__init__.py"
+
+
+def _unreferenced(files):
+    """'module:line name' for each definition of a library module whose name
+    occurs nowhere else in the library or the benchmark.
+
+    files holds (path relative to the repo root, source text) pairs.  A word
+    in a library module or under perfbench/ counts as a reference; one in a
+    test or in the package's __init__.py does not, since a test or a
+    re-export alone reaches the definition from no run."""
     words = Counter()
-    for folder in ("src", "tests", "perfbench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            words.update(re.findall(r"\w+", path.read_text()))
-    unused = [f"{path.name}:{line} {name}"
-              for path in SRC.glob("*.py")
-              for name, line in _definitions(ast.parse(path.read_text()))
-              if words[name] == 1]
+    for path, text in files:
+        if _is_library(path) or path.parts[0] == "perfbench":
+            words.update(re.findall(r"\w+", text))
+    return [f"{path.name}:{line} {name}"
+            for path, text in files if _is_library(path)
+            for name, line in _definitions(ast.parse(text))
+            if words[name] == 1]
+
+
+def test_every_definition_is_referenced():
+    # a definition whose name occurs nowhere else in the library or the
+    # benchmark, not in a call or a docstring, is code that no run reaches
+    unused = _unreferenced([(path.relative_to(ROOT), path.read_text())
+                            for folder in ("src", "tests", "perfbench")
+                            for path in (ROOT / folder).rglob("*.py")])
     assert not unused, f"defined but never referenced: {', '.join(unused)}"
+
+
+def test_reference_from_tests_or_reexport_does_not_count():
+    # the guard once counted tests and re-exports as references, and so
+    # kept definitions that only tests reached
+    files = [
+        (Path("src/kmspec/m.py"),
+         "def used():\n    pass\n\n\ndef tested():\n    pass\n\n\n"
+         "def exported():\n    pass\n\n\ndef benched():\n    pass\n\n\n"
+         "def run():\n    used()\n"),
+        (Path("src/kmspec/__init__.py"), "from .m import exported\n"),
+        (Path("tests/test_m.py"), "from kmspec.m import tested\n"),
+        (Path("perfbench/spans.py"), "from kmspec.m import benched, run\n"),
+    ]
+    assert _unreferenced(files) == ["m.py:5 tested", "m.py:9 exported"]
 
 
 def _defaulted_parameters(tree):

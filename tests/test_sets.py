@@ -13,8 +13,8 @@ def test_interval_distance_values():
     assert K.distance(1.5) == 0.0
     assert K.distance(0.0) == 1.0
     assert K.distance(3.5) == 1.5
-    assert K.contains(2.0)
-    assert not K.contains(2.0 + 1e-9)
+    assert K.distance(2.0) == 0.0
+    assert K.distance(2.0 + 1e-9) > 0.0
 
 
 def test_points_and_mixed():
@@ -28,7 +28,7 @@ def test_unbounded_interval():
     K = ClosedSetSpec(intervals=((3.0, math.inf),))
     assert K.distance(10.0) == 0.0
     assert K.distance(0.0) == 3.0
-    assert not K.is_bounded()
+    assert K.distance(1e300) == 0.0
 
 
 def test_rejects_bad_input():

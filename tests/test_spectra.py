@@ -26,7 +26,11 @@ def rand_block(order, base=2.0):
 
 
 def grid_trace(K, betas, report):
-    member = report.member_grid(betas)
+    member = np.zeros(betas.shape, dtype=bool)
+    for p in report.isolated_roots:
+        member |= np.isclose(betas, p, rtol=0.0, atol=1e-12)
+    for lo, hi in report.flat_intervals:
+        member |= (betas >= lo - 1e-12) & (betas <= hi + 1e-12)
     oracle = np.asarray(K.distance(betas)) == 0.0
     return bool(np.array_equal(member, oracle))
 
@@ -337,11 +341,6 @@ def test_theta_window_errors():
         theta_rn_derivative(system, 1.0, {0: 1}, {}, {0: 0})
 
 
-def test_partition_masses_sum_to_one():
-    system = build_free_system()
-    assert abs(sum(system.partition_masses()) - 1.0) < 1e-15
-
-
 def test_theta_cylinder_outside_window():
     system = build_free_system()
     assert system.window == 3
@@ -387,3 +386,14 @@ def test_rn_weights_memo_is_never_stale():
     assert free == fresh_free
     nu, eta, _, h = wreath.weights(1.0)
     assert not (nu.flags.writeable or eta.flags.writeable or h.flags.writeable)
+
+
+@pytest.mark.parametrize("beta", [-3.0, -2.0, 0.0, 1.0, 3.0])
+def test_wreath_eta_is_the_cohomologous_transform(beta):
+    # eta has density phi(beta)^{-1} H^beta against nu: eta phi = nu H^beta
+    # configuration by configuration, and eta is a probability vector
+    system = WreathSystem(blocks=(rand_block(2), rand_block(4)))
+    nu, eta, phi, h = system.weights(beta)
+    expected = nu * h ** beta
+    assert np.max(np.abs(eta * phi - expected) / expected) <= 1e-14
+    assert abs(math.fsum(eta) - 1.0) <= 1e-14
