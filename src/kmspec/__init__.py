@@ -10,7 +10,7 @@ from .errors import (ConstructionError, ConvergenceError, DomainError,
                      InvalidInputError, KmspecError, RealizationError,
                      UnsupportedGeneratorError, WindowError)
 from .expratio import PartitionedBlockSystem, WeightedMultiset, realize_block
-from .growth import (BallCensus, CocycleModel, DefectCertificate, MeasureNet,
+from .growth import (CocycleModel, DefectCertificate, MeasureNet,
                      WordMetricGroup, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu)
 from .padic import (Mat2, default_alphabet, freeness_suite, generator,

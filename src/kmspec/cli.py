@@ -24,8 +24,8 @@ from .growth import (CocycleModel, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu,
                      uniquely_ergodic_classifier)
 from .padic import default_alphabet, freeness_suite, generator, subgroup_closure_mod
-from .realize import (PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK, build_realizable,
-                      eval_phi, fraction_pair)
+from .realize import (IDENTITY_TOL, PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK,
+                      build_realizable, eval_phi, fraction_pair)
 from .sets import ClosedSetSpec
 from .spectra import (solve_free_product_spectrum, solve_spectrum,
                       target_phi_from_set)
@@ -55,8 +55,8 @@ def _positive(v) -> bool:
 # every value a runner passes through int() or float(): integers must parse
 # and floats be finite; a grid needs two points, a free product k >= 2, a
 # build one stage, a growth model one state, a limsup one sphere and a padic
-# run one level; the freeness search takes words of length 1..10; a range,
-# a tolerance and every s must be positive and the wreath base t above 1
+# run one level; the freeness search takes words of length 1..10; a range
+# and every s must be positive and the wreath base t above 1
 _INTEGER = (_integer, "an integer")
 _FINITE = (_finite, "a finite number")
 _NUMERIC_KEYS = {
@@ -64,7 +64,7 @@ _NUMERIC_KEYS = {
     **dict.fromkeys(("stages", "n_states", "horizon", "N"),
                     (lambda v: int(v) >= 1, "an integer >= 1")),
     "max_len": (lambda v: 1 <= int(v) <= 10, "an integer in 1..10"),
-    **dict.fromkeys(("range", "tol"), (_positive, "finite and positive")),
+    "range": (_positive, "finite and positive"),
     "t": (lambda v: 1.0 < float(v) < math.inf, "finite and above 1"),
     **dict.fromkeys(("lambda0_order", "p", "step", "radius", "x0"), _INTEGER),
     **dict.fromkeys(("c", "beta"), _FINITE),
@@ -140,7 +140,6 @@ def _cert(name: str, passed: bool, value: float, tol: float) -> dict:
 def run_build_spectrum(config: dict):
     K = ClosedSetSpec.from_config(config["K"])
     r_max = _num(config, "range", 10.0)
-    tol = _num(config, "tol", 1e-6)
     grid_n = int(config.get("grid_n", 10001))
     betas = np.linspace(-r_max, r_max, grid_n)
     certificates = []
@@ -169,7 +168,7 @@ def run_build_spectrum(config: dict):
         cphi0 = abs(eval_phi(cocycle, 0.0) - 1.0)
         certificates.append(_cert("cocycle-phi-at-zero", cphi0 <= 1e-12,
                                   cphi0, 1e-12))
-        report = solve_spectrum(phi, r_max=r_max, tol=tol, grid_n=grid_n)
+        report, level = solve_spectrum(phi, K, r_max=r_max, grid_n=grid_n)
         phi_vals = np.asarray(phi(betas), dtype=float)
         artifacts["samples.csv"] = _csv(("beta", "phi"), betas.tolist(),
                                         phi_vals.tolist())
@@ -187,12 +186,20 @@ def run_build_spectrum(config: dict):
         certificates.append(_cert("q-bounded-off-delta",
                                   pair.q_max <= Q_BOUND + Q_SLACK, pair.q_max,
                                   Q_BOUND))
+        # a nan q_min, from a Q_i that is not finite, fails
+        certificates.append(_cert("q-nonzero-off-zero", pair.q_min > 0.0,
+                                  pair.q_min, 0.0))
+        certificates.append(_cert("fraction-identity-residual",
+                                  pair.identity_residual <= IDENTITY_TOL,
+                                  pair.identity_residual, IDENTITY_TOL))
         artifacts["samples.csv"] = _csv(("beta", "phi1", "phi2"), betas.tolist(),
                                         pair.phi1(betas).tolist(),
                                         pair.phi2(betas).tolist())
-        report = solve_free_product_spectrum(pair, r_max=r_max, tol=tol,
-                                             grid_n=grid_n)
+        report, level = solve_free_product_spectrum(pair, K, r_max=r_max,
+                                                    grid_n=grid_n)
 
+    certificates.append(_cert("level-at-reported-points", level <= 1e-12,
+                              level, 1e-12))
     artifacts["report.json"] = canonical_json(report.to_dict())
     return artifacts, certificates
 
@@ -217,8 +224,8 @@ def run_growth(config: dict):
     certificates.append(_cert("cocycle-identity", worst <= 1e-10, worst, 1e-10))
 
     census = ball_census(model.group, min(horizon, 12))
-    artifacts["census.csv"] = _csv(("k", "sphere_size"),
-                                   range(len(census.counts)), census.counts)
+    artifacts["census.csv"] = _csv(("k", "sphere_size"), range(len(census)),
+                                   census)
 
     est_pos = limsup_ratio(model, x0, 1.0, horizon)
     est_neg = limsup_ratio(model, x0, -1.0, horizon)
@@ -371,14 +378,13 @@ def main(argv=None) -> int:
             cp.add_argument("--out", default="out")
         if name == "build-spectrum":    # the only runner with a grid
             cp.add_argument("--grid-n", type=int)
-            cp.add_argument("--tol")
             cp.add_argument("--range")
     args = parser.parse_args(argv)
 
     if args.command == "verify":
         return cmd_verify(args.config)
 
-    overrides = {key: getattr(args, key, None) for key in ("grid_n", "tol", "range")}
+    overrides = {key: getattr(args, key, None) for key in ("grid_n", "range")}
     try:
         config = load_config(args.config, overrides)
         if config["mode"] not in COMMANDS[args.command]:

@@ -53,14 +53,9 @@ class WordMetricGroup:
         return spheres
 
 
-@dataclass(frozen=True)
-class BallCensus:
-    counts: Tuple[int, ...]
-
-
-def ball_census(group: WordMetricGroup, n_max: int) -> BallCensus:
-    """Exact sphere counts |G_k|."""
-    return BallCensus(counts=tuple(len(s) for s in group.spheres(n_max)))
+def ball_census(group: WordMetricGroup, n_max: int) -> Tuple[int, ...]:
+    """Exact sphere counts |G_0| .. |G_n_max|."""
+    return tuple(len(s) for s in group.spheres(n_max))
 
 
 class CocycleModel:

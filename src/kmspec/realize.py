@@ -154,8 +154,9 @@ _CEILING = 1e12  # largest b and a the doubling searches of fraction_pair try
 _EVALUATORS = ("bump", "q1", "q2", "zeta1", "zeta2", "prefactor1", "prefactor2",
                "phi1", "phi2")
 # a fraction pair has |phi_i(0) - 1| <= PHI_AT_ZERO_TOL, and |Q_i| <= Q_BOUND
-# (+ Q_SLACK) wherever |beta| >= delta on its grid, where the clamp is linear
-PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK = 1e-12, 0.5, 1e-12
+# (+ Q_SLACK) wherever |beta| >= delta on its grid, where the clamp is linear;
+# prefactor_i (1 + P Q_i) = target_i holds to IDENTITY_TOL relative off 0
+PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK, IDENTITY_TOL = 1e-12, 0.5, 1e-12, 1e-12
 
 def clamp_f(value):
     """Piecewise-linear clamp: identity on [-1/2,1/2], folded to 0 beyond 1."""
@@ -186,6 +187,10 @@ class FractionPair:
     phi2: Callable
     phi_at_zero: Tuple[float, float]    # |phi_1(0) - 1|, |phi_2(0) - 1|
     q_max: float    # max |Q_i| on the grid points with |beta| >= delta
+    # min |Q_i| on the grid points beta != 0, nan where some Q_i is not finite
+    q_min: float
+    # max |prefactor_i (1 + P Q_i) - target_i| / target_i on those points
+    identity_residual: float
 
     @property
     def l(self) -> int:
@@ -319,6 +324,18 @@ def fraction_pair(K, k: int, Lambda0_order: int,
     q_max = float(np.max(q_off, initial=0.0))    # 0.0 when no point is off
     if not q_max <= Q_BOUND + Q_SLACK:
         raise ConstructionError("|Q| exceeds 1/2 outside [-delta, delta]")
+    # the level sets are K only where Q_i is finite and nonzero and the
+    # pair's identity holds; both are measured here and judged by the caller
+    nonzero = betas != 0.0
+    p = mobius_eval(a, betas[nonzero])
+    q_abs, residual = [], []
+    for i, target in ((1, 1.0 / k), (2, float(k))):
+        q = on_grid[f"q{i}"][nonzero]
+        q_abs.append(np.where(np.isfinite(q), np.abs(q), np.nan))
+        pre = on_grid[f"prefactor{i}"][nonzero]
+        residual.append(np.abs(pre * (1.0 + p * q) - target) / target)
     return FractionPair(k=k, block_order=Lambda0_order, delta=delta,
                         a=a, b=b, c=c, phi_at_zero=phi_at_zero, q_max=q_max,
+                        q_min=float(np.min(q_abs)),
+                        identity_residual=float(np.max(residual)),
                         **{name: evaluator(name) for name in _EVALUATORS})

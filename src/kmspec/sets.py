@@ -53,7 +53,8 @@ class ClosedSetSpec:
     def from_config(cls, spec: dict) -> "ClosedSetSpec":
         """Parse {"intervals": [[lo, hi], ...], "points": [p, ...]} with
         decimal-string numerics; "inf"/"-inf" are accepted as endpoints.
-        A spec of any other shape raises InvalidInputError naming 'K'."""
+        A spec of any other shape, or one that describes no valid set,
+        raises InvalidInputError naming 'K'."""
         try:
             intervals = tuple((float(lo), float(hi))
                               for lo, hi in spec.get("intervals", []))
@@ -62,4 +63,7 @@ class ClosedSetSpec:
             raise InvalidInputError(
                 "config key 'K' must map 'intervals' to [[lo, hi], ...] and "
                 f"'points' to [p, ...] with numeric values, got {spec!r}") from exc
-        return cls(intervals=intervals, points=points)
+        try:
+            return cls(intervals=intervals, points=points)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"config key 'K': {exc}") from exc

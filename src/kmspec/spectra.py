@@ -2,13 +2,10 @@
 their Radon-Nikodym data, and the spectrum solvers.
 
 The spectrum of the wreath system is {beta : phi(beta) = 1}; the free product
-system requires phi_1(beta) = 1/k and phi_2(beta) = k simultaneously.  Both
-level sets are generically flat, so the solver combines a strict membership
-threshold with golden-section refinement of near-miss local minima.  All
-brackets of a solve are refined in lockstep, with one evaluator call per
-step; each bracket follows the path a search of it alone would take, bit for
-bit, so the reports are byte-identical to those of a one-bracket-at-a-time
-search.
+system requires phi_1(beta) = 1/k and phi_2(beta) = k simultaneously.  Each
+target is built from K so that exactly one factor of its level residual
+vanishes, and it vanishes exactly on K, so a solver reads the spectrum off K
+and evaluates the target only to measure the residual at what it reports.
 """
 
 import math
@@ -47,210 +44,87 @@ def target_phi_from_set(K: ClosedSetSpec, t: float) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Spectrum solving
+# Spectrum reports
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """K cut to [-r_max, r_max]: its points, its intervals and, for each
+    interval, whether the cut shortened it."""
+
     isolated_roots: Tuple[float, ...]
     flat_intervals: Tuple[Tuple[float, float], ...]
     clipped: Tuple[bool, ...]
-    tol: float
-    strict_tol: float
     grid_n: int
     r_max: float
-    warnings: Tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
             "isolated_roots": [repr(p) for p in self.isolated_roots],
             "flat_intervals": [[repr(lo), repr(hi)] for lo, hi in self.flat_intervals],
             "clipped": list(self.clipped),
-            "tol": repr(self.tol),
-            "strict_tol": repr(self.strict_tol),
             "grid_n": self.grid_n,
             "r_max": repr(self.r_max),
-            "warnings": list(self.warnings),
         }
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _report_in_range(K: ClosedSetSpec, r_max: float, grid_n: int
+                     ) -> Tuple[SpectrumReport, np.ndarray]:
+    """K cut to [-r_max, r_max], and its points and interval ends as an array.
 
-
-def _golden_mins(f: Callable, lo: np.ndarray,
-                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Golden-section minima of f on the brackets [lo[j], hi[j]] to 1e-14;
-    robust on kinks.
-
-    The brackets are searched in lockstep, with one call of f per step over
-    the brackets still open.  Each bracket does the arithmetic of a search on
-    its own, so with an elementwise f each takes the same path bit for bit.
+    A point of K that lies in an interval of K is reported as part of the
+    interval, and an interval the cut leaves without length as a point.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    n = lo.size
-    if n == 0:
-        return lo, hi
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f12 = np.asarray(f(np.concatenate((x1, x2))), dtype=float)
-    f1, f2 = f12[:n], f12[n:]
-    open_ = np.flatnonzero(hi - lo > 1e-14)
-    while open_.size:
-        left = f1[open_] <= f2[open_]
-        s, t = open_[left], open_[~left]
-        # the minimum lies left of x2: [lo, x2] keeps x1 as its new x2
-        hi[s], x2[s], f2[s] = x2[s], x1[s], f1[s]
-        x1[s] = hi[s] - _GOLDEN * (hi[s] - lo[s])
-        # the minimum lies right of x1: [x1, hi] keeps x2 as its new x1
-        lo[t], x1[t], f1[t] = x1[t], x2[t], f2[t]
-        x2[t] = lo[t] + _GOLDEN * (hi[t] - lo[t])
-        fx = np.asarray(f(np.where(left, x1[open_], x2[open_])), dtype=float)
-        f1[s], f2[t] = fx[left], fx[~left]
-        open_ = open_[hi[open_] - lo[open_] > 1e-14]
-    first = f1 <= f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
+    points, intervals, clipped = [], [], []
+    for lo, hi in sorted(K.intervals):
+        a, b = max(lo, -r_max), min(hi, r_max)
+        if a == b:
+            points.append(a)
+        elif a < b:
+            intervals.append((a, b))
+            clipped.append((a, b) != (lo, hi))
+    points += [p for p in K.points if abs(p) <= r_max
+               and not any(lo <= p <= hi for lo, hi in K.intervals)]
+    points = sorted(set(points))
+    report = SpectrumReport(isolated_roots=tuple(points),
+                            flat_intervals=tuple(intervals),
+                            clipped=tuple(clipped), grid_n=grid_n, r_max=r_max)
+    return report, np.array(points + [b for iv in intervals for b in iv])
 
 
-def _near_misses(m: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the local minima of m that may hide a zero within one cell.
+def solve_spectrum(phi: Callable, K: ClosedSetSpec, r_max: float,
+                   grid_n: int) -> Tuple[SpectrumReport, float]:
+    """The level set {phi = 1} of the wreath target of K on [-r_max, r_max],
+    with the largest |phi - 1| at its points and interval ends.
 
-    A zero within one cell of point i forces m[i] <= (local slope) * spacing,
-    which the adjacent differences estimate; minima above that and above tol
-    cannot hide one.  The first and last points have one neighbour and stand
-    in for the missing one themselves, so their test is one-sided.
+    phi - 1 = P_t d(beta, K) / (2 (1 + beta^2)) and P_t vanishes only at
+    0, which lies in K, so the level set is K itself; phi is evaluated only
+    to measure the residual there.
     """
-    lo = np.concatenate((m[:1], m[:-1]))
-    hi = np.concatenate((m[1:], m[-1:]))
-    slope_room = 1.5 * np.maximum(np.abs(hi - m), np.abs(m - lo))
-    return np.flatnonzero((m <= np.maximum(tol, slope_room))
-                          & (m <= lo) & (m <= hi))
+    report, at = _report_in_range(K, r_max, grid_n)
+    level = np.abs(np.asarray(phi(at), dtype=float) - 1.0)
+    return report, float(np.max(level, initial=0.0))
 
 
-_SUB_CELLS = 64
+def solve_free_product_spectrum(pair: FractionPair, K: ClosedSetSpec,
+                                r_max: float, grid_n: int
+                                ) -> Tuple[SpectrumReport, float]:
+    """The joint level set {phi_1 = 1/k, phi_2 = k} of the pair of K on
+    [-r_max, r_max], with the largest of |phi_1 - 1/k| and |phi_2 - k|/k at
+    its points and interval ends.
 
-
-def _report_from_metric(metric: Callable, r_max: float, tol: float,
-                        grid_n: int, strict: float) -> SpectrumReport:
-    """Shared solver: metric(beta) >= 0 vanishes exactly on the spectrum.
-
-    Membership uses the strict threshold, separating first-order tangential
-    near-misses from numerically-zero values; near-miss local minima are
-    refined off the grid by golden section, which also finds every
-    transversal zero, as one makes its nearest grid point a near miss.  A
-    refined zero within one cell of another feature is merged into it, with
-    a warning when the metric rises above the strict threshold between the
-    two, that is when a point of the spectrum goes unreported.
+    Where prefactor_i (1 + P q_i) = target_i, phi_i - target_i =
+    prefactor_i P (zeta_i - q_i).  Off (-delta, delta) the clamp is the
+    identity, so zeta_i - q_i = -q_i min(1, d(beta, K)); inside, d > 0 and
+    |zeta_i| < |q_i|.  With q_i finite and nonzero off 0 the level set is
+    K itself.  The pair measures the identity, q_i and the clamp bound on
+    its grid, and the evaluators are called only to measure the residual
+    at what is reported.
     """
-    betas = np.linspace(-r_max, r_max, grid_n)
-    spacing = betas[1] - betas[0]
-    m = np.asarray(metric(betas), dtype=float)
-    member = m <= strict
-
-    # refine near-miss local minima: the grid may straddle an off-grid root.
-    # The first and last points search one-sided, over the end cell.  Golden
-    # section, as parabolic steps stall on kink-shaped minima, which is the
-    # generic local shape of |phi - 1| at an isolated spectrum point.
-    misses = _near_misses(m, tol)
-    misses = misses[~member[misses]]
-    cell_lo = betas[np.maximum(misses - 1, 0)]
-    cell_hi = betas[np.minimum(misses + 1, grid_n - 1)]
-    x, fx = _golden_mins(metric, cell_lo, cell_hi)
-    found = np.flatnonzero(fx <= strict)
-
-    # two zeros closer than a grid cell leave a single near-miss minimum on
-    # the grid, and its search finds only one of them; on a finer sub-grid
-    # of the bracket the others show as further near-miss minima
-    owner, sub_lo, sub_hi = [], [], []
-    if found.size:
-        subs = np.array([np.linspace(cell_lo[j], cell_hi[j], _SUB_CELLS + 1)
-                         for j in found])
-        ms = np.asarray(metric(subs.ravel()), dtype=float).reshape(subs.shape)
-        for j, sub, mj in zip(found, subs, ms):
-            for k in _near_misses(mj, tol):
-                if k in (0, _SUB_CELLS) or sub[k - 1] <= x[j] <= sub[k + 1]:
-                    continue
-                owner.append(j)
-                sub_lo.append(sub[k - 1])
-                sub_hi.append(sub[k + 1])
-    y, fy = _golden_mins(metric, sub_lo, sub_hi)
-
-    # each zero found from the grid comes first, then the further zeros of
-    # its bracket in sub-grid order
-    extra = []
-    for j in found:
-        extra.append(float(x[j]))
-        extra += [float(v) for o, v, fv in zip(owner, y, fy)
-                  if o == j and fv <= strict]
-
-    # runs of members start where the padded mask rises and end where it falls
-    edges = np.diff(np.concatenate(([0], member.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    single = starts == ends
-    isolated = [float(b) for b in betas[starts[single]]]
-    intervals = [(float(betas[i]), float(betas[j]))
-                 for i, j in zip(starts[~single], ends[~single])]
-    clipped = ((starts == 0) | (ends == grid_n - 1))[~single].tolist()
-
-    def scalar(b):
-        return float(metric(np.array([b]))[0])
-
-    warnings = []
-    for p in extra:
-        near = [q for q in isolated if abs(p - q) <= spacing]
-        near += [min(max(p, lo), hi) for lo, hi in intervals
-                 if lo - spacing <= p <= hi + spacing]
-        if not near:
-            isolated.append(p)
-        elif scalar(0.5 * (p + near[0])) > strict:
-            warnings.append(f"refined zero at beta={p:.10g} lies within one grid "
-                            f"cell of the feature at beta={near[0]:.10g} and is "
-                            "merged into it")
-    isolated.sort()
-
-    features = [(p, p) for p in isolated] + intervals
-    features.sort()
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(features, features[1:]):
-        if b_lo - a_hi < 2.0 * spacing:
-            warnings.append(f"features near beta={a_hi:.6g} and beta={b_lo:.6g} "
-                            "are separated by less than two grid cells")
-    return SpectrumReport(isolated_roots=tuple(isolated),
-                          flat_intervals=tuple(intervals),
-                          clipped=tuple(clipped),
-                          tol=tol, strict_tol=strict,
-                          grid_n=grid_n, r_max=r_max,
-                          warnings=tuple(warnings))
-
-
-def solve_spectrum(phi: Callable, r_max: float, tol: float,
-                   grid_n: int) -> SpectrumReport:
-    """Zero set of phi - 1 on [-r_max, r_max]: flat intervals and isolated roots."""
-
-    def metric(bts):
-        return np.abs(np.asarray(phi(bts), dtype=float) - 1.0)
-
-    return _report_from_metric(metric, r_max, tol, grid_n, strict=tol / 100.0)
-
-
-def solve_free_product_spectrum(pair: FractionPair, r_max: float, tol: float,
-                                grid_n: int) -> SpectrumReport:
-    """Simultaneous solve of phi_1 = 1/k and phi_2 = k.
-
-    Both conditions hold with exact algebraic cancellation on the spectrum but
-    are approached exponentially fast away from it, so membership is decided
-    at the float noise floor rather than at tol/100: values above 1e-13 are
-    genuinely nonzero, values at the rounding level (~1e-15 here) are exact
-    zeros of the construction.
-    """
+    report, at = _report_in_range(K, r_max, grid_n)
     k = float(pair.k)
-
-    def metric(bts):
-        v1 = np.abs(np.asarray(pair.phi1(bts), dtype=float) - 1.0 / k)
-        v2 = np.abs(np.asarray(pair.phi2(bts), dtype=float) - k) / k
-        return np.maximum(v1, v2)
-
-    return _report_from_metric(metric, r_max, tol, grid_n,
-                               strict=min(tol / 100.0, 1e-13))
+    level = np.maximum(np.abs(np.asarray(pair.phi1(at), dtype=float) - 1.0 / k),
+                       np.abs(np.asarray(pair.phi2(at), dtype=float) - k) / k)
+    return report, float(np.max(level, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,9 @@ capture, then asserts, so a failed criterion is a failed test.
 
 import itertools
 import json
-import sys
 import time
 
 import numpy as np
-import pytest
 
 from kmspec.blocks import (FiniteConformalBlock, FiniteGroupTable, ProbVector,
                            TruncatedProductSystem, check_conformality)
@@ -67,7 +65,7 @@ def test_wreath_spectrum_recovery():
     worst_time = 0.0
     for K_cfg in WREATH_SETS:
         config = {"mode": "wreath", "K": K_cfg, "t": "2", "range": "10",
-                  "tol": "1e-6", "grid_n": 10000, "stages": 2}
+                  "grid_n": 10000, "stages": 2}
         start = time.monotonic()
         artifacts, manifest = execute(config)
         elapsed = time.monotonic() - start
@@ -80,7 +78,7 @@ def test_wreath_spectrum_recovery():
         assert np.array_equal(got, oracle), K_cfg
         assert elapsed <= 60.0
     emit("wreath-spectrum-recovery",
-         True, f"3 sets match the d(beta,K) grid trace at tol 1e-6 on 1e4 "
+         True, f"3 sets match the d(beta,K) grid trace on 1e4 "
                f"points, worst runtime {worst_time:.1f}s <= 60s")
 
 
@@ -89,7 +87,7 @@ def test_free_product_spectrum_recovery():
     worst_zero = 0.0
     for K_cfg in FREE_SETS:
         config = {"mode": "free-product", "K": K_cfg, "k": 2, "range": "10",
-                  "tol": "1e-6", "grid_n": 10000}
+                  "grid_n": 10000}
         artifacts, manifest = execute(config)
         assert manifest["passed"], manifest["certificates"]
         report = json.loads(artifacts["report.json"])
@@ -221,9 +219,9 @@ def test_padic_certificates():
 def test_determinism():
     configs = [
         {"mode": "wreath", "K": WREATH_SETS[1], "t": "2", "range": "10",
-         "tol": "1e-6", "grid_n": 10000, "stages": 2},
+         "grid_n": 10000, "stages": 2},
         {"mode": "free-product", "K": FREE_SETS[1], "k": 2, "range": "10",
-         "tol": "1e-6", "grid_n": 10000},
+         "grid_n": 10000},
         {"mode": "growth", "preset": "coboundary", "horizon": 128,
          "radius": 400, "s_list": ["0.5", "0.1", "0.01"]},
         {"mode": "padic", "p": 3, "N": 2, "max_len": 8},

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kmspec.cli as kc
 from kmspec.cli import (_csv, canonical_json, config_hash, execute,
                         load_config, main)
+from kmspec.realize import fraction_pair
 from kmspec.sets import ClosedSetSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,7 +23,6 @@ WREATH_CFG = {
     "K": {"intervals": [["-1", "1"]]},
     "t": "2",
     "range": "6",
-    "tol": "1e-6",
     "grid_n": 2001,
     "stages": 1,
 }
@@ -29,7 +32,6 @@ FREE_CFG = {
     "K": {"points": ["-1", "2"]},
     "k": 2,
     "range": "10",
-    "tol": "1e-6",
     "grid_n": 4001,
 }
 
@@ -102,12 +104,8 @@ def test_wreath_pipeline(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["build-spectrum", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    intervals = [list(map(float, iv)) for iv in report["flat_intervals"]]
-    # edges are one-sided minima, resolvable only to the grid spacing
-    spacing = 12.0 / 2000
-    assert len(intervals) == 1
-    assert abs(intervals[0][0] + 1.0) <= spacing
-    assert abs(intervals[0][1] - 1.0) <= spacing
+    assert report["flat_intervals"] == [["-1.0", "1.0"]]
+    assert report["clipped"] == [False]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -158,7 +156,10 @@ def test_overrides_change_hash(tmp_path):
 
 MALFORMED_K = {"list": [1, 2], "text": "x", "intervals-number": {"intervals": 5},
                "points-number": {"points": 3},
-               "null-endpoint": {"intervals": [[None, 2]]}}
+               "null-endpoint": {"intervals": [[None, 2]]},
+               "point-overflow": {"points": ["1e999999"]},
+               "reversed-interval": {"intervals": [["2", "1"]]},
+               "overlapping-intervals": {"intervals": [["1", "3"], ["2", "4"]]}}
 
 
 @pytest.mark.parametrize("cfg,flags,key", [
@@ -167,8 +168,6 @@ MALFORMED_K = {"list": [1, 2], "text": "x", "intervals-number": {"intervals": 5}
     (WREATH_CFG, ["--range", "inf"], "range"),
     (WREATH_CFG, ["--grid-n", "1"], "grid_n"),
     (WREATH_CFG, ["--grid-n", "0"], "grid_n"),
-    (WREATH_CFG, ["--tol", "-1"], "tol"),
-    (WREATH_CFG, ["--tol", "nan"], "tol"),
     (dict(WREATH_CFG, stages=0), [], "stages"),
     (dict(WREATH_CFG, t="inf"), [], "t"),
     (dict(WREATH_CFG, t="1"), [], "t"),
@@ -177,7 +176,7 @@ MALFORMED_K = {"list": [1, 2], "text": "x", "intervals-number": {"intervals": 5}
     (dict(FREE_CFG, k=1), [], "k"),
     *((dict(FREE_CFG, K=K), [], "K") for K in MALFORMED_K.values()),
 ], ids=["range-negative", "range-zero", "range-inf", "grid-one", "grid-zero",
-        "tol-negative", "tol-nan", "stages-zero", "t-inf", "t-one", "k-text",
+        "stages-zero", "t-inf", "t-one", "k-text",
         "order-text", "k-one", *(f"K-{name}" for name in MALFORMED_K)])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     path = write_cfg(tmp_path, cfg)
@@ -229,11 +228,13 @@ def test_bad_numbers_are_config_errors_in_every_mode(tmp_path, capsys,
     ["padic", "--range", "10"],
     ["verify", "--out", "elsewhere"],
     ["verify", "--tol", "0.5"],
-], ids=["growth-tol", "padic-grid-n", "padic-range", "verify-out", "verify-tol"])
+    ["build-spectrum", "--tol", "0.5"],
+], ids=["growth-tol", "padic-grid-n", "padic-range", "verify-out", "verify-tol",
+        "build-spectrum-tol"])
 def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
-    # only build-spectrum reads a grid, a tolerance or a range, and verify
-    # reads only --config; an override a runner ignores would still enter
-    # the stored config and change its hash
+    # only build-spectrum reads a grid or a range, no command reads a
+    # tolerance, and verify reads only --config; an override a runner
+    # ignores would still enter the stored config and change its hash
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--config", str(tmp_path / "cfg.json")])
     assert exc.value.code == 2
@@ -278,6 +279,99 @@ def test_free_product_run_measures_its_grid_once(monkeypatch):
     monkeypatch.setattr(ClosedSetSpec, "distance", counting)
     execute(dict(FREE_CFG))
     assert sizes.count(FREE_CFG["grid_n"]) == 1
+
+
+def test_a_stored_tol_is_ignored():
+    # configs written before the solver read K exactly carry a tol; it is a
+    # key no runner reads, like any other
+    plain, _ = execute(dict(FREE_CFG))
+    old, manifest = execute(dict(FREE_CFG, tol="1e-6"))
+    assert manifest["passed"]
+    assert {n: plain[n] for n in plain if n != "manifest.json"} == {
+        n: old[n] for n in old if n != "manifest.json"}
+
+
+@pytest.mark.parametrize("name,tamper", [
+    ("q-nonzero-off-zero", lambda pair: {"q_min": 0.0}),
+    ("q-nonzero-off-zero", lambda pair: {"q_min": math.nan}),
+    ("fraction-identity-residual", lambda pair: {"identity_residual": 1e-9}),
+    ("level-at-reported-points",
+     lambda pair: {"phi1": lambda b: pair.phi1(b) + 1e-9}),
+], ids=["q-zero", "q-not-finite", "identity", "level"])
+def test_new_free_product_certificates_can_fail(tmp_path, capsys, monkeypatch,
+                                                name, tamper):
+    def tampered(*args, **kwargs):
+        pair = fraction_pair(*args, **kwargs)
+        return dataclasses.replace(pair, **tamper(pair))
+
+    monkeypatch.setattr(kc, "fraction_pair", tampered)
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", write_cfg(tmp_path, FREE_CFG),
+                 "--out", str(out)]) == 1
+    assert f"FAIL {name} " in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = [c["name"] for c in manifest["certificates"] if not c["passed"]]
+    assert failed == [name] and not manifest["passed"]
+
+
+@st.composite
+def wreath_sets(draw):
+    """(K spec, range, grid_n, expected report) for a K built left to right
+    from points, intervals, half-lines and pairs closer than one grid cell,
+    with points inside intervals or on their ends, and 0 added."""
+    grid_n = 101
+    cell = 2.0 / (grid_n - 1)   # one grid cell at the least range, 1
+    step = st.floats(1e-3, 4.0)
+    x = draw(st.floats(-12.0, -8.0))
+    intervals, points, absorbed = [], [], [0.0]
+    if draw(st.booleans()):
+        intervals.append((-math.inf, x))
+        x += draw(step)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("point", "pair", "interval")))
+        if kind == "interval":
+            hi = x + draw(st.floats(1e-3, 3.0))
+            intervals.append((x, hi))
+            absorbed += draw(st.lists(st.sampled_from((x, hi, (x + hi) / 2.0)),
+                                      max_size=2))
+            x = hi
+        else:
+            points.append(x)
+            if kind == "pair":
+                x += draw(st.floats(1e-6, cell))
+                points.append(x)
+        x += draw(step)
+    if draw(st.booleans()):
+        intervals.append((x, math.inf))
+    # a range through an end of K cuts there, to a point for a half-line
+    ends = [abs(e) for iv in intervals for e in iv if 1.0 <= abs(e) < math.inf]
+    r = draw(st.sampled_from([10.0] + ends))
+    if not any(lo <= 0.0 <= hi for lo, hi in intervals):
+        points.append(0.0)
+    roots, expect_ivs, clipped = {p for p in points if abs(p) <= r}, [], []
+    for lo, hi in intervals:
+        if max(lo, -r) < min(hi, r):
+            expect_ivs.append([repr(max(lo, -r)), repr(min(hi, r))])
+            clipped.append(lo < -r or hi > r)
+        elif max(lo, -r) == min(hi, r):
+            roots.add(max(lo, -r))
+    spec = {"intervals": [[repr(lo), repr(hi)] for lo, hi in intervals],
+            "points": [repr(p) for p in points + absorbed]}
+    expect = {"isolated_roots": [repr(p) for p in sorted(roots)],
+              "flat_intervals": expect_ivs, "clipped": clipped,
+              "grid_n": grid_n, "r_max": repr(r)}
+    return spec, r, grid_n, expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(wreath_sets())
+def test_wreath_report_is_K_in_range(case):
+    spec, r, grid_n, expect = case
+    artifacts, manifest = execute({"mode": "wreath", "K": spec, "t": "2",
+                                   "range": repr(r), "grid_n": grid_n,
+                                   "stages": 1})
+    assert manifest["passed"], manifest["certificates"]
+    assert json.loads(artifacts["report.json"]) == expect
 
 
 def test_wide_wreath_range_is_rejected_before_fitting(tmp_path, capsys):

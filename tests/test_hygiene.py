@@ -1,6 +1,6 @@
 """Static checks on the library source, by ast (no linter is assumed).
 
-Every module imports only names it uses, every function, class and method
+Every module, and every test module, imports only names it uses, every function, class and method
 it defines is named somewhere in the library or the benchmark besides its
 definition (a test or a re-export in kmspec/__init__.py does not count, so
 code that only tests reach is reported), every parameter
@@ -31,6 +31,7 @@ from kmspec.realize import build_realizable
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kmspec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -69,7 +70,7 @@ def _used(tree):
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = _used(tree)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import kmspec.realize as kr
-from kmspec.blocks import conformal_weights, integrate_potential
-from kmspec.errors import (DomainError, FitFailureError, InvalidInputError,
-                           RealizationError)
+from kmspec.blocks import integrate_potential
+from kmspec.errors import FitFailureError, InvalidInputError, RealizationError
 from kmspec.expratio import WeightedMultiset
 from kmspec.realize import (build_realizable, clamp_f, default_schedule,
                             eval_phi, fraction_pair, mobius_eval, ratio_bound,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,12 +9,10 @@ from kmspec.blocks import FiniteConformalBlock, ProbVector
 from kmspec.errors import DomainError, WindowError
 from kmspec.realize import fraction_pair
 from kmspec.sets import ClosedSetSpec
-from kmspec.spectra import (_GOLDEN, FreeProductSystem, WreathSystem,
-                            _golden_mins, _near_misses, _report_from_metric,
-                            assemble_free_product,
-                            shift_rn_derivative, solve_free_product_spectrum,
-                            solve_spectrum, target_phi_from_set,
-                            theta_rn_derivative)
+from kmspec.spectra import (FreeProductSystem, WreathSystem,
+                            assemble_free_product, shift_rn_derivative,
+                            solve_free_product_spectrum, solve_spectrum,
+                            target_phi_from_set, theta_rn_derivative)
 
 RNG = np.random.default_rng(7)
 
@@ -41,118 +40,70 @@ def test_target_phi_requires_zero_in_K():
 
 
 def test_solve_spectrum_trivial_targets():
-    betas = np.linspace(-10.0, 10.0, 10001)
-    # phi identically 1: the whole range is flat
-    report = solve_spectrum(lambda b: np.ones_like(np.asarray(b, dtype=float)),
-                            r_max=10.0, tol=1e-6, grid_n=10001)
+    # K = R: the whole range is one interval, cut at both ends
+    K = ClosedSetSpec(intervals=((-math.inf, math.inf),))
+    report, level = solve_spectrum(target_phi_from_set(K, 2.0), K, r_max=10.0,
+                                   grid_n=10001)
     assert report.flat_intervals == ((-10.0, 10.0),)
     assert report.clipped == (True,)
-    # phi = 1 + beta: a single transversal root at 0
-    report = solve_spectrum(lambda b: 1.0 + np.asarray(b, dtype=float),
-                            r_max=10.0, tol=1e-6, grid_n=10001)
-    assert report.isolated_roots == (0.0,)
-    assert report.flat_intervals == ()
-    # transversal roots strictly between grid points, where phi - 1 changes
-    # sign: the near-miss search alone must find them
-    for root, phi in ((0.12345, lambda b: 1.0 + (b - 0.12345)),
-                      (1.2345, lambda b: 1.0 + np.tanh(50.0 * (b - 1.2345)))):
+    assert report.isolated_roots == () and level == 0.0
+    # points strictly between grid points are reported as given
+    for K in (ClosedSetSpec(points=(0.0,)), ClosedSetSpec(points=(0.0, 0.12345))):
         for grid_n in (10000, 10001):
-            report = solve_spectrum(phi, r_max=10.0, tol=1e-6, grid_n=grid_n)
-            assert len(report.isolated_roots) == 1
-            assert abs(report.isolated_roots[0] - root) < 1e-12
-            assert report.flat_intervals == ()
-            assert report.warnings == ()
+            report, level = solve_spectrum(target_phi_from_set(K, 2.0), K,
+                                           r_max=10.0, grid_n=grid_n)
+            assert report.isolated_roots == K.points
+            assert report.flat_intervals == () and level == 0.0
 
 
-def _near_misses_pointwise(m, tol):
-    # the per-point rule: end points take themselves as the missing neighbour
-    n = m.size
-    out = []
-    for i in range(n):
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        slope_room = 1.5 * max(abs(m[hi] - m[i]), abs(m[i] - m[lo]))
-        if m[i] <= max(tol, slope_room) and m[i] <= m[lo] and m[i] <= m[hi]:
-            out.append(i)
-    return out
+@pytest.mark.parametrize("K,roots,intervals,clipped", [
+    # a point inside an interval or on its end belongs to the interval
+    (ClosedSetSpec(intervals=((1.0, 2.0),), points=(0.0, 1.5, 2.0)),
+     (0.0,), ((1.0, 2.0),), (False,)),
+    # an interval cut to no length is a point; one beyond the range is gone
+    (ClosedSetSpec(intervals=((10.0, math.inf), (-30.0, -20.0)), points=(0.0,)),
+     (0.0, 10.0), (), ()),
+    (ClosedSetSpec(intervals=((-math.inf, -3.0), (3.0, 3.0)),
+                   points=(0.0, 3.0, 12.0, -10.0)),
+     (0.0, 3.0), ((-10.0, -3.0),), (True,)),
+    # an interval reaching the range without passing it is not cut
+    (ClosedSetSpec(intervals=((4.0, 10.0), (-10.0, -9.5)), points=(0.0, 0.0)),
+     (0.0,), ((-10.0, -9.5), (4.0, 10.0)), (False, False)),
+])
+def test_report_is_K_in_range(K, roots, intervals, clipped):
+    report, level = solve_spectrum(target_phi_from_set(K, 2.0), K, r_max=10.0,
+                                   grid_n=101)
+    assert report.isolated_roots == roots
+    assert report.flat_intervals == intervals
+    assert report.clipped == clipped
+    assert level == 0.0
 
 
-def test_near_misses_matches_pointwise_rule():
-    rng = np.random.default_rng(11)
-    cases = [np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([2.0, 2.0]),
-             np.array([0.0, 1.0, 0.0]), np.array([3.0, 1.0, 3.0]),
-             np.array([1.0, 1.0, 1.0]), np.array([0.5, 4.0, 9.0])]
-    for n in (2, 3, 5, 17, 200):
-        for _ in range(40):
-            # small integers give ties and plateaus; the scale moves values
-            # across the tol threshold
-            cases.append(rng.integers(0, 4, n) * rng.choice([1e-9, 1e-3, 1.0]))
-            cases.append(np.abs(rng.normal(size=n)))
-    for m in cases:
-        for tol in (1e-6, 0.5, 2.0):
-            got = _near_misses(m, tol)
-            assert got.tolist() == _near_misses_pointwise(m, tol), (m, tol)
-
-
-def _golden_min_reference(f, lo, hi):
-    # the one-bracket golden-section search the lockstep search replaced
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-14:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+@pytest.mark.parametrize("grid_n,K", [
+    (10001, ClosedSetSpec(points=(0.0, 3.0, 3.0007))),
+    (10001, ClosedSetSpec(intervals=((1.0, 2.0),), points=(0.0, 2.0007))),
+    (10001, ClosedSetSpec(intervals=((1.0, 2.0),), points=(0.0, 0.9993))),
+    (10000, ClosedSetSpec(intervals=((1.0, 2.0),), points=(0.0, 2.0007))),
+    (10000, ClosedSetSpec(points=(0.0, 3.0, 3.0013))),
+])
+def test_points_within_one_cell_are_all_reported(grid_n, K):
+    # points of K within one grid cell of a grid member used to be dropped
+    # without a warning; each is reported as given, and 0 as 0.0
+    report, _ = solve_spectrum(target_phi_from_set(K, 2.0), K, r_max=10.0,
+                               grid_n=grid_n)
+    assert report.isolated_roots == tuple(sorted(K.points))
+    assert report.flat_intervals == K.intervals
+    assert repr(report.isolated_roots[0]) == "0.0"
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def test_golden_mins_matches_scalar_reference():
-    def kinked(b):
-        b = np.asarray(b, dtype=float)
-        return np.where(b < 0.3, 2.0 * (0.3 - b), b - 0.3) * (1.0 + b * b)
-
-    def smooth(b):
-        b = np.asarray(b, dtype=float)
-        return (b - 0.7) ** 2 + 0.1 * np.cos(3.0 * b)
-
-    rng = np.random.default_rng(5)
-    lo = np.concatenate((
-        [0.29, 0.2999, 0.6, -1.0, 0.9, 0.5, 0.31],
-        rng.uniform(-2.0, 2.0, 40)))
-    hi = np.concatenate((
-        # interior brackets; one-sided end cells with the minimum at an end;
-        # brackets already narrower than 1e-14
-        [0.31, 0.3001, 0.8, -0.998, 0.902, 0.5 + 5e-15, 0.31],
-        lo[7:] + rng.uniform(1e-6, 0.5, 40)))
-    for f in (kinked, smooth):
-        calls = []
-
-        def counted(b):
-            calls.append(b)
-            return f(b)
-
-        x, fx = _golden_mins(counted, lo, hi)
-        ref = [_golden_min_reference(lambda b: float(f(np.array([b]))[0]), a, c)
-               for a, c in zip(lo, hi)]
-        assert _bits(x) == _bits([r[0] for r in ref])
-        assert _bits(fx) == _bits([r[1] for r in ref])
-        # one call for both interior points, then one per step
-        assert calls[0].size == 2 * lo.size
-        assert len(calls) < 80
-
-
 def test_evaluators_do_not_depend_on_the_batch():
-    # a lockstep search evaluates each bracket in a batch of the others;
-    # every evaluator must give a point the value it gives it alone, bit for
-    # bit, or the refined roots would depend on which brackets are open
+    # a solver evaluates everything it reports in one batch; every evaluator
+    # must give a point the value it gives it alone, bit for bit, or the
+    # residual of a point would depend on what else is reported
     K = ClosedSetSpec(intervals=((1.0, 2.0), (-4.0, -3.5)), points=(-1.25,))
     pair = fraction_pair(K, k=2, Lambda0_order=5, r_max=10.0)
     evaluators = [getattr(pair, name) for name in (
@@ -172,28 +123,35 @@ def test_evaluators_do_not_depend_on_the_batch():
         assert _bits([fn(float(grid[i])) for i in picks]) == _bits(batch[picks])
 
 
-def test_refinement_calls_do_not_grow_with_the_brackets():
-    # every near-miss bracket is refined in the same lockstep search, so
-    # twelve off-grid points cost as many metric calls as one; none of these
-    # points lies within a cell of another feature, so no merge check runs
-    def calls_to_solve(points):
-        K = ClosedSetSpec(points=(0.0,) + tuple(points))
-        phi = target_phi_from_set(K, 2.0)
-        calls = []
+def test_each_solver_calls_its_evaluators_once():
+    # one batched call per evaluator, at the reported points and interval
+    # ends, however many features K has
+    K = ClosedSetSpec(intervals=((1.0, 2.0), (5.0, math.inf)),
+                      points=(0.0, -3.0, -2.9999))
+    phi = target_phi_from_set(K, 2.0)
+    calls = []
 
-        def counted(b):
-            calls.append(np.size(b))
-            return phi(b)
+    def counted(b):
+        calls.append(np.asarray(b).tolist())
+        return phi(b)
 
-        report = solve_spectrum(counted, r_max=10.0, tol=1e-6, grid_n=10001)
-        assert np.allclose(report.isolated_roots, sorted((0.0,) + tuple(points)),
-                           rtol=0.0, atol=1e-12)
-        assert report.warnings == ()
-        return len(calls)
+    solve_spectrum(counted, K, r_max=10.0, grid_n=10001)
+    assert calls == [[-3.0, -2.9999, 0.0, 1.0, 2.0, 5.0, 10.0]]
 
-    points = [-8.9993 + 1.5 * j for j in range(13) if j != 6]
-    assert len(points) == 12
-    assert calls_to_solve(points) <= calls_to_solve(points[:1])
+    K = ClosedSetSpec(intervals=((1.0, 2.0),), points=(-1.0, 3.0))
+    pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
+    calls = {"phi1": [], "phi2": []}
+
+    def counting(name):
+        def evaluator(b):
+            calls[name].append(np.size(b))
+            return getattr(pair, name)(b)
+        return evaluator
+
+    counted_pair = dataclasses.replace(pair, phi1=counting("phi1"),
+                                       phi2=counting("phi2"))
+    solve_free_product_spectrum(counted_pair, K, r_max=10.0, grid_n=10001)
+    assert calls == {"phi1": [4], "phi2": [4]}
 
 
 @pytest.mark.parametrize("K", [
@@ -204,9 +162,10 @@ def test_refinement_calls_do_not_grow_with_the_brackets():
 @pytest.mark.parametrize("grid_n", [10000, 10001])
 def test_wreath_spectrum_recovery(K, grid_n):
     phi = target_phi_from_set(K, 2.0)
-    report = solve_spectrum(phi, r_max=10.0, tol=1e-6, grid_n=grid_n)
+    report, level = solve_spectrum(phi, K, r_max=10.0, grid_n=grid_n)
     betas = np.linspace(-10.0, 10.0, 10000)
     assert grid_trace(K, betas, report)
+    assert level == 0.0
 
 
 @pytest.mark.parametrize("K", [
@@ -216,27 +175,36 @@ def test_wreath_spectrum_recovery(K, grid_n):
 ])
 def test_free_product_spectrum_recovery(K):
     pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
-    report = solve_free_product_spectrum(pair, r_max=10.0, tol=1e-6,
-                                         grid_n=10001)
+    report, level = solve_free_product_spectrum(pair, K, r_max=10.0,
+                                                grid_n=10001)
     betas = np.linspace(-10.0, 10.0, 10000)
     assert grid_trace(K, betas, report)
+    assert level <= 1e-12
+    # the unfactored float metric, independent of how the report is read:
+    # it stays at rounding level on K and clear of it everywhere else
+    for grid_n in (10000, 10001):
+        betas = np.linspace(-10.0, 10.0, grid_n)
+        metric = np.maximum(np.abs(pair.phi1(betas) - 0.5),
+                            np.abs(pair.phi2(betas) - 2.0) / 2.0)
+        on_K = K.distance(betas) == 0.0
+        assert np.max(metric[on_K], initial=0.0) <= 1e-13
+        assert np.array_equal(metric > 1e-10, ~on_K)
 
 
 def test_free_product_isolated_points_located():
     K = ClosedSetSpec(points=(-1.0, 2.0))
     pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
-    # an even grid puts both roots strictly between grid points
-    report = solve_free_product_spectrum(pair, r_max=10.0, tol=1e-6,
-                                         grid_n=10000)
-    assert np.allclose(report.isolated_roots, (-1.0, 2.0),
-                       rtol=0.0, atol=1e-12)
+    # an even grid puts both points strictly between grid points
+    report, level = solve_free_product_spectrum(pair, K, r_max=10.0,
+                                                grid_n=10000)
+    assert report.isolated_roots == (-1.0, 2.0)
+    assert level <= 1e-12
 
 
 def test_unbounded_interval_is_clipped():
     K = ClosedSetSpec(intervals=((3.0, math.inf),))
     pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
-    report = solve_free_product_spectrum(pair, r_max=10.0, tol=1e-6,
-                                         grid_n=10001)
+    report, _ = solve_free_product_spectrum(pair, K, r_max=10.0, grid_n=10001)
     assert report.flat_intervals == ((3.0, 10.0),)
     assert report.clipped == (True,)
 
@@ -245,36 +213,20 @@ def test_unbounded_interval_is_clipped():
     ClosedSetSpec(points=(9.9999,), intervals=((-0.5, 0.0),)),
     ClosedSetSpec(points=(-9.9999,), intervals=((0.0, 0.5),)),
 ])
-def test_root_in_end_cell_is_refined(K):
-    # the point lies strictly inside the first or last grid cell, so only a
-    # one-sided search over the end cell can find it
-    report = _report_from_metric(lambda b: np.asarray(K.distance(b), dtype=float),
-                                 r_max=10.0, tol=1e-6, grid_n=10000, strict=1e-8)
-    point = K.points[0]
-    assert len(report.isolated_roots) == 1
-    assert abs(report.isolated_roots[0] - point) < 1e-12
-    assert len(report.flat_intervals) == 1
-
-
-def test_merged_features_are_named():
-    # 3 and 3.001 lie in one grid cell: the report keeps one of them and a
-    # warning names both
-    K = ClosedSetSpec(points=(0.0, 3.0, 3.001))
-    report = solve_spectrum(target_phi_from_set(K, 2.0), r_max=10.0, tol=1e-6,
-                            grid_n=10000)
-    assert len(report.isolated_roots) == 2
-    assert abs(report.isolated_roots[1] - 3.001) < 1e-12
-    merged = [w for w in report.warnings if "merged" in w]
-    assert len(merged) == 1
-    assert "beta=3 " in merged[0] and "beta=3.001 " in merged[0]
+def test_root_in_end_cell_is_reported(K):
+    # the point lies strictly inside the first or last grid cell
+    report, _ = solve_spectrum(target_phi_from_set(K, 2.0), K, r_max=10.0,
+                               grid_n=10000)
+    assert report.isolated_roots == K.points
+    assert report.flat_intervals == K.intervals
 
 
 def test_report_round_trip_dict():
-    report = solve_spectrum(lambda b: 1.0 + np.asarray(b, dtype=float),
-                            r_max=5.0, tol=1e-6, grid_n=2001)
-    d = report.to_dict()
-    assert d["isolated_roots"] == ["0.0"]
-    assert d["grid_n"] == 2001
+    K = ClosedSetSpec(points=(0.0,))
+    report, _ = solve_spectrum(target_phi_from_set(K, 2.0), K, r_max=5.0,
+                               grid_n=2001)
+    assert report.to_dict() == {"isolated_roots": ["0.0"], "flat_intervals": [],
+                                "clipped": [], "grid_n": 2001, "r_max": "5.0"}
 
 
 # ---------------------------------------------------------------------------
