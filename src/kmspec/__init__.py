@@ -10,9 +10,9 @@ from .errors import (ConstructionError, ConvergenceError, DomainError,
                      InvalidInputError, KmspecError, RealizationError,
                      UnsupportedGeneratorError, WindowError)
 from .expratio import PartitionedBlockSystem, WeightedMultiset, realize_block
-from .growth import (CocycleModel, DefectCertificate, MeasureNet,
-                     WordMetricGroup, ball_census, build_measure_net,
-                     classify_spectrum, limsup_ratio, omega_mu)
+from .growth import (CocycleModel, DefectCertificate, MeasureNet, ball_census,
+                     build_measure_net, classify_spectrum, limsup_ratio,
+                     omega_mu)
 from .padic import (Mat2, default_alphabet, freeness_suite, generator,
                     reduce_word, sl2_order, subgroup_closure_mod)
 from .realize import (FractionPair, RealizableCocycle, build_realizable,

@@ -29,16 +29,16 @@ def _require_finite(x, name):
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
-    """Explicit finite group: multiplication table, inverses and identity.
+    """Explicit finite group: multiplication table and inverses.
 
     Elements are the indices 0..order-1.  Tables are validated exhaustively on
-    construction, which is why the order is capped at MAX_TABLE_ORDER.
+    construction, which is why the order is capped at MAX_TABLE_ORDER; the
+    identity is the element the validation finds two-sided neutral.
     """
 
     order: int
     mul: Tuple[Tuple[int, ...], ...]
     inv: Tuple[int, ...]
-    identity: int
 
     def __post_init__(self):
         n = self.order
@@ -46,10 +46,12 @@ class FiniteGroupTable:
             raise InvalidInputError(f"group order {n} outside 1..{MAX_TABLE_ORDER}")
         if len(self.mul) != n or any(len(row) != n for row in self.mul):
             raise InvalidInputError("multiplication table has wrong shape")
-        e = self.identity
+        e = next((e for e in range(n)
+                  if all(self.mul[e][x] == x == self.mul[x][e] for x in range(n))),
+                 None)
+        if e is None:
+            raise InvalidInputError("no element is two-sided neutral")
         for x in range(n):
-            if self.mul[e][x] != x or self.mul[x][e] != x:
-                raise InvalidInputError("identity is not two-sided neutral")
             ix = self.inv[x]
             if self.mul[ix][x] != e or self.mul[x][ix] != e:
                 raise InvalidInputError(f"inv({x}) is not a two-sided inverse")
@@ -63,7 +65,7 @@ class FiniteGroupTable:
     def cyclic(cls, n: int) -> "FiniteGroupTable":
         mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         inv = tuple((-i) % n for i in range(n))
-        return cls(order=n, mul=mul, inv=inv, identity=0)
+        return cls(order=n, mul=mul, inv=inv)
 
 
 @dataclass(frozen=True)

@@ -54,19 +54,20 @@ def _positive(v) -> bool:
 
 # every value a runner passes through int() or float(): integers must parse
 # and floats be finite; a grid needs two points, a free product k >= 2, a
-# build one stage, a growth model one state, a limsup one sphere and a padic
-# run one level; the freeness search takes words of length 1..10; a range
-# and every s must be positive and the wreath base t above 1
+# build one stage, a growth model one state, a limsup and a measure net one
+# sphere and a padic run one level; the freeness search takes words of
+# length 1..10; a range and every s must be positive and the wreath base t
+# above 1
 _INTEGER = (_integer, "an integer")
 _FINITE = (_finite, "a finite number")
 _NUMERIC_KEYS = {
     **dict.fromkeys(("grid_n", "k"), (lambda v: int(v) >= 2, "an integer >= 2")),
-    **dict.fromkeys(("stages", "n_states", "horizon", "N"),
+    **dict.fromkeys(("stages", "n_states", "horizon", "radius", "N"),
                     (lambda v: int(v) >= 1, "an integer >= 1")),
     "max_len": (lambda v: 1 <= int(v) <= 10, "an integer in 1..10"),
     "range": (_positive, "finite and positive"),
     "t": (lambda v: 1.0 < float(v) < math.inf, "finite and above 1"),
-    **dict.fromkeys(("lambda0_order", "p", "step", "radius", "x0"), _INTEGER),
+    **dict.fromkeys(("lambda0_order", "p", "step", "x0"), _INTEGER),
     **dict.fromkeys(("c", "beta"), _FINITE),
     "s_list": (lambda v: isinstance(v, list) and v != [] and all(map(_positive, v)),
                "a non-empty list of finite positive numbers"),
@@ -223,7 +224,7 @@ def run_growth(config: dict):
     worst = model.check_cocycle_identity(n_samples=1000)
     certificates.append(_cert("cocycle-identity", worst <= 1e-10, worst, 1e-10))
 
-    census = ball_census(model.group, min(horizon, 12))
+    census = ball_census(min(horizon, 12))
     artifacts["census.csv"] = _csv(("k", "sphere_size"), range(len(census)),
                                    census)
 

@@ -8,66 +8,45 @@ limsup style quantities are ball-truncated and reported together with their
 horizon, never as verdicts about the true limits.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, EnumerationError,
-                     InvalidInputError)
+from .errors import ConvergenceError, DomainError, InvalidInputError
 
-ENUMERATION_CAP = 10 ** 7
+_GENERATORS = (1, -1)   # the symmetric generating set of Z
 
 
-class WordMetricGroup:
-    """Finitely generated group with sphere enumeration.
+def _spheres(n_max: int) -> List[set]:
+    """Z's spheres {0}, {1, -1}, ..., {n_max, -n_max} for the generators +-1.
 
-    Elements are hashable; gens is the symmetric generating set.  The cocycle
-    models build Z with generators +1 and -1.
+    Sums over the net run over the elements in the iteration order of these
+    sets, which fixes the order, and so the rounding, of each state's mass.
     """
-
-    def __init__(self, identity, gens: Sequence, mul: Callable):
-        self.identity = identity
-        self.gens = tuple(gens)
-        self.mul = mul
-
-    def spheres(self, n_max: int) -> List[set]:
-        """Exact spheres G_0 .. G_{n_max} by breadth-first expansion."""
-        seen = {self.identity: 0}
-        spheres = [{self.identity}]
-        frontier = [self.identity]
-        for k in range(1, n_max + 1):
-            nxt = []
-            for g in frontier:
-                for s in self.gens:
-                    h = self.mul(g, s)
-                    if h not in seen:
-                        seen[h] = k
-                        nxt.append(h)
-                        if len(seen) > ENUMERATION_CAP:
-                            raise EnumerationError(
-                                f"ball enumeration exceeded {ENUMERATION_CAP}")
-            spheres.append(set(nxt))
-            frontier = nxt
-        return spheres
+    return [{0}] + [{k, -k} for k in range(1, n_max + 1)]
 
 
-def ball_census(group: WordMetricGroup, n_max: int) -> Tuple[int, ...]:
-    """Exact sphere counts |G_0| .. |G_n_max|."""
-    return tuple(len(s) for s in group.spheres(n_max))
+def _elements(spheres: List[set]) -> np.ndarray:
+    return np.array([g for sphere in spheres for g in sphere])
+
+
+def ball_census(n_max: int) -> Tuple[int, ...]:
+    """Exact sphere counts |G_0| .. |G_n_max| of Z."""
+    return tuple(len(s) for s in _spheres(n_max))
 
 
 class CocycleModel:
-    """Group action on a finite grid with a cocycle Omega(g, x).
+    """Z acting on a finite grid with a cocycle Omega(g, x).
 
-    Presets on Z acting by rotation on Z/m: a coboundary H(g x) - H(x), a
-    homomorphism c * g, and their sum.
+    Presets act by rotation on Z/m: a coboundary H(g x) - H(x), a
+    homomorphism c * g, and their sum.  act and omega take g as an integer
+    array and x as an array of its shape or a scalar, and act elementwise.
     """
 
-    def __init__(self, group: WordMetricGroup, n_states: int,
-                 act: Callable, omega: Callable):
-        self.group = group
+    def __init__(self, n_states: int, act: Callable, omega: Callable):
         self.n_states = n_states
         self.act = act
         self.omega = omega
@@ -75,15 +54,13 @@ class CocycleModel:
     @classmethod
     def from_preset(cls, name: str, n_states: int = 64, step: int = 7,
                     c: float = 1.0) -> "CocycleModel":
-        group = WordMetricGroup(0, (1, -1), lambda a, b: a + b)
-
         def act(g, x):
             return (x + g * step) % n_states
 
         h = np.sin(2.0 * math.pi * np.arange(n_states) / n_states)
 
         def coboundary(g, x):
-            return float(h[act(g, x)] - h[x])
+            return h[act(g, x)] - h[x]
 
         if name == "coboundary":
             omega = coboundary
@@ -95,19 +72,17 @@ class CocycleModel:
                 return coboundary(g, x) + c * g
         else:
             raise InvalidInputError(f"unknown cocycle preset {name!r}")
-        return cls(group=group, n_states=n_states, act=act, omega=omega)
+        return cls(n_states=n_states, act=act, omega=omega)
 
     def check_cocycle_identity(self, n_samples: int = 100) -> float:
+        # the bounds broadcast over the columns, so the generator draws g, h
+        # and x of each sample in turn, as three scalar draws per sample do
         rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(n_samples):
-            g = int(rng.integers(-20, 21))
-            h = int(rng.integers(-20, 21))
-            x = int(rng.integers(0, self.n_states))
-            lhs = self.omega(g, self.act(h, x)) + self.omega(h, x)
-            rhs = self.omega(self.group.mul(g, h), x)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
+        g, h, x = rng.integers([-20, -20, 0], [21, 21, self.n_states],
+                               size=(n_samples, 3)).T
+        lhs = self.omega(g, self.act(h, x)) + self.omega(h, x)
+        rhs = self.omega(g + h, x)
+        return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -122,16 +97,11 @@ class LimsupEstimate:
 def limsup_ratio(model: CocycleModel, x: int, beta: float,
                  horizon: int) -> LimsupEstimate:
     """Ball-truncated over-approximation of limsup beta Omega(g,x)/|g|."""
-    spheres = model.group.spheres(horizon)
-    sphere_sups = []
-    for k in range(1, horizon + 1):
-        vals = [beta * model.omega(g, x) / k for g in spheres[k]]
-        sphere_sups.append(max(vals))
-    tails = []
-    running = -math.inf
-    for sup in reversed(sphere_sups):
-        running = max(running, sup)
-        tails.append(running)
+    g = _elements(_spheres(horizon)[1:]).reshape(horizon, 2)
+    vals = beta * model.omega(g, x) / np.arange(1, horizon + 1)[:, None]
+    # max(vals) of each sphere: its first element unless the second is larger
+    sphere_sups = np.where(vals[:, 1] > vals[:, 0], vals[:, 1], vals[:, 0])
+    tails = list(itertools.accumulate(reversed(sphere_sups.tolist()), max))
     tails.reverse()
     return LimsupEstimate(tails=tuple(tails))
 
@@ -176,49 +146,45 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
     """
     if s <= 0.0:
         raise InvalidInputError("s must be positive")
-    spheres = model.group.spheres(radius)
-    weights: Dict[object, float] = {}
-    for k, sphere in enumerate(spheres):
-        for g in sphere:
-            weights[g] = math.exp(beta * model.omega(g, x) - k * s)
-    total = math.fsum(weights.values())
-    last_sphere = math.fsum(weights[g] for g in spheres[radius])
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
+    g = _elements(_spheres(radius))
+    weights = np.array([math.exp(v) for v in
+                        (beta * model.omega(g, x) - np.abs(g) * s).tolist()])
+    total = math.fsum(weights.tolist())
+    last_sphere = math.fsum(weights[np.abs(g) == radius].tolist())
     if last_sphere > 1e-2 * total:
         raise ConvergenceError(f"ball sum has not settled: the outermost "
                                f"sphere still carries {last_sphere / total:.2e} "
                                "of the mass; increase the radius or s")
 
-    state_mass: Dict[int, float] = {}
-    for g, w in weights.items():
-        y = model.act(g, x)
-        state_mass[y] = state_mass.get(y, 0.0) + w
-    atoms = tuple(sorted((y, m / total) for y, m in state_mass.items()))
-    net = MeasureNet(atoms=atoms)
+    # the mass of each state is summed in element order
+    y = model.act(g, x)
+    state_mass = np.bincount(y, weights=weights)
+    reached = np.unique(y)
+    net = MeasureNet(atoms=tuple(zip(reached.tolist(),
+                                     (state_mass[reached] / total).tolist())))
 
-    idx = np.arange(model.n_states)
+    states = np.arange(model.n_states)
     test_functions = [np.ones(model.n_states),
-                      np.cos(2.0 * math.pi * idx / model.n_states),
-                      (idx % 3 == 0).astype(float)]
+                      np.cos(2.0 * math.pi * states / model.n_states),
+                      (states % 3 == 0).astype(float)]
+    rhs = [math.fsum((f[y] * weights / total).tolist()) for f in test_functions]
 
+    # the shell |g| > radius - |h| is the outermost sphere
+    shell_mass = last_sphere / total
     certificates = []
-    for h in model.group.gens:
+    for h in _GENERATORS:
         len_h = 1
-        shell_mass = math.fsum(
-            weights[g] for k in range(radius - len_h + 1, radius + 1)
-            for g in spheres[k]) / total
-        for f in test_functions:
+        omega_h = beta * model.omega(np.full(model.n_states, h), states)
+        omega_sup = float(np.max(np.abs(omega_h)))
+        e = np.array([math.exp(v) for v in omega_h.tolist()])[y]
+        hy = model.act(h, y)
+        for f, rhs_f in zip(test_functions, rhs):
             f_sup = float(np.max(np.abs(f)))
-            lhs = math.fsum(
-                f[model.act(h, model.act(g, x))]
-                * math.exp(beta * model.omega(h, model.act(g, x)))
-                * w / total
-                for g, w in weights.items())
-            rhs = math.fsum(f[model.act(g, x)] * w / total
-                            for g, w in weights.items())
-            measured = abs(lhs - rhs)
+            lhs = math.fsum((f[hy] * e * weights / total).tolist())
+            measured = abs(lhs - rhs_f)
             bound = f_sup * abs(math.exp(len_h * s) - 1.0)
-            omega_sup = max(abs(beta * model.omega(h, y))
-                            for y in range(model.n_states))
             slack = f_sup * (1.0 + math.exp(omega_sup)) * shell_mass
             certificates.append(DefectCertificate(generator=h,
                                                   measured_defect=measured,
@@ -252,15 +218,16 @@ def omega_mu(model: CocycleModel, measure: np.ndarray) -> Dict[object, float]:
     mu = np.asarray(measure, dtype=float)
     if mu.shape != (model.n_states,) or abs(mu.sum() - 1.0) > 1e-10:
         raise InvalidInputError("measure must be a probability vector on the states")
-    for h in model.group.gens:
+    states = np.arange(model.n_states)
+    table = {}
+    for h in _GENERATORS:
+        g = np.full(model.n_states, h)
         pushed = np.zeros_like(mu)
-        for xx in range(model.n_states):
-            pushed[model.act(h, xx)] += mu[xx]
+        np.add.at(pushed, model.act(g, states), mu)
         if float(np.max(np.abs(pushed - mu))) > 1e-10:
             raise DomainError(f"measure is not invariant under generator {h!r}")
-    return {h: float(math.fsum(model.omega(h, xx) * mu[xx]
-                               for xx in range(model.n_states)))
-            for h in model.group.gens}
+        table[h] = math.fsum((model.omega(g, states) * mu).tolist())
+    return table
 
 
 def uniquely_ergodic_classifier(model: CocycleModel, measure: np.ndarray) -> str:

@@ -1,9 +1,11 @@
 """Exact integer matrix certificates: freeness of the generator family and
 density of the generated subgroup in finite quotients SL(2, Z/p^N Z).
 
-All arithmetic on 2x2 matrices uses arbitrary-precision integers; a single
-false identity caused by overflow would be a false freeness violation, so no
-modular shortcuts are taken in the freeness checks.
+A single false identity caused by overflow would be a false freeness
+violation, and a wrapped entry could hide a true one, so the freeness search
+takes no modular shortcut: it multiplies in int64 only when a bound proves
+that no entry or partial sum can reach 2^63, and in Python integers
+otherwise.  The closures work mod p^N by design, in int64.
 """
 
 import math
@@ -100,7 +102,12 @@ Letter = Tuple[str, int]   # (key, exponent +-1); key is "g1", "g2" or "h:n"
 def letter_matrix(letter: Letter) -> Mat2:
     key, exp = letter
     if key.startswith("h:"):
-        m = generator("h", int(key[2:]))
+        try:
+            n = int(key[2:])
+        except ValueError:
+            raise InvalidInputError(f"letter {key!r} needs an integer index "
+                                    "after 'h:'") from None
+        m = generator("h", n)
     else:
         m = generator(key)
     return m if exp == 1 else m.inv()
@@ -176,6 +183,58 @@ class FreenessCertificate:
         }
 
 
+def _prefix_matrices(half: int, alphabet: Tuple[str, ...]) -> np.ndarray:
+    """The matrices of the empty word and of every nonempty reduced word up to
+    length half, as an (n, 2, 2) array built level by level: each letter
+    multiplies, in one array product, the words of the level before that do
+    not end in its inverse.
+
+    The max row sum of |entries| is submultiplicative, so with R the largest
+    over the letters, every entry of a product of L <= half letters, and every
+    partial sum of a 2x2 product on the way, is at most R^half in absolute
+    value.  The arrays are int64 when R^half < 2^63, which holds for the
+    default alphabet up to max_len 10 (3943^5 < 10^18), and exact Python
+    integers otherwise.
+    """
+    # letters 2i and 2i + 1 are a key and its inverse, so j ^ 1 inverts j
+    letters = [letter_matrix((key, exp)).entries()
+               for key in alphabet for exp in (1, -1)]
+    row_sum = max(max(abs(a) + abs(b), abs(c) + abs(d)) for a, b, c, d in letters)
+    dtype = np.int64 if row_sum ** half < 2 ** 63 else object
+    gens = np.array(letters, dtype=dtype).reshape(-1, 2, 2)
+    level = np.array([[[1, 0], [0, 1]]], dtype=dtype)
+    last = np.array([-1])
+    levels = [level]
+    for _ in range(half):
+        parts = [level[last != j ^ 1] @ g for j, g in enumerate(gens)]
+        last = np.repeat(np.arange(len(gens)), [len(m) for m in parts])
+        level = np.concatenate(parts)
+        levels.append(level)
+    return np.concatenate(levels)
+
+
+def _has_repeat(matrices: np.ndarray) -> bool:
+    rows = matrices.reshape(len(matrices), 4)
+    rows = rows[np.lexsort(rows.T)]
+    return bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
+
+
+def _first_relation(half: int, alphabet: Tuple[str, ...]) -> Tuple[Letter, ...]:
+    """The relation met first in the depth-first order of
+    enumerate_reduced_words: the word whose matrix repeats an earlier one's,
+    times the inverse of that earlier word."""
+    identity = MAT2_IDENTITY.entries()
+    seen = {identity}
+    for word, key in enumerate_reduced_words(half, alphabet):
+        if key in seen:
+            # only keys are kept; the earlier word is found again
+            other = () if key == identity else next(
+                w for w, m in enumerate_reduced_words(half, alphabet) if m == key)
+            return reduce_word(word + tuple((k, -e) for k, e in reversed(other)))
+        seen.add(key)
+    raise AssertionError("the array search found a repeat the word search did not")
+
+
 def freeness_suite(max_len: int,
                    alphabet: Sequence[str] = None) -> FreenessCertificate:
     """Certify that no nonempty reduced word up to max_len is the identity.
@@ -184,31 +243,26 @@ def freeness_suite(max_len: int,
     its two halves u, v satisfy u = v^{-1} as matrices with u, v^{-1} distinct
     reduced words of length <= m.  Injectivity of evaluation on all reduced
     words of half length therefore certifies the full length range while only
-    evaluating the half-length prefix set.
+    evaluating the half-length prefix set.  One sort of their matrices, with
+    the identity's, finds a repeat; only then are the words enumerated again,
+    depth first, to name the relation.
     """
     if max_len < 1 or max_len > 10:
         raise InvalidInputError("max_len must be in 1..10")
     if alphabet is None:
         alphabet = default_alphabet()
     alphabet = tuple(alphabet)
+    if not alphabet or len(set(alphabet)) < len(alphabet):
+        raise InvalidInputError("the alphabet must hold at least one letter, "
+                                f"each once, got {alphabet!r}")
     half = (max_len + 1) // 2
-    identity = MAT2_IDENTITY.entries()
-    seen = {identity}
-    evaluated = 0
-    for word, key in enumerate_reduced_words(half, alphabet):
-        evaluated += 1
-        if key in seen:
-            # only keys are kept; the earlier word is found again on a
-            # collision, which ends the search
-            other = () if key == identity else next(
-                w for w, m in enumerate_reduced_words(half, alphabet) if m == key)
-            culprit = reduce_word(word + tuple((k, -e) for k, e in reversed(other)))
-            raise FreenessViolationError(
-                f"reduced word {culprit} evaluates to the identity")
-        seen.add(key)
+    matrices = _prefix_matrices(half, alphabet)
+    if _has_repeat(matrices):
+        raise FreenessViolationError(f"reduced word {_first_relation(half, alphabet)} "
+                                     "evaluates to the identity")
     return FreenessCertificate(max_len=max_len, alphabet=alphabet,
                                prefix_len=half,
-                               prefix_words_evaluated=evaluated,
+                               prefix_words_evaluated=len(matrices) - 1,
                                words_certified=_word_count(max_len, len(alphabet)),
                                identity_found=False)
 

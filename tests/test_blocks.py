@@ -27,10 +27,13 @@ def test_cyclic_table_valid():
 def test_bad_tables_rejected():
     g = FiniteGroupTable.cyclic(3)
     with pytest.raises(InvalidInputError):
-        FiniteGroupTable(order=3, mul=g.mul, inv=(0, 1, 2), identity=0)
+        FiniteGroupTable(order=3, mul=g.mul, inv=(0, 1, 2))
     # non-associative magma on 2 elements
     with pytest.raises(InvalidInputError):
-        FiniteGroupTable(order=2, mul=((0, 1), (1, 1)), inv=(0, 1), identity=0)
+        FiniteGroupTable(order=2, mul=((0, 1), (1, 1)), inv=(0, 1))
+    # no element is neutral
+    with pytest.raises(InvalidInputError):
+        FiniteGroupTable(order=2, mul=((0, 0), (0, 0)), inv=(0, 0))
 
 
 def test_probvector_guards():

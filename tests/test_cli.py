@@ -207,11 +207,13 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     ("growth", dict(GROWTH_CFG, horizon=16, x0=64), "x0"),
     ("growth", dict(GROWTH_CFG, horizon=16, x0=-65), "x0"),
     ("growth", dict(GROWTH_CFG, horizon=16, n_states=8, x0=8), "x0"),
+    ("growth", dict(GROWTH_CFG, horizon=16, radius=0), "radius"),
+    ("growth", dict(GROWTH_CFG, horizon=16, radius=-5), "radius"),
 ], ids=["p-text", "max-len-fraction", "level-zero", "max-len-eleven",
         "horizon-text", "beta-nan", "s-inf",
         "s-not-list", "s-empty", "s-zero", "s-negative", "states-zero",
         "states-negative", "horizon-zero", "horizon-negative", "x0-past-states",
-        "x0-negative", "x0-past-set-states"])
+        "x0-negative", "x0-past-set-states", "radius-zero", "radius-negative"])
 def test_bad_numbers_are_config_errors_in_every_mode(tmp_path, capsys,
                                                      command, cfg, key):
     path = write_cfg(tmp_path, cfg)

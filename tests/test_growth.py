@@ -4,15 +4,136 @@ import numpy as np
 import pytest
 
 from kmspec.errors import ConvergenceError, DomainError
-from kmspec.growth import (CocycleModel, ball_census,
-                           build_measure_net, classify_spectrum, limsup_ratio,
-                           omega_mu, uniquely_ergodic_classifier,
+from kmspec.growth import (CocycleModel, DefectCertificate, MeasureNet,
+                           ball_census, build_measure_net, classify_spectrum,
+                           limsup_ratio, omega_mu, uniquely_ergodic_classifier,
                            SPECTRUM_CLASSES)
 
 
 def test_ball_census_z():
-    census = ball_census(CocycleModel.from_preset("coboundary").group, 12)
+    census = ball_census(12)
     assert census == (1,) + (2,) * 12
+
+
+# The per-element reference: Z's spheres by breadth-first search, the
+# presets as scalar closures, and the limsup, measure net and cocycle check
+# as loops over the elements, one act/omega call each.
+
+GENS = (1, -1)
+
+
+def reference_spheres(n_max):
+    seen = {0}
+    spheres = [{0}]
+    frontier = [0]
+    for _ in range(n_max):
+        nxt = []
+        for g in frontier:
+            for s in GENS:
+                if g + s not in seen:
+                    seen.add(g + s)
+                    nxt.append(g + s)
+        spheres.append(set(nxt))
+        frontier = nxt
+    return spheres
+
+
+def reference_preset(name, n_states=64, step=7, c=1.0):
+    """(act, omega) of a preset, on Python scalars."""
+    def act(g, x):
+        return (x + g * step) % n_states
+
+    h = np.sin(2.0 * math.pi * np.arange(n_states) / n_states)
+
+    def coboundary(g, x):
+        return float(h[act(g, x)] - h[x])
+
+    omega = {"coboundary": coboundary,
+             "homomorphism": lambda g, x: c * g,
+             "mixed": lambda g, x: coboundary(g, x) + c * g}[name]
+    return act, omega
+
+
+def reference_cocycle_identity(act, omega, n_states, n_samples):
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(n_samples):
+        g = int(rng.integers(-20, 21))
+        h = int(rng.integers(-20, 21))
+        x = int(rng.integers(0, n_states))
+        lhs = omega(g, act(h, x)) + omega(h, x)
+        worst = max(worst, abs(lhs - omega(g + h, x)))
+    return worst
+
+
+def reference_limsup_tails(omega, x, beta, horizon):
+    spheres = reference_spheres(horizon)
+    sphere_sups = [max(beta * omega(g, x) / k for g in spheres[k])
+                   for k in range(1, horizon + 1)]
+    tails = []
+    running = -math.inf
+    for sup in reversed(sphere_sups):
+        running = max(running, sup)
+        tails.append(running)
+    return tuple(reversed(tails))
+
+
+def reference_measure_net(act, omega, n_states, x, beta, s, radius):
+    spheres = reference_spheres(radius)
+    weights = {}
+    for k, sphere in enumerate(spheres):
+        for g in sphere:
+            weights[g] = math.exp(beta * omega(g, x) - k * s)
+    total = math.fsum(weights.values())
+    state_mass = {}
+    for g, w in weights.items():
+        y = act(g, x)
+        state_mass[y] = state_mass.get(y, 0.0) + w
+    net = MeasureNet(atoms=tuple(sorted((y, m / total)
+                                        for y, m in state_mass.items())))
+    idx = np.arange(n_states)
+    test_functions = [np.ones(n_states), np.cos(2.0 * math.pi * idx / n_states),
+                      (idx % 3 == 0).astype(float)]
+    shell_mass = math.fsum(weights[g] for g in spheres[radius]) / total
+    certificates = []
+    for h in GENS:
+        for f in test_functions:
+            f_sup = float(np.max(np.abs(f)))
+            lhs = math.fsum(f[act(h, act(g, x))]
+                            * math.exp(beta * omega(h, act(g, x))) * w / total
+                            for g, w in weights.items())
+            rhs = math.fsum(f[act(g, x)] * w / total for g, w in weights.items())
+            omega_sup = max(abs(beta * omega(h, y)) for y in range(n_states))
+            certificates.append(DefectCertificate(
+                generator=h, measured_defect=abs(lhs - rhs),
+                analytic_bound=f_sup * abs(math.exp(s) - 1.0),
+                truncation_slack=f_sup * (1.0 + math.exp(omega_sup)) * shell_mass))
+    return net, certificates
+
+
+@pytest.mark.parametrize("preset", ["coboundary", "homomorphism", "mixed"])
+@pytest.mark.parametrize("model,beta,s,radius", [
+    ({"c": 0.4}, 1.0, 0.5, 60),
+    ({"c": 0.3}, -1.0, 0.35, 400),
+    ({"c": 0.0}, 0.7, 2.0, 9),
+    ({"n_states": 7, "step": 3, "c": -0.2}, 1.0, 1.5, 40),
+], ids=["c0.4", "c0.3", "c0", "seven-states"])
+def test_growth_matches_the_per_element_reference(preset, model, beta, s,
+                                                  radius):
+    cocycle = CocycleModel.from_preset(preset, **model)
+    act, omega = reference_preset(preset, **model)
+    n = cocycle.n_states
+    assert ball_census(radius) == tuple(map(len, reference_spheres(radius)))
+    assert (cocycle.check_cocycle_identity(n_samples=1000)
+            == reference_cocycle_identity(act, omega, n, 1000))
+    for sign in (1.0, -1.0):
+        assert (limsup_ratio(cocycle, 3, sign * beta, 2 * n).tails
+                == reference_limsup_tails(omega, 3, sign * beta, 2 * n))
+    net, certificates = build_measure_net(cocycle, 3, beta, s, radius)
+    ref_net, ref_certificates = reference_measure_net(act, omega, n, 3, beta,
+                                                      s, radius)
+    assert net == ref_net
+    assert certificates == ref_certificates
 
 
 @pytest.mark.parametrize("preset", ["coboundary", "homomorphism", "mixed"])

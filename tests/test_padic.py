@@ -1,14 +1,15 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmspec.errors import FreenessViolationError, InvalidInputError
-from kmspec.padic import (MAT2_IDENTITY, Mat2, default_alphabet,
-                          enumerate_reduced_words, freeness_suite, generator,
-                          letter_matrix, reduce_word, sl2_order,
-                          subgroup_closure_mod)
+from kmspec.padic import (MAT2_IDENTITY, Mat2, _prefix_matrices,
+                          default_alphabet, enumerate_reduced_words,
+                          freeness_suite, generator, letter_matrix,
+                          reduce_word, sl2_order, subgroup_closure_mod)
 
 
 def eval_word(word):
@@ -18,6 +19,10 @@ def eval_word(word):
     for letter in word:
         out = out * letter_matrix(letter)
     return out
+
+
+def _search_rows(half, alphabet):
+    return sorted(map(tuple, _prefix_matrices(half, alphabet).reshape(-1, 4).tolist()))
 
 
 def test_generator_matrices():
@@ -59,17 +64,21 @@ def test_enumerate_reduced_words_count():
 
 def test_prefix_matrices_match_eval_word():
     # each word's matrix is built from its parent's; eval_word rebuilds it
-    # from the identity, letter by letter, as Mat2 products
-    count = 0
+    # from the identity, letter by letter, as Mat2 products.  The freeness
+    # search's int64 arrays hold the same matrices, with the identity's
+    expected = [MAT2_IDENTITY.entries()]
     for word, entries in enumerate_reduced_words(4, default_alphabet()):
         assert entries == eval_word(word).entries(), word
-        count += 1
-    assert count == 14 + 14 * 13 + 14 * 13 ** 2 + 14 * 13 ** 3
+        expected.append(entries)
+    assert len(expected) == 1 + 14 + 14 * 13 + 14 * 13 ** 2 + 14 * 13 ** 3
+    assert _search_rows(4, default_alphabet()) == sorted(expected)
 
 
 def test_freeness_small():
     cert = freeness_suite(4, ("g1", "g2"))
     assert not cert.identity_found
+    # past the int64 bound the search runs on Python integers
+    assert not freeness_suite(8, ("g1", "h:12")).identity_found
 
 
 def test_freeness_detects_relations():
@@ -94,6 +103,39 @@ def test_freeness_at_the_largest_length():
 def test_freeness_guard():
     with pytest.raises(InvalidInputError):
         freeness_suite(11)
+
+
+@pytest.mark.parametrize("alphabet", [("g1", "g1"), ("h:x",), (), ("g1", "c")],
+                         ids=["repeated", "h-index-text", "empty", "unknown"])
+def test_freeness_rejects_a_malformed_alphabet(alphabet):
+    # the search pairs each letter with its inverse by position, so the
+    # letters must be distinct and parse
+    with pytest.raises(InvalidInputError):
+        freeness_suite(4, alphabet)
+
+
+@pytest.mark.parametrize("half,alphabet", [
+    # the letters fit int64 (h:12 has row sum 8.06e18), their products do
+    # not: an int64 search wraps here
+    (4, ("g1", "h:12")),
+    (2, ("h:6",)),
+], ids=["g1-h12", "h6"])
+def test_search_matrices_are_exact_products(half, alphabet):
+    # the default alphabet is checked in test_prefix_matrices_match_eval_word
+    words = [word for word, _ in enumerate_reduced_words(half, alphabet)]
+    expected = sorted([MAT2_IDENTITY.entries()]
+                      + [eval_word(word).entries() for word in words])
+    assert _search_rows(half, alphabet) == expected
+
+
+def test_search_dtype_follows_the_row_sum_bound():
+    # int64 exactly when R^half < 2^63, R the largest row sum of |entries|:
+    # 3943 for the default alphabet (h:2), 5,246,952,481 for h:6, whose
+    # square is 2.98 x 2^63
+    assert 3943 ** 5 < 2 ** 63 <= 5246952481 ** 2 < 3 * 2 ** 63
+    assert _prefix_matrices(5, default_alphabet()).dtype == np.int64
+    assert _prefix_matrices(1, ("h:6",)).dtype == np.int64
+    assert _prefix_matrices(2, ("h:6",)).dtype == object
 
 
 def test_mod_reduction_is_homomorphism():
