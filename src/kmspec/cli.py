@@ -24,8 +24,7 @@ from .growth import (CocycleModel, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu,
                      uniquely_ergodic_classifier)
 from .padic import default_alphabet, freeness_suite, generator, subgroup_closure_mod
-from .realize import (IDENTITY_TOL, PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK,
-                      build_realizable, eval_phi, fraction_pair)
+from .realize import build_realizable, eval_phi, fraction_pair
 from .sets import ClosedSetSpec
 from .spectra import (solve_free_product_spectrum, solve_spectrum,
                       target_phi_from_set)
@@ -73,6 +72,11 @@ _NUMERIC_KEYS = {
                "a non-empty list of finite positive numbers"),
 }
 N_STATES = 64    # growth state count when the config sets none
+# the producers measure and the manifest judges: a fraction pair passes with
+# |phi_i(0) - 1| <= PHI_AT_ZERO_TOL, with |Q_i| <= Q_BOUND (+ Q_SLACK) wherever
+# |beta| >= delta on its grid, where the clamp is linear, and with
+# prefactor_i (1 + P Q_i) = target_i to IDENTITY_TOL relative off 0
+PHI_AT_ZERO_TOL, Q_BOUND, Q_SLACK, IDENTITY_TOL = 1e-12, 0.5, 1e-12, 1e-12
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -157,18 +161,10 @@ def run_build_spectrum(config: dict):
 
         cocycle = build_realizable(zeta, a=t, stages=stages,
                                    r_max=max(r_max, 20.0), grid_n=grid_n)
-        residual = cocycle.identity_residual(betas)
-        # each block keeps the part sums of its latest grid: evaluate psi on
-        # this grid before the scalar check at 0 replaces them
         psi_vals = np.asarray(eval_phi(cocycle, betas), dtype=float)
-        certificates.append(_cert("block-identity-residual",
-                                  residual <= 1e-10, residual, 1e-10))
         certificates.append(_cert("staged-approximation-error",
                                   cocycle.certified_error <= cocycle.budget,
                                   cocycle.certified_error, cocycle.budget))
-        cphi0 = abs(eval_phi(cocycle, 0.0) - 1.0)
-        certificates.append(_cert("cocycle-phi-at-zero", cphi0 <= 1e-12,
-                                  cphi0, 1e-12))
         report, level = solve_spectrum(phi, K, r_max=r_max, grid_n=grid_n)
         phi_vals = np.asarray(phi(betas), dtype=float)
         artifacts["samples.csv"] = _csv(("beta", "phi"), betas.tolist(),

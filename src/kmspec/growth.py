@@ -20,16 +20,17 @@ from .errors import ConvergenceError, DomainError, InvalidInputError
 _GENERATORS = (1, -1)   # the symmetric generating set of Z
 
 
-def _spheres(n_max: int) -> List[set]:
-    """Z's spheres {0}, {1, -1}, ..., {n_max, -n_max} for the generators +-1.
+def _spheres(n_max: int) -> List[Tuple[int, ...]]:
+    """Z's spheres (0,), (1, -1), ..., (n_max, -n_max) for the generators +-1.
 
-    Sums over the net run over the elements in the iteration order of these
-    sets, which fixes the order, and so the rounding, of each state's mass.
+    Sums over the net run over the elements in the order listed here, k
+    before -k, which fixes the order, and so the rounding, of each state's
+    mass.
     """
-    return [{0}] + [{k, -k} for k in range(1, n_max + 1)]
+    return [(0,)] + [(k, -k) for k in range(1, n_max + 1)]
 
 
-def _elements(spheres: List[set]) -> np.ndarray:
+def _elements(spheres: List[Tuple[int, ...]]) -> np.ndarray:
     return np.array([g for sphere in spheres for g in sphere])
 
 

@@ -48,8 +48,7 @@ EVALUATORS = {
     "factor": lambda: _block_system().factor,
     "distance": lambda: ClosedSetSpec(intervals=((3.0, math.inf),)).distance,
 }
-for _name in ("bump", "q1", "q2", "zeta1", "zeta2", "prefactor1", "prefactor2",
-              "phi1", "phi2"):
+for _name in ("phi1", "phi2"):
     EVALUATORS[f"fraction_pair.{_name}"] = (
         lambda name=_name: getattr(_pair(), name))
 

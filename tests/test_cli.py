@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import kmspec.cli as kc
 from kmspec.cli import (_csv, canonical_json, config_hash, execute,
                         load_config, main)
-from kmspec.realize import fraction_pair
+from kmspec.growth import CocycleModel
 from kmspec.sets import ClosedSetSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -293,27 +294,115 @@ def test_a_stored_tol_is_ignored():
         n: old[n] for n in old if n != "manifest.json"}
 
 
-@pytest.mark.parametrize("name,tamper", [
-    ("q-nonzero-off-zero", lambda pair: {"q_min": 0.0}),
-    ("q-nonzero-off-zero", lambda pair: {"q_min": math.nan}),
-    ("fraction-identity-residual", lambda pair: {"identity_residual": 1e-9}),
-    ("level-at-reported-points",
-     lambda pair: {"phi1": lambda b: pair.phi1(b) + 1e-9}),
-], ids=["q-zero", "q-not-finite", "identity", "level"])
-def test_new_free_product_certificates_can_fail(tmp_path, capsys, monkeypatch,
-                                                name, tamper):
-    def tampered(*args, **kwargs):
-        pair = fraction_pair(*args, **kwargs)
-        return dataclasses.replace(pair, **tamper(pair))
+def _shifted(fn, by):
+    return lambda betas: fn(betas) + by
 
-    monkeypatch.setattr(kc, "fraction_pair", tampered)
+
+# one row per certificate name cli.py can emit, level-at-reported-points in
+# both spectrum modes: (id, config, owner and name of the producer, a tamper
+# of what the producer returns, the one certificate that must then fail)
+CERTIFICATE_FAILURES = [
+    ("staged", dict(WREATH_CFG, grid_n=501), kc, "build_realizable",
+     lambda cocycle: dataclasses.replace(
+         cocycle, certified_error=2.0 * cocycle.budget),
+     "staged-approximation-error"),
+    ("wreath-level", dict(WREATH_CFG, grid_n=501), kc, "target_phi_from_set",
+     lambda phi: _shifted(phi, 1e-9), "level-at-reported-points"),
+    ("phi1-at-zero", FREE_CFG, kc, "fraction_pair",
+     lambda pair: dataclasses.replace(pair, phi_at_zero=(1e-9, pair.phi_at_zero[1])),
+     "phi1-at-zero"),
+    ("phi2-at-zero", FREE_CFG, kc, "fraction_pair",
+     lambda pair: dataclasses.replace(pair, phi_at_zero=(pair.phi_at_zero[0], 1e-9)),
+     "phi2-at-zero"),
+    ("q-bounded", FREE_CFG, kc, "fraction_pair",
+     lambda pair: dataclasses.replace(pair, q_max=0.75), "q-bounded-off-delta"),
+    ("q-zero", FREE_CFG, kc, "fraction_pair",
+     lambda pair: dataclasses.replace(pair, q_min=0.0), "q-nonzero-off-zero"),
+    ("q-not-finite", FREE_CFG, kc, "fraction_pair",
+     lambda pair: dataclasses.replace(pair, q_min=math.nan), "q-nonzero-off-zero"),
+    ("identity", FREE_CFG, kc, "fraction_pair",
+     lambda pair: dataclasses.replace(pair, identity_residual=1e-9),
+     "fraction-identity-residual"),
+    ("level", FREE_CFG, kc, "fraction_pair",
+     lambda pair: dataclasses.replace(pair, phi1=_shifted(pair.phi1, 1e-9)),
+     "level-at-reported-points"),
+    ("cocycle-identity", GROWTH_CFG, CocycleModel, "check_cocycle_identity",
+     lambda worst: worst + 1e-9, "cocycle-identity"),
+    ("measure-net", GROWTH_CFG, kc, "build_measure_net",
+     lambda result: (result[0], [dataclasses.replace(
+         result[1][0], measured_defect=2.0 * result[1][0].bound + 1.0),
+         *result[1][1:]]),
+     "measure-net-defects"),
+    ("freeness", PADIC_CFG, kc, "freeness_suite",
+     lambda cert: dataclasses.replace(cert, identity_found=True), "freeness"),
+    ("closure", dict(PADIC_CFG, N=1), kc, "subgroup_closure_mod",
+     lambda closure: dict(closure, is_full=False), "closure-full-p3-N1"),
+]
+
+
+@pytest.mark.parametrize("cfg,owner,producer,tamper,name",
+                         [row[1:] for row in CERTIFICATE_FAILURES],
+                         ids=[row[0] for row in CERTIFICATE_FAILURES])
+def test_new_free_product_certificates_can_fail(tmp_path, capsys, monkeypatch,
+                                                cfg, owner, producer, tamper,
+                                                name):
+    """Every certificate is judged in the manifest: a run whose producer
+    returns a failing value writes its artifacts and a manifest that reads
+    passed: false, exits 1, and verify replays the failure."""
+    real = getattr(owner, producer)
+
+    def tampered(*args, **kwargs):
+        return tamper(real(*args, **kwargs))
+
+    monkeypatch.setattr(owner, producer, tampered)
+    command, = (c for c, modes in kc.COMMANDS.items() if cfg["mode"] in modes)
     out = tmp_path / "out"
-    assert main(["build-spectrum", "--config", write_cfg(tmp_path, FREE_CFG),
+    assert main([command, "--config", write_cfg(tmp_path, cfg),
                  "--out", str(out)]) == 1
     assert f"FAIL {name} " in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     failed = [c["name"] for c in manifest["certificates"] if not c["passed"]]
     assert failed == [name] and not manifest["passed"]
+    assert all((out / artifact).exists() for artifact in manifest["artifacts"])
+    assert main(["verify", "--config", str(out)]) == 1
+    assert capsys.readouterr().out == f"FAIL certificates: {name}\n"
+
+
+def _emitted_certificate_names():
+    """(names, prefixes) of the certificates cli.py writes: a literal first
+    argument of _cert, each name of a zip tuple of literals that feeds one,
+    and the literal head of an f-string name."""
+    names, prefixes, from_zip, zipped = set(), set(), 0, 0
+    for node in ast.walk(ast.parse(Path(kc.__file__).read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.args):
+            continue
+        arg = node.args[0]
+        if node.func.id == "zip" and isinstance(arg, ast.Tuple):
+            names.update(elt.value for elt in arg.elts)
+            zipped += 1
+        elif node.func.id == "_cert":
+            if isinstance(arg, ast.Constant):
+                names.add(arg.value)
+            elif isinstance(arg, ast.JoinedStr):
+                prefixes.add(arg.values[0].value)
+            else:
+                assert isinstance(arg, ast.Name), ast.dump(arg)
+                from_zip += 1
+    assert from_zip <= zipped
+    return names, prefixes
+
+
+def test_every_certificate_name_has_a_failing_case():
+    names, prefixes = _emitted_certificate_names()
+    covered = {row[-1] for row in CERTIFICATE_FAILURES}
+    assert names <= covered
+    assert all(any(n.startswith(prefix) for n in covered) for prefix in prefixes)
+    # and the table names no certificate cli.py cannot write
+    assert all(n in names or n.startswith(tuple(prefixes)) for n in covered)
+    modes = {row[1]["mode"] for row in CERTIFICATE_FAILURES
+             if row[-1] == "level-at-reported-points"}
+    assert modes == {"wreath", "free-product"}
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -12,12 +13,16 @@ from kmspec.padic import (MAT2_IDENTITY, Mat2, _prefix_matrices,
                           reduce_word, sl2_order, subgroup_closure_mod)
 
 
+# each letter's Mat2 is built once; a word is still multiplied out afresh
+_letter_matrix = functools.lru_cache(maxsize=None)(letter_matrix)
+
+
 def eval_word(word):
     """A word's matrix rebuilt from the identity, letter by letter, as Mat2
     products: the from-scratch reference for the search's matrices."""
     out = MAT2_IDENTITY
     for letter in word:
-        out = out * letter_matrix(letter)
+        out = out * _letter_matrix(letter)
     return out
 
 

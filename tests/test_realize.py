@@ -61,7 +61,7 @@ def test_build_realizable_two_stages():
     cocycle = build_realizable(zeta_from_interval(K), a=3.0, stages=2,
                                r_max=20.0, grid_n=4001)
     assert cocycle.certified_error <= 0.5
-    assert cocycle.identity_residual(GRID) <= 1e-10
+    assert max(s.identity_residual(GRID) for s in cocycle.stages) <= 1e-10
     phi = eval_phi(cocycle, GRID)
     target = 1.0 + mobius_eval(3.0, GRID) * zeta_from_interval(K)(GRID)
     assert float(np.max(np.abs(phi - target))) <= cocycle.certified_error + 1e-12
@@ -168,7 +168,7 @@ def test_build_realizable_never_builds_multiset_products(monkeypatch):
     cocycle = build_realizable(zeta_from_interval(K), a=3.0, stages=2,
                                r_max=20.0, grid_n=401)
     assert len(cocycle.stages) == 2
-    assert cocycle.identity_residual(GRID) <= 1e-10
+    assert max(s.identity_residual(GRID) for s in cocycle.stages) <= 1e-10
 
 
 @pytest.mark.parametrize("K,expected_abc", [
@@ -195,6 +195,9 @@ def test_fraction_pair_values():
     assert np.all(np.abs(np.asarray(pair.phi2(outside)) - 2.0) > 1e-13)
 
 
+EVALUATORS = ("phi1", "phi2")
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
@@ -211,7 +214,7 @@ def test_fraction_pair_memo_serves_what_a_fresh_pair_computes():
     grids = {"A": np.linspace(-10.0, 10.0, 2001), "B": np.linspace(-3.0, 3.0, 2001),
              "zero": np.array([0.0]), "minus zero": np.array([-0.0])}
     reference = {(name, g): _bits(getattr(fresh(), name)(grid))
-                 for name in kr._EVALUATORS for g, grid in grids.items()}
+                 for name in EVALUATORS for g, grid in grids.items()}
 
     def check(pair, name, g):
         assert _bits(getattr(pair, name)(grids[g])) == reference[name, g], (name, g)
@@ -220,7 +223,7 @@ def test_fraction_pair_memo_serves_what_a_fresh_pair_computes():
     for g in ("A", "B"):
         check(pair, "phi2", g)
         check(pair, "phi1", g)
-    for name in kr._EVALUATORS:
+    for name in EVALUATORS:
         for order in (("A", "B", "A"), ("zero", "minus zero", "zero")):
             pair = fresh()
             for g in order:
@@ -233,7 +236,7 @@ def test_fraction_pair_arrays_are_read_only():
     pair = fraction_pair(ClosedSetSpec(points=(-1.0, 2.0)), k=2,
                          Lambda0_order=4, r_max=10.0)
     betas = np.linspace(-5.0, 5.0, 11)
-    for name in kr._EVALUATORS:
+    for name in EVALUATORS:
         with pytest.raises(ValueError):
             getattr(pair, name)(betas)[0] = 1.0
     assert _bits(pair.phi1(betas)) == _bits(fraction_pair(
@@ -248,20 +251,21 @@ def test_fraction_pair_rejects_zero_in_K():
 
 
 def test_first_block_realizes_prefactor():
+    # prefactor_1 = (1 + 2(k-1) b^beta + a^beta + l c^beta)
+    #               / (k + k a^beta + l c^beta), and prefactor_2 = 1/prefactor_1
     K = ClosedSetSpec(points=(-1.0, 2.0))
-    pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
-    for which, prefactor in ((1, pair.prefactor1), (2, pair.prefactor2)):
-        block = pair.first_block(which)
+    for order in (4, 5, 7):
+        pair = fraction_pair(K, k=2, Lambda0_order=order, r_max=10.0)
+        k, l, a, b, c = pair.k, pair.l, pair.a, pair.b, pair.c
         for beta in (-3.0, -0.5, 0.0, 1.0, 2.5):
-            got = integrate_potential(block, beta)
-            assert abs(got - float(prefactor(beta))) < 1e-12 * abs(float(prefactor(beta)))
+            prefactor1 = ((1.0 + 2.0 * (k - 1) * b ** beta + a ** beta + l * c ** beta)
+                          / (k + k * a ** beta + l * c ** beta))
+            for which, prefactor in ((1, prefactor1), (2, 1.0 / prefactor1)):
+                got = integrate_potential(pair.first_block(which), beta)
+                assert abs(got - prefactor) < 1e-12 * prefactor, (order, which, beta)
 
 
 def test_q_bounded_off_delta():
     K = ClosedSetSpec(intervals=((1.0, 2.0),))
-    pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
-    betas = np.linspace(-10.0, 10.0, 4001)
-    outside = np.abs(betas) >= pair.delta
-    q1 = np.abs(np.asarray(pair.q1(betas))[outside])
-    q2 = np.abs(np.asarray(pair.q2(betas))[outside])
-    assert max(float(np.max(q1)), float(np.max(q2))) <= 0.5 + 1e-12
+    pair = fraction_pair(K, k=2, Lambda0_order=4, grid_n=4001, r_max=10.0)
+    assert 0.0 < pair.q_max <= 0.5 + 1e-12
