@@ -126,11 +126,31 @@ def _num(config, key, default) -> float:
     return float(config[key]) if key in config else default
 
 
+def _reprs(col) -> list:
+    """repr of each value of a column, as a Python float for a float64 array.
+
+    orjson writes the same shortest round-trip digits as repr in one pass
+    over the array, except where repr uses exponent form (|x| < 1e-4 off 0,
+    |x| >= 1e16) and for nan and inf, which it writes as null; those values
+    are overwritten by repr.  Both cut-offs are exact doubles."""
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+        return list(map(repr, col))
+    import orjson    # loads only where used: growth and padic never reach here
+    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
+    out = text[1:-1].decode().split(",") if col.size else []
+    magnitude = np.abs(col)
+    exp_form = np.flatnonzero(~(magnitude < 1e16) | ((magnitude < 1e-4) & (col != 0)))
+    for i, x in zip(exp_form.tolist(), col[exp_form].tolist()):
+        out[i] = repr(x)
+    return out
+
+
 def _csv(header: Tuple[str, ...], *columns) -> str:
-    """One CSV line per row of the columns, every value written by repr:
-    pass NumPy arrays as lists, since np.float64 has its own repr."""
+    """One CSV line per row of the columns, every value written as repr of a
+    Python value: a float64 array's entries as Python floats, since
+    np.float64 has its own repr."""
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*(list(map(repr, col)) for col in columns))))
+    lines.extend(map(",".join, zip(*map(_reprs, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -167,10 +187,9 @@ def run_build_spectrum(config: dict):
                                   cocycle.certified_error, cocycle.budget))
         report, level = solve_spectrum(phi, K, r_max=r_max, grid_n=grid_n)
         phi_vals = np.asarray(phi(betas), dtype=float)
-        artifacts["samples.csv"] = _csv(("beta", "phi"), betas.tolist(),
-                                        phi_vals.tolist())
-        artifacts["residuals.csv"] = _csv(("beta", "residual"), betas.tolist(),
-                                          np.abs(phi_vals - psi_vals).tolist())
+        artifacts["samples.csv"] = _csv(("beta", "phi"), betas, phi_vals)
+        artifacts["residuals.csv"] = _csv(("beta", "residual"), betas,
+                                          np.abs(phi_vals - psi_vals))
     else:
         k = int(config.get("k", 2))
         order = int(config.get("lambda0_order", 2 * k))
@@ -189,9 +208,8 @@ def run_build_spectrum(config: dict):
         certificates.append(_cert("fraction-identity-residual",
                                   pair.identity_residual <= IDENTITY_TOL,
                                   pair.identity_residual, IDENTITY_TOL))
-        artifacts["samples.csv"] = _csv(("beta", "phi1", "phi2"), betas.tolist(),
-                                        pair.phi1(betas).tolist(),
-                                        pair.phi2(betas).tolist())
+        artifacts["samples.csv"] = _csv(("beta", "phi1", "phi2"), betas,
+                                        pair.phi1(betas), pair.phi2(betas))
         report, level = solve_free_product_spectrum(pair, K, r_max=r_max,
                                                     grid_n=grid_n)
 

@@ -150,9 +150,13 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     g = _elements(_spheres(radius))
-    weights = np.array([math.exp(v) for v in
-                        (beta * model.omega(g, x) - np.abs(g) * s).tolist()])
-    total = math.fsum(weights.tolist())
+    try:
+        weights = np.array([math.exp(v) for v in
+                            (beta * model.omega(g, x) - np.abs(g) * s).tolist()])
+        total = math.fsum(weights.tolist())
+    except OverflowError:
+        raise ConvergenceError(f"the ball sum overflows at s = {s!r}, radius "
+                               f"{radius}; increase s") from None
     last_sphere = math.fsum(weights[np.abs(g) == radius].tolist())
     if last_sphere > 1e-2 * total:
         raise ConvergenceError(f"ball sum has not settled: the outermost "

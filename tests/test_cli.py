@@ -474,6 +474,18 @@ def test_wide_wreath_range_is_rejected_before_fitting(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_overflowing_measure_net_is_a_growth_error(tmp_path, capsys):
+    # (|beta c| - s) radius = 800 passes exp's range: the ball sum overflows
+    path = write_cfg(tmp_path, {"mode": "growth", "preset": "homomorphism",
+                                "c": "-2.5", "beta": "1", "n_states": 7,
+                                "step": 1, "radius": 400, "s_list": ["0.5"]})
+    out = tmp_path / "out"
+    assert main(["growth", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("growth error: ") and "increase s" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_verify_rejects_a_stored_non_numeric_value(tmp_path, capsys):
     path = write_cfg(tmp_path, FREE_CFG)
     out = tmp_path / "out"
@@ -509,6 +521,31 @@ def test_verify_rejects_a_stored_malformed_K(tmp_path, capsys, K):
                               "does not run") and "'K'" in printed
 
 
+def _hard_doubles():
+    """Doubles where a shortest-digits writer can part from repr: signed
+    zeros, subnormals, the extremes, nan and inf, the two ends of repr's
+    positional range with 50 neighbours on each side, powers of two with
+    their neighbours, random bit patterns and log-uniform values."""
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.5e-308, 2.225073858507201e-308,
+               np.finfo(float).tiny, np.finfo(float).max, -np.finfo(float).max,
+               math.nan, math.inf, -math.inf, 0.1 + 0.2, 1e-05, 1e+16, -1.0]
+    parts = [np.array(special)]
+    for edge in (1e-4, -1e-4, 1e16, -1e16):
+        below, above = [edge], [edge]
+        for _ in range(50):
+            below.append(np.nextafter(below[-1], -math.inf))
+            above.append(np.nextafter(above[-1], math.inf))
+        parts.append(np.array(below[::-1] + above[1:]))
+    powers = np.ldexp(1.0, np.arange(-20, 61))
+    parts += [powers, np.nextafter(powers, -math.inf), np.nextafter(powers, math.inf)]
+    rng = np.random.default_rng(20)
+    parts.append(rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(float))
+    logs = rng.uniform(math.log(1e-6), math.log(1e18), size=100_000)
+    parts.append(np.exp(logs) * rng.choice([-1.0, 1.0], size=logs.size))
+    return np.concatenate(parts)
+
+
 def test_csv_matches_a_row_wise_reference():
     floats = [-0.0, 1e-05, 1e+16, math.inf, math.nan, 0.1 + 0.2]
     ints = list(range(-2, len(floats) - 2))
@@ -517,24 +554,35 @@ def test_csv_matches_a_row_wise_reference():
     expect = "\n".join([",".join(header)] + [
         ",".join(repr(v) for v in row) for row in zip(floats, ints, strings)]) + "\n"
     assert _csv(header, floats, ints, strings).encode() == expect.encode()
+    assert _csv(header, np.array(floats), ints, strings).encode() == expect.encode()
     assert _csv(header, [], [], []) == "x,n,s\n"
+    assert _csv(header, np.array([]), [], []) == "x,n,s\n"
+    # float64 arrays go through orjson's shortest digits; an orjson whose
+    # digits part from repr on any of these doubles fails here.  The two
+    # columns are strided views, written as their values.
+    x = _hard_doubles()
+    assert x.size % 2 == 0
+    a, b = x[0::2], x[1::2]
+    expect = "a,b\n" + "".join(",".join(map(repr, row)) + "\n"
+                               for row in zip(a.tolist(), b.tolist()))
+    assert _csv(("a", "b"), a, b).encode() == expect.encode()
 
 
 # pytest itself loads scipy, so the probe runs in a fresh interpreter: only a
-# wreath fit should load it
+# wreath fit should load scipy, and only a spectrum run's CSV orjson
 SCIPY_PROBE = """
 import json, sys
 import kmspec
 from kmspec.cli import execute, load_config
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def lazy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "orjson"))
 
-loaded = {"import kmspec": scipy_modules()}
+loaded = {"import kmspec": lazy_modules()}
 *paths, wreath = sys.argv[1:]
 for path in paths:
     execute(load_config(path, {}))
-    loaded[path] = scipy_modules()
+    loaded[path] = lazy_modules()
 execute(load_config(wreath, {}))
 loaded["wreath"] = "scipy.optimize" in sys.modules
 print(json.dumps(loaded))
@@ -542,8 +590,9 @@ print(json.dumps(loaded))
 
 
 def test_scipy_loads_only_for_a_wreath_fit(tmp_path):
+    # growth and padic run first: a spectrum run loads orjson for its CSV
     paths = [str(ROOT / "configs" / f"{name}.json")
-             for name in ("free_points", "padic_default", "growth_coboundary")]
+             for name in ("padic_default", "growth_coboundary", "free_points")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run(
@@ -551,4 +600,5 @@ def test_scipy_loads_only_for_a_wreath_fit(tmp_path):
         env=env, capture_output=True, text=True, check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded.pop("wreath") is True
-    assert loaded == {name: [] for name in ["import kmspec"] + paths}
+    assert {m.split(".")[0] for m in loaded.pop(paths[-1])} == {"orjson"}
+    assert loaded == {name: [] for name in ["import kmspec"] + paths[:-1]}

@@ -192,6 +192,18 @@ def test_measure_net_divergence_guard():
         build_measure_net(model, 0, beta=1.0, s=1e-4, radius=50)
 
 
+def test_measure_net_overflow_is_a_convergence_error():
+    # exp(800) of the outermost element overflows
+    model = CocycleModel.from_preset("homomorphism", n_states=7, step=1, c=-2.5)
+    with pytest.raises(ConvergenceError, match="overflows"):
+        build_measure_net(model, 0, beta=1.0, s=0.5, radius=400)
+    # each weight is near exp(709), finite, and their fsum is not
+    flat = CocycleModel(n_states=1, act=lambda g, x: np.zeros_like(g),
+                        omega=lambda g, x: np.full(np.shape(g), 709.0))
+    with pytest.raises(ConvergenceError, match="overflows"):
+        build_measure_net(flat, 0, beta=1.0, s=1e-9, radius=1)
+
+
 def test_classifier_four_way():
     outputs = {classify_spectrum(a, b) for a in (True, False)
                for b in (True, False)}

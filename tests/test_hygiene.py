@@ -1,7 +1,10 @@
 """Static checks on the library source, by ast (no linter is assumed).
 
-Every module, and every test module, imports only names it uses, every function, class and method
-it defines is named somewhere in the library or the benchmark besides its
+Every module, and every test module, imports only names it uses, every
+module the library imports, inside a function or not, is the standard
+library, kmspec or a dependency declared in pyproject.toml, every function,
+class and method it defines is named somewhere in the library or the
+benchmark besides its
 definition (a test or a re-export in kmspec/__init__.py does not count, so
 code that only tests reach is reported), every parameter
 with a default is set by some call (test_every_default_parameter_is_set),
@@ -19,6 +22,8 @@ library name it wraps and restores each class as it was.
 import ast
 import importlib.util
 import re
+import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -77,6 +82,33 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def _top_level_imports(tree):
+    """The top-level module of every import, at any depth; a relative
+    import is of kmspec itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = "kmspec" if node.level else node.module
+            yield module.split(".")[0], node.lineno
+
+
+def test_every_import_is_a_declared_dependency():
+    # a module imported inside a function is still one the package needs:
+    # it must be the standard library, kmspec or a declared dependency
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    allowed = set(sys.stdlib_module_names) | {"kmspec"} | declared
+    undeclared = [f"{path.name}:{line} {module}"
+                  for path in sorted(SRC.glob("*.py"))
+                  for module, line in _top_level_imports(ast.parse(path.read_text()))
+                  if module not in allowed]
+    assert not undeclared, ("imports missing from [project].dependencies: "
+                            f"{', '.join(undeclared)}")
 
 
 def _definitions(tree):
