@@ -6,11 +6,11 @@ from .blocks import (ConformalityReport, FiniteConformalBlock, FiniteGroupTable,
                      cohomologous_transform, conformal_weights,
                      integrate_potential)
 from .errors import (ConstructionError, ConvergenceError, DomainError,
-                     EnumerationError, FitFailureError, FreenessViolationError,
-                     InvalidInputError, KmspecError, RealizationError,
-                     UnsupportedGeneratorError, WindowError)
+                     EnumerationError, FitFailureError, InvalidInputError,
+                     KmspecError, RealizationError, UnsupportedGeneratorError,
+                     WindowError)
 from .expratio import PartitionedBlockSystem, WeightedMultiset, realize_block
-from .growth import (CocycleModel, DefectCertificate, MeasureNet, ball_census,
+from .growth import (CocycleModel, DefectCertificate, ball_census,
                      build_measure_net, classify_spectrum, limsup_ratio,
                      omega_mu)
 from .padic import (Mat2, default_alphabet, freeness_suite, generator,

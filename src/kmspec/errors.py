@@ -39,7 +39,3 @@ class DomainError(KmspecError):
 
 class WindowError(KmspecError):
     """The truncation window is too small for the requested operation."""
-
-
-class FreenessViolationError(KmspecError):
-    """A nonempty reduced word evaluated to the identity; signals a bug."""

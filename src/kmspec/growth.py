@@ -21,12 +21,7 @@ _GENERATORS = (1, -1)   # the symmetric generating set of Z
 
 
 def _spheres(n_max: int) -> List[Tuple[int, ...]]:
-    """Z's spheres (0,), (1, -1), ..., (n_max, -n_max) for the generators +-1.
-
-    Sums over the net run over the elements in the order listed here, k
-    before -k, which fixes the order, and so the rounding, of each state's
-    mass.
-    """
+    """Z's spheres (0,), (1, -1), ..., (n_max, -n_max) for the generators +-1."""
     return [(0,)] + [(k, -k) for k in range(1, n_max + 1)]
 
 
@@ -75,16 +70,6 @@ class CocycleModel:
             raise InvalidInputError(f"unknown cocycle preset {name!r}")
         return cls(n_states=n_states, act=act, omega=omega)
 
-    def check_cocycle_identity(self, n_samples: int = 100) -> float:
-        # the bounds broadcast over the columns, so the generator draws g, h
-        # and x of each sample in turn, as three scalar draws per sample do
-        rng = np.random.default_rng(0)
-        g, h, x = rng.integers([-20, -20, 0], [21, 21, self.n_states],
-                               size=(n_samples, 3)).T
-        lhs = self.omega(g, self.act(h, x)) + self.omega(h, x)
-        rhs = self.omega(g + h, x)
-        return float(np.max(np.abs(lhs - rhs), initial=0.0))
-
 
 @dataclass(frozen=True)
 class LimsupEstimate:
@@ -123,27 +108,18 @@ class DefectCertificate:
         return self.measured_defect <= self.bound
 
 
-@dataclass(frozen=True)
-class MeasureNet:
-    """Normalized orbit sum sum_g e^{beta Omega(g,x) - |g| s} delta_{g x}."""
-
-    atoms: Tuple[Tuple[int, float], ...]    # (state, normalized weight)
-
-    def __post_init__(self):
-        total = math.fsum(w for _, w in self.atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidInputError("net weights must sum to 1 within 1e-12")
-
-
 def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
-                      radius: int) -> Tuple[MeasureNet, List[DefectCertificate]]:
-    """Measure net with a per-generator conformality defect certificate.
+                      radius: int) -> List[DefectCertificate]:
+    """Conformality defect certificates, one per generator and test function,
+    of the measure net: the orbit sum sum_g e^{beta Omega(g,x) - |g| s}
+    delta_{g x} over the ball of the radius, normalized.
 
     The test functions are the constant 1, one cosine period over the states
     and the indicator of every third state.  For each generator h the defect
     on a test function f is bounded by ||f||_inf |e^{|h| s} - 1| plus a
     truncation slack carried by the mass of the shell |g| > radius - |h|,
-    both recorded alongside the measured value.
+    both recorded alongside the measured value.  A sum or a term that
+    overflows raises `ConvergenceError` naming s and the radius.
     """
     if s <= 0.0:
         raise InvalidInputError("s must be positive")
@@ -163,13 +139,7 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
                                f"sphere still carries {last_sphere / total:.2e} "
                                "of the mass; increase the radius or s")
 
-    # the mass of each state is summed in element order
     y = model.act(g, x)
-    state_mass = np.bincount(y, weights=weights)
-    reached = np.unique(y)
-    net = MeasureNet(atoms=tuple(zip(reached.tolist(),
-                                     (state_mass[reached] / total).tolist())))
-
     states = np.arange(model.n_states)
     test_functions = [np.ones(model.n_states),
                       np.cos(2.0 * math.pi * states / model.n_states),
@@ -179,23 +149,28 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
     # the shell |g| > radius - |h| is the outermost sphere
     shell_mass = last_sphere / total
     certificates = []
-    for h in _GENERATORS:
-        len_h = 1
-        omega_h = beta * model.omega(np.full(model.n_states, h), states)
-        omega_sup = float(np.max(np.abs(omega_h)))
-        e = np.array([math.exp(v) for v in omega_h.tolist()])[y]
-        hy = model.act(h, y)
-        for f, rhs_f in zip(test_functions, rhs):
-            f_sup = float(np.max(np.abs(f)))
-            lhs = math.fsum((f[hy] * e * weights / total).tolist())
-            measured = abs(lhs - rhs_f)
-            bound = f_sup * abs(math.exp(len_h * s) - 1.0)
-            slack = f_sup * (1.0 + math.exp(omega_sup)) * shell_mass
-            certificates.append(DefectCertificate(generator=h,
-                                                  measured_defect=measured,
-                                                  analytic_bound=bound,
-                                                  truncation_slack=slack))
-    return net, certificates
+    try:
+        for h in _GENERATORS:
+            len_h = 1
+            omega_h = beta * model.omega(np.full(model.n_states, h), states)
+            omega_sup = float(np.max(np.abs(omega_h)))
+            e = np.array([math.exp(v) for v in omega_h.tolist()])[y]
+            hy = model.act(h, y)
+            for f, rhs_f in zip(test_functions, rhs):
+                f_sup = float(np.max(np.abs(f)))
+                lhs = math.fsum((f[hy] * e * weights / total).tolist())
+                measured = abs(lhs - rhs_f)
+                bound = f_sup * abs(math.exp(len_h * s) - 1.0)
+                slack = f_sup * (1.0 + math.exp(omega_sup)) * shell_mass
+                certificates.append(DefectCertificate(generator=h,
+                                                      measured_defect=measured,
+                                                      analytic_bound=bound,
+                                                      truncation_slack=slack))
+    except OverflowError:
+        raise ConvergenceError(f"a defect term overflows at s = {s!r}, radius "
+                               f"{radius}: exp(|h| s) or exp(beta Omega(h, x)) "
+                               "of a generator h is past the float range") from None
+    return certificates
 
 
 SPECTRUM_CLASSES = ("{0}", "[0,inf)", "(-inf,0]", "R")

@@ -14,8 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (EnumerationError, FreenessViolationError,
-                     InvalidInputError)
+from .errors import EnumerationError, InvalidInputError
 
 
 def _mul(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, int, int, int]:
@@ -171,6 +170,7 @@ class FreenessCertificate:
     prefix_words_evaluated: int
     words_certified: int
     identity_found: bool
+    relation: Tuple[Letter, ...]    # the reduced word found to be 1, or ()
 
     def to_dict(self) -> dict:
         return {
@@ -180,6 +180,7 @@ class FreenessCertificate:
             "prefix_words_evaluated": self.prefix_words_evaluated,
             "words_certified": self.words_certified,
             "identity_found": self.identity_found,
+            "relation": [list(letter) for letter in self.relation],
         }
 
 
@@ -245,7 +246,8 @@ def freeness_suite(max_len: int,
     words of half length therefore certifies the full length range while only
     evaluating the half-length prefix set.  One sort of their matrices, with
     the identity's, finds a repeat; only then are the words enumerated again,
-    depth first, to name the relation.
+    depth first, to name the relation.  A certificate with a relation has
+    identity_found set and certifies no word; the caller judges it.
     """
     if max_len < 1 or max_len > 10:
         raise InvalidInputError("max_len must be in 1..10")
@@ -257,14 +259,13 @@ def freeness_suite(max_len: int,
                                 f"each once, got {alphabet!r}")
     half = (max_len + 1) // 2
     matrices = _prefix_matrices(half, alphabet)
-    if _has_repeat(matrices):
-        raise FreenessViolationError(f"reduced word {_first_relation(half, alphabet)} "
-                                     "evaluates to the identity")
+    relation = _first_relation(half, alphabet) if _has_repeat(matrices) else ()
     return FreenessCertificate(max_len=max_len, alphabet=alphabet,
                                prefix_len=half,
                                prefix_words_evaluated=len(matrices) - 1,
-                               words_certified=_word_count(max_len, len(alphabet)),
-                               identity_found=False)
+                               words_certified=0 if relation else _word_count(
+                                   max_len, len(alphabet)),
+                               identity_found=bool(relation), relation=relation)
 
 
 # ---------------------------------------------------------------------------

@@ -40,18 +40,18 @@ def tanh_ratio(l1: float, l2: float, betas):
 
 
 def ratio_bound(a_n: float, a_next: float) -> float:
-    """Certified upper bound on sup |P_n / P_{n+1}|.
+    """Certified upper bound on sup |P_n / P_{n+1}|, in closed form.
 
-    The ratio extends continuously with value ln(a_n)/ln(a_next) at 0 and tends
-    to 1 at infinity; both limits are bracketed together with the maximum on
-    4001 points of [-50, 50].
+    With c = ln(a_n)/ln(a_next) and y = beta ln(a_next)/2, the ratio is the
+    even function tanh(cy)/tanh(y), equal to c at 0 and tending to 1 at
+    infinity.  Its derivative in y > 0 has the sign of
+    c sinh(2y) - sinh(2cy), and c sinh z < sinh(cz) for c > 1, z > 0 (the
+    reverse for c < 1), so the ratio is monotone between its two limits and
+    its sup is max(c, 1), widened by 1e-9 relative for rounding.
     """
     if not (a_n > 1.0 and a_next > 1.0):
         raise InvalidInputError("bases must exceed 1")
-    l1, l2 = math.log(a_n), math.log(a_next)
-    grid = np.linspace(-50.0, 50.0, 4001)
-    candidates = [l1 / l2, 1.0, float(np.max(np.abs(tanh_ratio(l1, l2, grid))))]
-    return max(candidates) * (1.0 + 1e-9)
+    return max(math.log(a_n) / math.log(a_next), 1.0) * (1.0 + 1e-9)
 
 
 def default_schedule(a: float, stages: int) -> Tuple[float, ...]:
@@ -160,18 +160,14 @@ def clamp_f(value):
 class FractionPair:
     k: int
     block_order: int        # order 2k + l of the first block
-    delta: float
     a: float
     b: float
     c: float
     phi1: Callable
     phi2: Callable
-    phi_at_zero: Tuple[float, float]    # |phi_1(0) - 1|, |phi_2(0) - 1|
-    q_max: float    # max |Q_i| on the grid points with |beta| >= delta
+    q_max: float    # max |Q_i| on the grid points with |beta| >= d(0, K)
     # min |Q_i| on the grid points beta != 0, nan where some Q_i is not finite
     q_min: float
-    # max |prefactor_i (1 + P Q_i) - target_i| / target_i on those points
-    identity_residual: float
 
     @property
     def l(self) -> int:
@@ -254,10 +250,10 @@ def fraction_pair(K, k: int, Lambda0_order: int,
     memo = {}  # the parts of the latest beta array, keyed on its exact bits
 
     def _parts(betas):
-        """phi_i and the q_i and prefactor_i they are built from, on a finite
-        float array, computed once per array; -0.0 and 0.0 are different
-        keys, and the arrays are read-only, so no caller can change what a
-        later call is served."""
+        """phi_i and the q_i they are built from, on a finite float array,
+        computed once per array; -0.0 and 0.0 are different keys, and the
+        arrays are read-only, so no caller can change what a later call is
+        served."""
         key = (betas.shape, betas.tobytes())
         if memo.get("key") == key:
             return memo["parts"]
@@ -276,12 +272,9 @@ def fraction_pair(K, k: int, Lambda0_order: int,
             q2 = np.where(at_zero, np.inf, np.exp(num - den) * coth)
         zeta1 = np.where(at_zero, 0.0, clamp_f(q1) * bump)
         zeta2 = np.where(at_zero, 0.0, clamp_f(q2) * bump)
-        prefactor1 = np.exp(log_block - log_k)
-        prefactor2 = np.exp(log_k - log_block)
-        parts = {"q1": q1, "q2": q2, "prefactor1": prefactor1,
-                 "prefactor2": prefactor2,
-                 "phi1": prefactor1 * (1.0 + th * zeta1),
-                 "phi2": prefactor2 * (1.0 + th * zeta2)}
+        parts = {"q1": q1, "q2": q2,
+                 "phi1": np.exp(log_block - log_k) * (1.0 + th * zeta1),
+                 "phi2": np.exp(log_k - log_block) * (1.0 + th * zeta2)}
         for arr in parts.values():
             arr.flags.writeable = False
         memo.update(key=key, parts=parts)
@@ -293,27 +286,15 @@ def fraction_pair(K, k: int, Lambda0_order: int,
         part.__name__ = part.__qualname__ = name
         return scalar_or_array(part)
 
-    # |phi_i(0) - 1| first and the grid last, so the memo keeps the grid;
-    # these values, and those below, are measured here and judged by the
-    # caller
-    at_zero = _parts(np.zeros(1))
-    phi_at_zero = tuple(abs(float(at_zero[n][0]) - 1.0) for n in ("phi1", "phi2"))
+    # the q_i are measured on the grid, which the memo then keeps for the
+    # caller's samples, and judged by the caller
     betas = np.linspace(-r_max, r_max, grid_n)
     on_grid = _parts(betas)
     q_off = np.abs([on_grid[n][np.abs(betas) >= delta] for n in ("q1", "q2")])
     q_max = float(np.max(q_off, initial=0.0))    # 0.0 when no point is off
-    # the level sets are K only where Q_i is finite and nonzero and the
-    # pair's identity holds
-    nonzero = betas != 0.0
-    p = mobius_eval(a, betas[nonzero])
-    q_abs, residual = [], []
-    for i, target in ((1, 1.0 / k), (2, float(k))):
-        q = on_grid[f"q{i}"][nonzero]
-        q_abs.append(np.where(np.isfinite(q), np.abs(q), np.nan))
-        pre = on_grid[f"prefactor{i}"][nonzero]
-        residual.append(np.abs(pre * (1.0 + p * q) - target) / target)
-    return FractionPair(k=k, block_order=Lambda0_order, delta=delta,
-                        a=a, b=b, c=c, phi_at_zero=phi_at_zero, q_max=q_max,
-                        q_min=float(np.min(q_abs)),
-                        identity_residual=float(np.max(residual)),
+    # the level sets are K only where Q_i is finite and nonzero
+    q_on = np.array([on_grid[n][betas != 0.0] for n in ("q1", "q2")])
+    q_min = float(np.min(np.where(np.isfinite(q_on), np.abs(q_on), np.nan)))
+    return FractionPair(k=k, block_order=Lambda0_order, a=a, b=b, c=c,
+                        q_max=q_max, q_min=q_min,
                         phi1=evaluator("phi1"), phi2=evaluator("phi2"))

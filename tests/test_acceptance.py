@@ -189,7 +189,7 @@ def test_growth_classifier_and_defects():
                for b in (True, False)}
     defects_ok = True
     for s, radius in ((0.5, 60), (0.1, 200), (0.01, 2500)):
-        _, certs = build_measure_net(cb, 0, beta=1.0, s=s, radius=radius)
+        certs = build_measure_net(cb, 0, beta=1.0, s=s, radius=radius)
         defects_ok &= bool(certs) and all(c.passed for c in certs)
     ok = (classify_spectrum(*flags_cb) == "R"
           and classify_spectrum(*flags_hm) == "{0}"

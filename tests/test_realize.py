@@ -33,6 +33,20 @@ def test_tanh_ratio_bounded_and_consistent():
     assert float(np.max(np.abs(vals))) <= ratio_bound(3.0, 1.5) + 1e-12
 
 
+def test_ratio_bound_is_the_sup_of_the_tanh_ratio():
+    # the sup of |P_n / P_{n+1}| is ln(a_n)/ln(a_next) at beta = 0 on a
+    # decreasing schedule, and the limit 1 at infinity when a_n < a_next
+    half = np.linspace(0.0, 200.0, 200001)
+    scan_grid = np.concatenate([-half[:0:-1], half])
+    pairs = [(sched[k - 1], sched[k]) for t in (1.5, 2.0, 3.0, 10.0)
+             for sched in [default_schedule(t, 5)] for k in range(1, 6)]
+    for a_n, a_next in pairs + [(1.5, 3.0)]:
+        ratio = tanh_ratio(math.log(a_n), math.log(a_next), scan_grid)
+        scan = float(np.max(np.abs(ratio)))
+        bound = ratio_bound(a_n, a_next)
+        assert scan <= bound <= scan * (1.0 + 2e-9), (a_n, a_next)
+
+
 def test_default_schedule_shape():
     sched = default_schedule(3.0, 4)
     assert len(sched) == 5
@@ -179,20 +193,52 @@ def test_fraction_pair_parameters(K, expected_abc):
     pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
     assert (pair.a, pair.b, pair.c) == expected_abc
     assert pair.c == pair.b + 1.0
-    assert pair.delta == K.distance(0.0)
 
 
 def test_fraction_pair_values():
     K = ClosedSetSpec(intervals=((1.0, 2.0),))
+    # phi_i(0) = 1: at beta = 0 both exponential sums of the prefactor are
+    # 2k + l
+    for k in (2, 3):
+        for order in (2 * k, 2 * k + 1, 2 * k + 3):
+            pair = fraction_pair(K, k=k, Lambda0_order=order, r_max=10.0)
+            for phi in (pair.phi1, pair.phi2):
+                assert abs(float(phi(0.0)) - 1.0) <= 1e-12, (k, order)
     pair = fraction_pair(K, k=2, Lambda0_order=4, r_max=10.0)
-    assert abs(float(pair.phi1(0.0)) - 1.0) <= 1e-12
-    assert abs(float(pair.phi2(0.0)) - 1.0) <= 1e-12
     inside = np.linspace(1.0, 2.0, 101)
     assert np.max(np.abs(np.asarray(pair.phi1(inside)) - 0.5)) < 1e-13
     assert np.max(np.abs(np.asarray(pair.phi2(inside)) - 2.0)) < 1e-12
     outside = np.array([-5.0, 0.5, 2.5, 8.0])
     assert np.all(np.abs(np.asarray(pair.phi1(outside)) - 0.5) > 1e-13)
     assert np.all(np.abs(np.asarray(pair.phi2(outside)) - 2.0) > 1e-13)
+
+
+def _reference_pair(k, l, a, b, c, K, betas):
+    """phi_i = prefactor_i (1 + P clamp(q_i) bump) in closed form, with q_i
+    the solution of prefactor_i (1 + P q_i) = target_i, the fraction
+    identity, and phi_i = prefactor_i at beta = 0."""
+    prefactor1 = ((1.0 + 2.0 * (k - 1) * b ** betas + a ** betas + l * c ** betas)
+                  / (k + k * a ** betas + l * c ** betas))
+    p = np.tanh(betas * math.log(a) / 2.0)
+    bump = np.maximum(0.0, 1.0 - K.distance(betas))
+    off = np.where(betas == 0.0, 1.0, p)
+    phis = []
+    for prefactor, target in ((prefactor1, 1.0 / k), (1.0 / prefactor1, float(k))):
+        q = (target / prefactor - 1.0) / off
+        clamped = np.sign(q) * np.maximum(0.0, np.minimum(np.abs(q), 1.0 - np.abs(q)))
+        phis.append(prefactor * (1.0 + np.where(betas == 0.0, 0.0,
+                                                p * clamped * bump)))
+    return phis
+
+
+@pytest.mark.parametrize("k,order", [(2, 4), (2, 5), (2, 7), (3, 6), (3, 7), (3, 9)])
+def test_fraction_pair_matches_closed_form(k, order):
+    K = ClosedSetSpec(intervals=((1.0, 2.0), (-4.0, -3.5)), points=(-0.75,))
+    pair = fraction_pair(K, k=k, Lambda0_order=order, r_max=10.0, grid_n=2001)
+    betas = np.linspace(-10.0, 10.0, 2001)
+    want = _reference_pair(k, pair.l, pair.a, pair.b, pair.c, K, betas)
+    for got, ref in zip((pair.phi1(betas), pair.phi2(betas)), want):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (k, order)
 
 
 EVALUATORS = ("phi1", "phi2")
