@@ -64,9 +64,20 @@ class WeightedMultiset:
     def log_power_sum(self, beta) -> np.ndarray:
         """log of sum count * 2^(u beta), vectorized over beta: one row of
         the power-sum kernel `_log_power_sums`."""
-        exps = sorted(self.items)
-        logc = np.array([[math.log(self.items[u]) for u in exps]])
-        return _log_power_sums(logc, np.array(exps, dtype=float), _as_array(beta))[:, 0]
+        return _multiset_log_power_sums((self,), _as_array(beta))[:, 0]
+
+
+def _multiset_log_power_sums(multisets, betas: np.ndarray) -> np.ndarray:
+    """log power sums of several multisets on one beta array, one column per
+    multiset, from one call of the kernel: one row of log counts each over
+    the union of their exponents, -inf where a multiset has no term."""
+    exps = sorted(set().union(*(m.items for m in multisets)))
+    column = {u: i for i, u in enumerate(exps)}
+    logs = np.full((len(multisets), len(exps)), -np.inf)
+    for row, m in zip(logs, multisets):
+        for u, count in m.items.items():
+            row[column[u]] = math.log(count)
+    return _log_power_sums(logs, np.array(exps, dtype=float), betas)
 
 
 def _log_power_sums(logs: np.ndarray, exps: np.ndarray,
@@ -74,8 +85,9 @@ def _log_power_sums(logs: np.ndarray, exps: np.ndarray,
     """log sum_u exp(logs[s, u]) 2^(exps[u] beta) for every row s of logs
     and every beta of a 1-d array, one row per beta and one column per sum.
 
-    This is the one evaluator of power sums over a beta array: the design
-    matrix, the bump peaks and `log_power_sum` all call it.  logs holds one
+    This is the one evaluator of power sums of multisets over a beta array:
+    `log_power_sum` and the batched rows of `_multiset_log_power_sums` call
+    it (the bumps of a basis have a closed form).  logs holds one
     row of log coefficients per sum, -inf where a sum has no term, and exps
     the integer exponents u shared by its columns.  In a chunk of betas
     around a centre c, the term (s, u) is exp(logs[s,u] + c u ln2 - g_s)
@@ -134,6 +146,43 @@ def _conv_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conv_log_rows(pairs) -> np.ndarray:
+    """`_conv_log` of every pair (x, y), one row each, padded with -inf: one
+    pass over the index of the shorter factor for all pairs at once.  Every
+    element adds its terms in the order `_conv_log` adds them, and a -inf
+    term of the padding leaves logaddexp's other operand unchanged, so each
+    row is `_conv_log`'s result to the bit.  Rows are worked on longest
+    shorter factor first, so that step i covers only the rows whose shorter
+    factor reaches index i, and only as wide as their longer factors."""
+    pairs = [(x, y) if x.size <= y.size else (y, x) for x, y in pairs]
+    order = sorted(range(len(pairs)), key=lambda row: -pairs[row][0].size)
+    sizes = np.array([pairs[row][0].size for row in order])
+    reach = np.maximum.accumulate([pairs[row][1].size for row in order])
+    xs = np.full((len(pairs), sizes[0]), -np.inf)
+    ys = np.full((len(pairs), reach[-1]), -np.inf)
+    for k, row in enumerate(order):
+        x, y = pairs[row]
+        xs[k, :x.size] = x
+        ys[k, :y.size] = y
+    out = np.full((len(pairs), xs.shape[1] + ys.shape[1] - 1), -np.inf)
+    for i in range(xs.shape[1]):
+        k = np.count_nonzero(sizes > i)
+        part = out[:k, i:i + reach[k - 1]]
+        np.logaddexp(part, xs[:k, i:i + 1] + ys[:k, :reach[k - 1]], out=part)
+    rows = np.empty_like(out)
+    rows[order] = out
+    return rows
+
+
+def _window_pairs(m: int, window: int):
+    """(bumps i, nodes j) slice pairs with j = i + d, one pair per offset
+    |d| < window: together they pair each bump with the window nodes it
+    divides out, clipped to the m nodes of the grid."""
+    for d in range(1 - window, window):
+        lo, hi = max(0, -d), min(m, m - d)
+        yield slice(lo, hi), slice(lo + d, hi + d)
+
+
 # grouped extreme coefficients scale like 2^{-sum |y_j|}; beyond this bound
 # on y_max^2/spacing they underflow the float range
 _NODE_GRID_BOUND = 1000.0
@@ -154,6 +203,12 @@ class TranslatedKernelBasis:
     windows) whose numerator is again a short positive exponential sum.  Any
     nonnegative combination of bumps is therefore a single ratio with O(m)
     terms.
+
+    With each factor normalized to f_j(beta) = cosh((beta - y_j) ln2) /
+    cosh(y_j ln2), its value at beta = 0, bump i over the denominator is
+    exactly 1 / prod_{j in window(i)} f_j(beta): the design matrix and the
+    bump peaks are computed from these at most 2 window - 1 factors, not by
+    summing the numerator and denominator terms.
     """
 
     def __init__(self, y_max: float, spacing: float, window: int = 1):
@@ -163,6 +218,7 @@ class TranslatedKernelBasis:
             raise InvalidInputError("node grid too dense for the coefficient range")
         count = int(round(2.0 * y_max / spacing)) + 1
         self.nodes = np.linspace(-y_max, y_max, count)
+        self.window = window
         m = count
         # per-factor log coefficients for [z^{+1}, z^{-1}], normalized by the
         # factor value at beta = 0 to keep the running products centered
@@ -183,32 +239,45 @@ class TranslatedKernelBasis:
         # an odd window leaves numerator exponents of the other parity.
         self._lattice = np.arange(-m, m + 1, dtype=float)
         logs = np.full((m + 1, 2 * m + 1), -np.inf)
-        for i in range(m):
-            lo = max(0, i - window + 1)
-            hi = min(m - 1, i + window - 1)
+        spans = [(max(0, i - window + 1), min(m - 1, i + window - 1))
+                 for i in range(m)]
+        numers = _conv_log_rows([(prefix[lo], suffix[hi + 1]) for lo, hi in spans])
+        for i, (lo, hi) in enumerate(spans):
             used = m - (hi - lo + 1)
-            numer = _conv_log(prefix[lo], suffix[hi + 1])
-            logs[i, m - used:m + used + 1:2] = numer[::-1]
+            logs[i, m - used:m + used + 1:2] = numers[i, used::-1]
         logs[m, ::2] = prefix[m][::-1]
         self._lattice_logs = logs
-        at_nodes = _log_power_sums(logs, self._lattice, self.nodes)
-        self.log_peaks = np.diagonal(at_nodes) - at_nodes[:, m]
+        # the peak of bump i is 1 / prod_{j in window(i)} f_j(y_i): its
+        # cosh((y_i - y_j) ln2) factors, and in the log their normalizers
+        y = self.nodes
+        log_norms = np.log(np.cosh(y * LN2))
+        self._peaks = np.ones(m)
+        log_peaks = np.zeros(m)
+        for bumps, near in _window_pairs(m, window):
+            self._peaks[bumps] *= np.cosh((y[bumps] - y[near]) * LN2)
+            log_peaks[bumps] += log_norms[near]
+        self.log_peaks = log_peaks - np.log(self._peaks)
 
     def design(self, betas: np.ndarray) -> np.ndarray:
-        """Matrix of peak-normalized bump values, one column per node: each
-        bump numerator over the denominator, all lattice rows from one call
-        of the power-sum kernel, divided by the bump's value at its node.
-        Nothing is cached here: `_fit_half` computes the matrix once per
-        basis per build and keeps it, read-only, next to the basis.
+        """Matrix of peak-normalized bump values, one column per node:
+        prod_{j in window(i)} cosh((y_i - y_j) ln2) / cosh((beta - y_j) ln2)
+        in column i.  Rows are computed in blocks of at most _CHUNK_ROWS, so
+        a call holds little beyond its result.  Nothing is cached here:
+        `_fit_half` computes the matrix once per basis per build and keeps
+        it, read-only, next to the basis.
         """
-        m = self.nodes.size
-        sums = _log_power_sums(self._lattice_logs, self._lattice,
-                               np.asarray(betas, dtype=float))
-        # in place, so that a call holds no full-size array beyond its result
-        out = sums[:, :m]
-        out -= sums[:, m:]
-        out -= self.log_peaks
-        np.exp(out, out=out)
+        betas = np.asarray(betas, dtype=float)
+        y = self.nodes
+        out = np.empty((betas.size, y.size))
+        for start in range(0, betas.size, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            dist = np.subtract.outer(betas[rows], y)
+            dist *= LN2
+            cosh = np.cosh(dist, out=dist)
+            block = out[rows]
+            block[:] = self._peaks
+            for bumps, near in _window_pairs(y.size, self.window):
+                block[:, bumps] /= cosh[:, near]
         out.flags.writeable = False
         return out
 
@@ -340,7 +409,7 @@ class PartitionedBlockSystem:
                   ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
         """log power sums of the fitted fractions, (S_A, S_B, S_C, S_D), and
         of the three parts and their total, (s0, s1, s2, total), from one
-        power sum per fraction multiset.
+        kernel call with a row per fraction multiset.
 
         They are kept for the most recent grid, compared by value against a
         private copy, so a grid mutated in place is never served stale sums.
@@ -348,7 +417,13 @@ class PartitionedBlockSystem:
         memo = self._memo
         if memo is not None and np.array_equal(memo[0], betas):
             return memo[1]
-        fitted = tuple(m.log_power_sum(betas) for m in self.fractions)
+        return self._keep_sums(betas,
+                               tuple(_multiset_log_power_sums(self.fractions, betas).T))
+
+    def _keep_sums(self, betas: np.ndarray, fitted: Tuple[np.ndarray, ...]
+                   ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+        """The part sums from the fitted ones on betas, kept as the memo of
+        `_log_sums`; `realize_block` hands over the sums its fits computed."""
         la, lb, lc, ld = fitted
         lk1, lt1, lk2, lt2 = map(_log_count, self.scales)
         logt = betas * math.log(self.t)
@@ -458,9 +533,10 @@ def _rationalize(log_coeffs: np.ndarray, exps: np.ndarray,
 
 def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
               bases: Dict[tuple, Tuple[TranslatedKernelBasis, np.ndarray]]
-              ) -> Tuple[WeightedMultiset, WeightedMultiset, np.ndarray]:
+              ) -> Tuple[WeightedMultiset, WeightedMultiset, np.ndarray, np.ndarray]:
     """Fit eta' = S_A / (2 S_A + S_B) to fvals, returning integer-count
-    multisets A, B and log(2 S_A + S_B) on betas.  Each basis and its design
+    multisets A, B and log S_A, log S_B on betas, each candidate's pair
+    evaluated in one kernel call.  Each basis and its design
     matrix on the fit rows are computed once per build: they are taken from,
     and added to, `bases`, keyed by (y_max, spacing, window), so one `bases`
     dict serves one grid.
@@ -475,8 +551,7 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         # near-zero target: one numerator atom against a heavy denominator
         a = WeightedMultiset({0: 1})
         b = WeightedMultiset({-1: q, 1: q})
-        return a, b, np.logaddexp(LN2 + a.log_power_sum(betas),
-                                  b.log_power_sum(betas))
+        return (a, b, *_multiset_log_power_sums((a, b), betas).T)
     if float(np.max(fvals)) >= 0.5 - 1e-9:
         raise InvalidInputError("half targets must stay strictly below 1/2")
     h = fvals / (1.0 - 2.0 * fvals)
@@ -529,14 +604,13 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         b_items = _rationalize(log_d[keep_b], exp_d[keep_b], shift, q)
         a = WeightedMultiset(a_items)
         b = WeightedMultiset(b_items)
-        log_sa = a.log_power_sum(betas)
-        log_den = np.logaddexp(LN2 + log_sa, b.log_power_sum(betas))
-        eta = np.exp(log_sa - log_den)
+        log_sa, log_sb = _multiset_log_power_sums((a, b), betas).T
+        eta = np.exp(log_sa - np.logaddexp(LN2 + log_sa, log_sb))
         err = float(np.max(np.abs(eta - fvals)))
         if err < best:
-            best, best_pair = err, (a, b, log_den)
+            best, best_pair = err, (a, b, log_sa, log_sb)
         if err <= eps_fit:
-            return a, b, log_den
+            return a, b, log_sa, log_sb
     if best_pair is None:
         raise FitFailureError(f"half-fit produced no candidate at eps={eps_fit}: "
                               + "; ".join(reasons))
@@ -590,13 +664,15 @@ def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float
         fp = (root + ft) / 2.0
         fm = (root - ft) / 2.0
 
-    a_set, b_set, log_den1 = _fit_half(fp, betas, eps_fit, bases)
-    c_set, d_set, log_den2 = _fit_half(fm, betas, eps_fit, bases)
+    a_set, b_set, la, lb = _fit_half(fp, betas, eps_fit, bases)
+    c_set, d_set, lc, ld = _fit_half(fm, betas, eps_fit, bases)
 
-    k1, t1 = _rebalance(a_set, b_set, log_den1, eps_slack)
-    k2, t2 = _rebalance(c_set, d_set, log_den2, eps_slack)
+    k1, t1 = _rebalance(a_set, b_set, np.logaddexp(LN2 + la, lb), eps_slack)
+    k2, t2 = _rebalance(c_set, d_set, np.logaddexp(LN2 + lc, ld), eps_slack)
 
     system = PartitionedBlockSystem(t=t, fractions=(a_set, b_set, c_set, d_set),
                                     scales=(k1, t1, k2, t2), achieved_error=0.0)
+    # the fits have evaluated every fraction on betas: the block reuses them
+    system._keep_sums(betas, (la, lb, lc, ld))
     system.achieved_error = float(np.max(np.abs(system.zeta(betas) - fvals)))
     return system

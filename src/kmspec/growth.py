@@ -80,6 +80,8 @@ class LimsupEstimate:
         return self.tails[-1]
 
 
+# an Omega past the float range is an inf tail, which is what it bounds
+@np.errstate(over="ignore")
 def limsup_ratio(model: CocycleModel, x: int, beta: float,
                  horizon: int) -> LimsupEstimate:
     """Ball-truncated over-approximation of limsup beta Omega(g,x)/|g|."""
@@ -108,6 +110,8 @@ class DefectCertificate:
         return self.measured_defect <= self.bound
 
 
+# an inf or nan from numpy is judged by the finiteness checks below
+@np.errstate(over="ignore", invalid="ignore")
 def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
                       radius: int) -> List[DefectCertificate]:
     """Conformality defect certificates, one per generator and test function,
@@ -119,7 +123,10 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
     on a test function f is bounded by ||f||_inf |e^{|h| s} - 1| plus a
     truncation slack carried by the mass of the shell |g| > radius - |h|,
     both recorded alongside the measured value.  A sum or a term that
-    overflows raises `ConvergenceError` naming s and the radius.
+    overflows raises `ConvergenceError` naming s and the radius: math.exp
+    raises past the float range, but where beta Omega is already inf in
+    floats the overflow shows only as a weight, total or defect term that
+    is not finite, and that raises the same.
     """
     if s <= 0.0:
         raise InvalidInputError("s must be positive")
@@ -131,8 +138,10 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
                             (beta * model.omega(g, x) - np.abs(g) * s).tolist()])
         total = math.fsum(weights.tolist())
     except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
         raise ConvergenceError(f"the ball sum overflows at s = {s!r}, radius "
-                               f"{radius}; increase s") from None
+                               f"{radius}; increase s")
     last_sphere = math.fsum(weights[np.abs(g) == radius].tolist())
     if last_sphere > 1e-2 * total:
         raise ConvergenceError(f"ball sum has not settled: the outermost "
@@ -148,6 +157,9 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
 
     # the shell |g| > radius - |h| is the outermost sphere
     shell_mass = last_sphere / total
+    overflow = (f"a defect term overflows at s = {s!r}, radius {radius}: "
+                "exp(|h| s) or exp(beta Omega(h, x)) of a generator h is past "
+                "the float range")
     certificates = []
     try:
         for h in _GENERATORS:
@@ -167,9 +179,10 @@ def build_measure_net(model: CocycleModel, x: int, beta: float, s: float,
                                                       analytic_bound=bound,
                                                       truncation_slack=slack))
     except OverflowError:
-        raise ConvergenceError(f"a defect term overflows at s = {s!r}, radius "
-                               f"{radius}: exp(|h| s) or exp(beta Omega(h, x)) "
-                               "of a generator h is past the float range") from None
+        raise ConvergenceError(overflow) from None
+    if not all(math.isfinite(c.measured_defect) and math.isfinite(c.truncation_slack)
+               for c in certificates):
+        raise ConvergenceError(overflow)
     return certificates
 
 

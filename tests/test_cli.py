@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -480,7 +481,8 @@ def test_overflowing_measure_net_is_a_growth_error(tmp_path, capsys):
     {"preset": "homomorphism", "c": "800", "beta": "1", "s_list": ["1000"]},
 ], ids=["bound", "generator-cocycle"])
 def test_overflowing_defect_term_is_a_growth_error(tmp_path, capsys, cfg):
-    path = write_cfg(tmp_path, dict(cfg, mode="growth", n_states=7, radius=10))
+    path = write_cfg(tmp_path, dict(cfg, mode="growth", n_states=7, step=1,
+                                    radius=10))
     out = tmp_path / "out"
     assert main(["growth", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -489,13 +491,43 @@ def test_overflowing_defect_term_is_a_growth_error(tmp_path, capsys, cfg):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_measure_net_past_inf_is_a_growth_error(tmp_path, capsys):
+    # beta c = 1e309 is inf in floats, and math.exp(inf) is inf without an
+    # OverflowError: the non-finite sum is the overflow all the same
+    path = write_cfg(tmp_path, {"mode": "growth", "preset": "homomorphism",
+                                "c": "1e308", "beta": "10", "n_states": 7,
+                                "step": 1, "radius": 10, "s_list": ["0.5"]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["growth", "--config", path, "--out", str(out)]) == 1
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("growth error: ") and "overflows" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("step", [8, 0], ids=["eight-orbits", "identity"])
+def test_growth_model_that_is_not_uniquely_ergodic_is_a_config_error(
+        tmp_path, capsys, step):
+    # x -> x + step on 64 states has gcd(step, 64) orbits: 8 for step 8, and
+    # step 0 fixes every point
+    path = write_cfg(tmp_path, {"mode": "growth", "preset": "mixed", "c": "0",
+                                "n_states": 64, "step": step})
+    out = tmp_path / "out"
+    assert main(["growth", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr("step") in err
+    assert not out.exists()
+
+
 def test_large_homomorphism_cocycle_passes(tmp_path):
     # c g is a cocycle for every c, yet in floats Omega(g, hx) + Omega(h, x)
     # and Omega(g + h, x) part by 6e-8 at c ~ 1.2e7: no float check of the
     # identity may fail this run
     path = write_cfg(tmp_path, {"mode": "growth", "preset": "homomorphism",
-                                "c": "12345678.9", "beta": "1e-9",
-                                "n_states": 7, "radius": 40, "s_list": ["0.5"]})
+                                "c": "12345678.9", "beta": "1e-9", "n_states": 7,
+                                "step": 1, "radius": 40, "s_list": ["0.5"]})
     out = tmp_path / "out"
     assert main(["growth", "--config", path, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())

@@ -106,6 +106,31 @@ def test_realize_block_returns_what_it_measured():
     assert system.identity_residual(grid) <= 1e-10
 
 
+def test_realize_block_evaluates_each_fitted_multiset_once(monkeypatch):
+    # each fit candidate's A and B go through one kernel call on the build
+    # grid, and the block takes the chosen pairs' sums over from the fits
+    calls = []
+    original = ke._multiset_log_power_sums
+
+    def counting(multisets, betas):
+        calls.append((multisets, betas))   # keeps every multiset alive
+        return original(multisets, betas)
+
+    monkeypatch.setattr(ke, "_multiset_log_power_sums", counting)
+    grid = np.linspace(-20.0, 20.0, 501)
+    system = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
+    system.zeta(grid)
+    system.factor(grid)
+    assert calls and all(len(ms) == 2 and betas is grid for ms, betas in calls)
+    evaluated = [m for ms, _ in calls for m in ms]
+    assert len({id(m) for m in evaluated}) == len(evaluated)
+    assert [sum(m is f for m in evaluated) for f in system.fractions] == [1] * 4
+    # on another grid, the block's four sums come from one call
+    system.factor(grid[::2])
+    assert len(calls) == len(evaluated) // 2 + 1
+    assert calls[-1][0] == system.fractions
+
+
 def _lift(items, v, k):
     """{(u, v): k * count}: every weight 2^u of a fitted fraction times t^v."""
     return Counter({(u, v): k * c for u, c in items.items()})

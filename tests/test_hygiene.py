@@ -13,9 +13,9 @@ library or the benchmark (test_every_field_is_read; a read in a test does
 not count, as for definitions), the scalar/array convention of beta evaluators
 lives in one place, kmspec._arrays, and so does the log-sum-exp kernel; no
 function is defined inside a loop.
-Runtime guards check that the bump peaks, the design matrix and
-`log_power_sum` all evaluate their power sums through the one kernel
-`kmspec.expratio._log_power_sums`, that fit bases are shared within a build
+Runtime guards check that every power sum of multisets is evaluated
+through the one kernel `kmspec.expratio._log_power_sums`, and a basis
+through none, that fit bases are shared within a build
 and never across builds, and that the benchmark's tracer still finds every
 library name it wraps and restores each class as it was.
 """
@@ -338,8 +338,9 @@ def test_one_logsumexp_kernel(path):
 
 
 def test_one_power_sum_kernel(monkeypatch):
-    # every power sum over a beta array goes through one evaluator; a second
-    # evaluation path for any of the three callers would miss this count
+    # every power sum of multisets over a beta array goes through one
+    # evaluator, one row per multiset; a basis and its design have a closed
+    # form and make no kernel call at all
     calls = []
     original = ke._log_power_sums
 
@@ -349,12 +350,15 @@ def test_one_power_sum_kernel(monkeypatch):
 
     monkeypatch.setattr(ke, "_log_power_sums", counting)
     basis = ke.TranslatedKernelBasis(6.0, 1.0, 2)
-    rows = basis.nodes.size + 1     # every bump numerator and the denominator
-    assert calls == [rows]          # the bump peaks
     basis.design(np.linspace(-5.0, 5.0, 11))
-    assert calls == [rows, rows]
+    assert calls == []
     ke.WeightedMultiset({0: 1, 3: 2}).log_power_sum(0.5)
-    assert calls == [rows, rows, 1]
+    assert calls == [1]
+    fractions = tuple(ke.WeightedMultiset({u: 1}) for u in (1, -1, 0, 2))
+    block = ke.PartitionedBlockSystem(t=2.0, fractions=fractions,
+                                      scales=(3, 1, 2, 0), achieved_error=0.0)
+    block.factor(np.linspace(-5.0, 5.0, 11))
+    assert calls == [1, 4]
 
 
 def test_no_function_defined_in_a_loop():

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as reference_lse
 
+import kmspec.expratio as ke
 from kmspec._arrays import logsumexp
 from kmspec.expratio import (LN2, _EXP_SCALE, _FIT_CONFIGS,
                              PartitionedBlockSystem, TranslatedKernelBasis,
-                             WeightedMultiset, _log_power_sums)
+                             WeightedMultiset, _conv_log, _log_power_sums)
 
 EPS = np.finfo(float).eps
 
@@ -118,8 +119,9 @@ def test_power_sum_kernel_single_exponent_zero(count):
 
 
 def _per_column_design(basis: TranslatedKernelBasis, betas: np.ndarray) -> np.ndarray:
-    """One log-domain sum per bump column, peak-normalized at its node: the
-    evaluation the batched design replaces."""
+    """One log-domain sum over each bump's lattice row, peak-normalized at
+    its node by the same sums: a reference that shares no arithmetic with
+    the closed-form design."""
     logs = basis._lattice_logs
     lattice = basis._lattice * LN2
     m = basis.nodes.size
@@ -167,6 +169,82 @@ def test_batched_design_matches_per_column_reference(spacing, window, grid_n):
     assert design.shape == (grid_n, basis.nodes.size)
     assert _max_relative(design, _per_column_design(basis, betas)) <= 1e-12
     assert _max_relative(design, _closed_form_design(basis, window, betas)) <= 1e-12
+
+
+def _mpmath_design(basis: TranslatedKernelBasis, window: int,
+                   betas: np.ndarray):
+    """The closed form in 40 digits, from the float nodes and betas taken
+    as exact: the design matrix, and the log bump peaks
+    sum_{j in window(i)} log cosh(y_j ln2) - log cosh((y_i - y_j) ln2)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    ln2 = mp.log(2)
+    y = [mp.mpf(float(v)) for v in basis.nodes]
+    m = len(y)
+    cosh = [[mp.cosh((mp.mpf(float(x)) - yj) * ln2) for yj in y]
+            for x in list(betas) + list(basis.nodes)]
+    design = np.empty((betas.size, m))
+    log_peaks = np.empty(m)
+    for i in range(m):
+        near = range(max(0, i - window + 1), min(m - 1, i + window - 1) + 1)
+        peak = mp.fprod(cosh[betas.size + i][j] for j in near)
+        log_peaks[i] = float(mp.fsum(mp.log(mp.cosh(y[j] * ln2)) for j in near)
+                             - mp.log(peak))
+        for r in range(betas.size):
+            design[r, i] = float(peak / mp.fprod(cosh[r][j] for j in near))
+    return design, log_peaks
+
+
+@pytest.mark.parametrize("spacing,window", _FIT_CONFIGS)
+def test_closed_form_design_matches_mpmath(spacing, window):
+    # the wreath fit range: nodes out to y_max 22, betas over [-20, 20]
+    basis = TranslatedKernelBasis(22.0, spacing, window)
+    betas = np.linspace(-20.0, 20.0, 41)
+    design, log_peaks = _mpmath_design(basis, window, betas)
+    got = basis.design(betas)
+    assert np.all(design > 0.0)
+    assert float(np.max(np.abs(got - design) / design)) <= 1e-13
+    assert float(np.max(np.abs(basis.log_peaks - log_peaks))) <= 1e-13
+
+
+@pytest.mark.parametrize("spacing,window", _FIT_CONFIGS)
+def test_lattice_sums_agree_with_the_closed_form_design(spacing, window):
+    # the lattice rows are what a fit's coefficients are merged over and
+    # rounded from: each numerator over the denominator, through the
+    # kernel, divided by the closed-form peak, is the closed-form bump
+    basis = TranslatedKernelBasis(22.0, spacing, window)
+    betas = np.linspace(-20.0, 20.0, 2001)
+    m = basis.nodes.size
+    sums = _log_power_sums(basis._lattice_logs, basis._lattice, betas)
+    ratio = np.exp(sums[:, :m] - sums[:, m:] - basis.log_peaks)
+    assert _max_relative(ratio, basis.design(betas), floor=0.0) <= 1e-11
+
+
+@pytest.mark.parametrize("spacing,window", _FIT_CONFIGS)
+def test_lattice_logs_are_the_per_bump_convolutions(spacing, window):
+    # each numerator is the product of the factors left of its window and
+    # those right of it, one _conv_log per bump as the reference; the
+    # batched convolution must reproduce it to the bit
+    basis = TranslatedKernelBasis(22.0, spacing, window)
+    y = basis.nodes
+    m = y.size
+    norm = np.logaddexp(y * LN2, -y * LN2)
+    factors = [np.array([-v * LN2 - n, v * LN2 - n]) for v, n in zip(y, norm)]
+
+    def product(fs):
+        out = np.zeros(1)
+        for f in fs:
+            out = _conv_log(out, f)
+        return out
+
+    want = np.full((m + 1, 2 * m + 1), -np.inf)
+    for i in range(m):
+        lo, hi = max(0, i - window + 1), min(m - 1, i + window - 1)
+        used = m - (hi - lo + 1)
+        numer = _conv_log(product(factors[:lo]), product(factors[:hi:-1]))
+        want[i, m - used:m + used + 1:2] = numer[::-1]
+    want[m, ::2] = product(factors)[::-1]
+    assert np.array_equal(basis._lattice_logs, want)
 
 
 def test_design_is_recomputed_for_a_mutated_grid():
@@ -218,22 +296,23 @@ def _factor_by_hand(betas: np.ndarray) -> np.ndarray:
 
 
 def test_part_sums_computed_once_per_grid(monkeypatch):
+    # one kernel call per grid, with a row for each of the four fractions
     system = _small_system()
     calls = []
-    original = WeightedMultiset.log_power_sum
+    original = ke._log_power_sums
 
-    def counting(self, beta):
-        calls.append(len(self.items))
-        return original(self, beta)
+    def counting(logs, exps, betas):
+        calls.append(logs.shape[0])
+        return original(logs, exps, betas)
 
-    monkeypatch.setattr(WeightedMultiset, "log_power_sum", counting)
+    monkeypatch.setattr(ke, "_log_power_sums", counting)
     grid = np.linspace(-4.0, 4.0, 33)
     system.zeta(grid)
     system.factor(grid)
     system.factor(grid.copy())
-    assert len(calls) == 4     # one power sum per fraction multiset
+    assert calls == [4]
     system.factor(grid[:-1])
-    assert len(calls) == 8
+    assert calls == [4, 4]
 
 
 def test_part_sums_fresh_after_grid_mutated_in_place():
