@@ -136,22 +136,25 @@ def _chunk_log_power_sums(logs: np.ndarray, lattice: np.ndarray,
 # at y_i sharing the common denominator, and positive combinations are again
 # single ratios of exponential sums with O(m) terms.
 
-def _conv_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Polynomial multiplication of log-coefficient arrays: out = log(exp(x) * exp(y))."""
-    if x.size > y.size:
-        x, y = y, x    # loop over the shorter factor
-    out = np.full(x.size + y.size - 1, -np.inf)
-    for i in range(x.size):
-        out[i:i + y.size] = np.logaddexp(out[i:i + y.size], x[i] + y)
+def _times_factor(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Log coefficients of exp(x) times the two-term factor exp(f): each
+    inner coefficient is one logaddexp of its two terms, and each end is
+    its one term.  These are the bits of the schoolbook product, which adds
+    each end's term to -inf, since logaddexp(-inf, v) is v."""
+    out = np.empty(x.size + 1)
+    out[0] = x[0] + f[0]
+    out[-1] = x[-1] + f[1]
+    np.logaddexp(x[1:] + f[0], x[:-1] + f[1], out=out[1:-1])
     return out
 
 
 def _conv_log_rows(pairs) -> np.ndarray:
-    """`_conv_log` of every pair (x, y), one row each, padded with -inf: one
-    pass over the index of the shorter factor for all pairs at once.  Every
-    element adds its terms in the order `_conv_log` adds them, and a -inf
+    """Log coefficients of exp(x) times exp(y) for every pair (x, y), one
+    row each, padded with -inf: the schoolbook product, one pass over the
+    index of the shorter factor for all pairs at once.  Every element adds
+    its terms in the order that pass over one pair adds them, and a -inf
     term of the padding leaves logaddexp's other operand unchanged, so each
-    row is `_conv_log`'s result to the bit.  Rows are worked on longest
+    row is the one-pair product to the bit.  Rows are worked on longest
     shorter factor first, so that step i covers only the rows whose shorter
     factor reaches index i, and only as wide as their longer factors."""
     pairs = [(x, y) if x.size <= y.size else (y, x) for x, y in pairs]
@@ -222,16 +225,15 @@ class TranslatedKernelBasis:
         m = count
         # per-factor log coefficients for [z^{+1}, z^{-1}], normalized by the
         # factor value at beta = 0 to keep the running products centered
-        facs = []
-        for y in self.nodes:
-            norm = np.logaddexp(y * LN2, -y * LN2)
-            facs.append(np.array([-y * LN2 - norm, y * LN2 - norm]))
+        u = self.nodes * LN2
+        norm = np.logaddexp(u, -u)
+        facs = np.stack([-u - norm, u - norm], axis=1)
         prefix = [np.zeros(1)]
         for f in facs:
-            prefix.append(_conv_log(prefix[-1], f))
+            prefix.append(_times_factor(prefix[-1], f))
         suffix = [np.zeros(1)]
         for f in reversed(facs):
-            suffix.append(_conv_log(suffix[-1], f))
+            suffix.append(_times_factor(suffix[-1], f))
         suffix.reverse()
         # every numerator and the denominator on the exponent lattice
         # u = -m, ..., m (base 2^u): rows 0..m-1 hold the bumps, row m the

@@ -205,13 +205,30 @@ def classify_spectrum(has_nonpos_limsup_point: bool,
     return "{0}"
 
 
+def _orbit_count(image: np.ndarray) -> int:
+    """The number of cycles of the permutation x -> image[x]: by pointer
+    doubling, each state's label becomes the least state of its cycle."""
+    least, jump = np.arange(len(image)), image
+    for _ in range((len(image) - 1).bit_length()):
+        least = np.minimum(least, least[jump])
+        jump = jump[jump]
+    return len(np.unique(least))
+
+
 def omega_mu(model: CocycleModel, measure: np.ndarray) -> Dict[object, float]:
     """Integrated cocycle Omega_mu(g) = integral Omega(g, x) d mu(x) on the
-    generators; requires mu invariant under the action to within 1e-10."""
+    generators; requires mu invariant under the action to within 1e-10, and
+    an action with one orbit, without which the model is not uniquely
+    ergodic and Omega_mu depends on the invariant measure chosen."""
     mu = np.asarray(measure, dtype=float)
     if mu.shape != (model.n_states,) or abs(mu.sum() - 1.0) > 1e-10:
         raise InvalidInputError("measure must be a probability vector on the states")
     states = np.arange(model.n_states)
+    orbits = _orbit_count(model.act(np.ones_like(states), states))
+    if orbits != 1:
+        raise DomainError(f"the action has {orbits} orbits on the "
+                          f"{model.n_states} states, so the model is not "
+                          "uniquely ergodic")
     table = {}
     for h in _GENERATORS:
         g = np.full(model.n_states, h)

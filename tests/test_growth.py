@@ -253,6 +253,17 @@ def test_omega_mu_rejects_noninvariant_measure():
         omega_mu(model, bad)
 
 
+@pytest.mark.parametrize("step,orbits", [(8, 8), (0, 64)])
+def test_omega_mu_rejects_an_action_with_many_orbits(step, orbits):
+    # x -> x + step on 64 states has gcd(step, 64) orbits, and the uniform
+    # measure is invariant under both; only one orbit is uniquely ergodic
+    model = CocycleModel.from_preset("mixed", n_states=64, step=step, c=0.0)
+    uniform = np.full(64, 1.0 / 64)
+    for classify in (omega_mu, uniquely_ergodic_classifier):
+        with pytest.raises(DomainError, match=f"{orbits} orbits"):
+            classify(model, uniform)
+
+
 def test_uniquely_ergodic_classifier():
     uniform = np.full(64, 1.0 / 64)
     assert uniquely_ergodic_classifier(

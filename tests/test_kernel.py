@@ -18,9 +18,21 @@ import kmspec.expratio as ke
 from kmspec._arrays import logsumexp
 from kmspec.expratio import (LN2, _EXP_SCALE, _FIT_CONFIGS,
                              PartitionedBlockSystem, TranslatedKernelBasis,
-                             WeightedMultiset, _conv_log, _log_power_sums)
+                             WeightedMultiset, _log_power_sums, _times_factor)
 
 EPS = np.finfo(float).eps
+
+
+def _conv_log(x, y):
+    """The schoolbook log-domain product log(exp(x) * exp(y)), one pass over
+    the shorter factor's index: the reference the basis convolutions must
+    match to the bit."""
+    if x.size > y.size:
+        x, y = y, x
+    out = np.full(x.size + y.size - 1, -np.inf)
+    for i in range(x.size):
+        out[i:i + y.size] = np.logaddexp(out[i:i + y.size], x[i] + y)
+    return out
 
 
 def _close(got, want):
@@ -245,6 +257,22 @@ def test_lattice_logs_are_the_per_bump_convolutions(spacing, window):
         want[i, m - used:m + used + 1:2] = numer[::-1]
     want[m, ::2] = product(factors)[::-1]
     assert np.array_equal(basis._lattice_logs, want)
+
+
+@pytest.mark.parametrize("spacing", sorted({s for s, _ in _FIT_CONFIGS}))
+def test_two_term_products_are_the_conv_log_chain(spacing):
+    # the basis's prefix products, and products of random factors whose
+    # terms lie far apart, one factor at a time: every partial product
+    # equals the _conv_log chain's to the bit
+    y = TranslatedKernelBasis(22.0, spacing).nodes * LN2
+    norm = np.logaddexp(y, -y)
+    rng = np.random.default_rng(0)
+    for factors in (np.stack([-y - norm, y - norm], axis=1),
+                    rng.uniform(-300.0, 300.0, size=(60, 2))):
+        got = want = np.zeros(1)
+        for f in factors:
+            got, want = _times_factor(got, f), _conv_log(want, f)
+            assert np.array_equal(got, want)
 
 
 def test_design_is_recomputed_for_a_mutated_grid():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kmspec import padic
 from kmspec.errors import InvalidInputError
 from kmspec.padic import (MAT2_IDENTITY, Mat2, _prefix_matrices,
                           default_alphabet, enumerate_reduced_words,
@@ -97,6 +98,23 @@ def test_freeness_detects_relations():
     assert cert.words_certified == 0
     assert cert.to_dict()["relation"] == [list(letter) for letter in culprit]
     assert eval_word(culprit) == MAT2_IDENTITY
+
+
+@pytest.mark.parametrize("max_len,alphabet", [
+    (8, ("a", "g1")),
+    # h_12 takes the search past the int64 bound, onto Python integers
+    (4, ("a", "g1", "h:12")),
+    (8, default_alphabet()),
+    (8, ("g1", "h:12"))])
+def test_freeness_is_exact_when_every_hash_key_collides(max_len, alphabet,
+                                                        monkeypatch):
+    # the rows that share a key are compared exactly, so a hash that gives
+    # every row one key finds the same relations, and no false one
+    expected = freeness_suite(max_len, alphabet)
+    monkeypatch.setattr(padic, "_row_keys",
+                        lambda rows: np.zeros(len(rows), dtype=np.uint64))
+    assert freeness_suite(max_len, alphabet) == expected
+    assert expected.identity_found == ("a" in alphabet)
 
 
 def test_freeness_at_the_largest_length():
@@ -216,9 +234,11 @@ GENERATOR_SETS = {"g1,g2": [generator("g1"), generator("g2")],
                   "none": []}
 
 
+CLOSURE_MODULI = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1)]
+
+
 @pytest.mark.parametrize("gens", GENERATOR_SETS)
-@pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1),
-                                 (11, 1)])
+@pytest.mark.parametrize("p,N", CLOSURE_MODULI)
 def test_closure_matches_set_search(p, N, gens):
     elements = _closure_by_set(p, N, GENERATOR_SETS[gens])
     out = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
@@ -265,19 +285,61 @@ def test_closure_of_random_pairs_matches_set_search(modulus, moves1, moves2):
     assert subgroup_closure_mod(p, N, gens)["order"] == len(_closure_by_set(p, N, gens))
 
 
-def test_closure_memory_peak():
-    # the rows, keys and two bool maps of the search: 15.1 MB measured at
-    # p = 3, N = 4 (frontier up to 163,798 elements), where the search that
-    # multiplied int64 entry arrays and sorted each step's keys peaked at
-    # 25.1 MB
+def _small(moduli):
+    # the moduli whose 2 p^{3N} slices of one entry are swept quickly
+    return [(p, N) for p, N in moduli if p ** (3 * N) < 2000]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("gens", GENERATOR_SETS)
+@pytest.mark.parametrize("p,N", _small(CLOSURE_MODULI))
+def test_closure_order_does_not_depend_on_the_chunk(p, N, gens, chunk,
+                                                    monkeypatch):
+    # a slice of one or seven entries splits the (a, b, c) and (a, b, d)
+    # keys at every offset, and 2 p^{3N} is no multiple of 7
+    expected = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
+    monkeypatch.setattr(padic, "_CLOSURE_CHUNK", chunk)
+    assert subgroup_closure_mod(p, N, GENERATOR_SETS[gens]) == expected
+
+
+@given(st.sampled_from(_small(MODULI)), MOVES, MOVES, st.sampled_from([1, 7]))
+@settings(max_examples=15, deadline=None)
+def test_closure_of_random_pairs_does_not_depend_on_the_chunk(
+        modulus, moves1, moves2, chunk):
+    p, N = modulus
+    gens = [_lift(moves1), _lift(moves2)]
+    expected = len(_closure_by_set(p, N, gens))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(padic, "_CLOSURE_CHUNK", chunk)
+        assert subgroup_closure_mod(p, N, gens)["order"] == expected
+
+
+def _closure_peak(p, N):
     gens = [generator("g1"), generator("g2")]
     tracemalloc.start()
     try:
-        out = subgroup_closure_mod(3, 4, gens)
+        out = subgroup_closure_mod(p, N, gens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out["is_full"]
+    assert out["order"] == sl2_order(p, N) and out["is_full"]
+    return peak
+
+
+def test_closure_memory_peak():
+    # the two bool maps (2.1 MB), the step tables and one slice's arrays:
+    # 5.1 MB measured at p = 3, N = 4, where the search that held a whole
+    # level's rows and keys peaked at 15.1 MB (frontier up to 163,798
+    # elements), and the one that multiplied int64 entry arrays and sorted
+    # each step's keys at 25.1 MB
+    peak = _closure_peak(3, 4)
+    assert peak < 7e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_closure_memory_peak_at_p5_N3():
+    # 13.1 MB measured, of which the two maps are 7.5 MB; the search that
+    # held a whole level peaked at 54.2 MB
+    peak = _closure_peak(5, 3)
     assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
