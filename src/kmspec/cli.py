@@ -23,7 +23,8 @@ from .errors import InvalidInputError, KmspecError
 from .growth import (CocycleModel, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu,
                      uniquely_ergodic_classifier)
-from .padic import default_alphabet, freeness_suite, generator, subgroup_closure_mod
+from .padic import (ENUM_CAP, default_alphabet, freeness_suite, generator,
+                    is_odd_prime, subgroup_closure_mod)
 from .realize import build_realizable, eval_phi, fraction_pair
 from .sets import ClosedSetSpec
 from .spectra import (solve_free_product_spectrum, solve_spectrum,
@@ -73,6 +74,7 @@ _NUMERIC_KEYS = {
 }
 N_STATES = 64    # growth state count when the config sets none
 STEP = 7         # and the step of its odometer
+PADIC_P, PADIC_N = 3, 2    # padic prime and top level when the config sets none
 # the producers measure and the manifest judges: a fraction pair passes with
 # |Q_i| <= Q_BOUND (+ Q_SLACK) wherever |beta| >= d(0, K) on its grid, where
 # the clamp is linear
@@ -126,7 +128,27 @@ def check_config(config: dict) -> dict:
         raise InvalidInputError(f"config key 'step' must be coprime to n_states "
                                 f"= {n_states}, got {step!r}: the odometer is "
                                 "not uniquely ergodic")
+    if mode == "padic":
+        _check_padic_domain(int(config.get("p", PADIC_P)),
+                            int(config.get("N", PADIC_N)))
     return config
+
+
+def _check_padic_domain(p: int, n_level: int):
+    """The closures run mod p^n for n up to N, for an odd prime p with
+    p^(3N) <= ENUM_CAP.  p^3 is bounded first, so the primality test
+    divides by at most sqrt(215), and the top level is found by
+    multiplying, so a huge N costs nothing."""
+    if not (p ** 3 <= ENUM_CAP and is_odd_prime(p)):
+        raise InvalidInputError(f"config key 'p' must be an odd prime with "
+                                f"p^3 <= {ENUM_CAP}, got {p!r}")
+    top = 1
+    while p ** (3 * top + 3) <= ENUM_CAP:
+        top += 1
+    if n_level > top:
+        raise InvalidInputError(f"config key 'N' must be at most {top} for "
+                                f"p = {p}, so that p^(3N) <= {ENUM_CAP}, got "
+                                f"{n_level!r}")
 
 
 def _num(config, key, default) -> float:
@@ -134,31 +156,56 @@ def _num(config, key, default) -> float:
 
 
 def _reprs(col) -> list:
-    """repr of each value of a column, as a Python float for a float64 array.
+    """repr of each value of a column, as a Python float for a float64
+    array, which _float_rows writes as a table of one column."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return _float_rows(col[:, None]).split("\n")[:-1]
+    return list(map(repr, col))
 
-    orjson writes the same shortest round-trip digits as repr in one pass
-    over the array, except where repr uses exponent form (|x| < 1e-4 off 0,
-    |x| >= 1e16) and for nan and inf, which it writes as null; those values
-    are overwritten by repr.  Both cut-offs are exact doubles."""
-    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
-        return list(map(repr, col))
+
+def _float_rows(table: np.ndarray) -> str:
+    """The CSV lines of a float64 table, each value as repr writes it, from
+    one orjson pass over the table in row order: every width-th comma of
+    its text becomes a newline, in one pass over the bytes.  orjson writes
+    the same shortest round-trip digits as repr except where repr uses
+    exponent form (|x| < 1e-4 off 0, |x| >= 1e16) and for nan and inf,
+    which it writes as null; repr is spliced in at those values alone.
+    Both cut-offs are exact doubles."""
     import orjson    # loads only where used: growth and padic never reach here
-    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
-    out = text[1:-1].decode().split(",") if col.size else []
-    magnitude = np.abs(col)
-    exp_form = np.flatnonzero(~(magnitude < 1e16) | ((magnitude < 1e-4) & (col != 0)))
-    for i, x in zip(exp_form.tolist(), col[exp_form].tolist()):
-        out[i] = repr(x)
-    return out
+    if not table.size:
+        return ""
+    flat = np.ascontiguousarray(table).ravel()
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
+    buf = np.frombuffer(text, dtype=np.uint8)[1:-1].copy()
+    commas = np.flatnonzero(buf == ord(","))
+    buf[commas[table.shape[1] - 1::table.shape[1]]] = ord("\n")
+    data = buf.tobytes()
+    magnitude = np.abs(flat)
+    exp_form = np.flatnonzero(~(magnitude < 1e16) | ((magnitude < 1e-4) & (flat != 0)))
+    if not len(exp_form):
+        return data.decode() + "\n"
+    # value i spans data[starts[i]:ends[i]]
+    starts = np.concatenate([[0], commas + 1])[exp_form].tolist()
+    ends = np.concatenate([commas, [len(data)]])[exp_form].tolist()
+    parts, pos = [], 0
+    for start, end, x in zip(starts, ends, flat[exp_form].tolist()):
+        parts.append(data[pos:start].decode())
+        parts.append(repr(x))
+        pos = end
+    parts.append(data[pos:].decode())
+    return "".join(parts) + "\n"
 
 
 def _csv(header: Tuple[str, ...], *columns) -> str:
     """One CSV line per row of the columns, every value written as repr of a
     Python value: a float64 array's entries as Python floats, since
-    np.float64 has its own repr."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_reprs, columns))))
-    return "\n".join(lines) + "\n"
+    np.float64 has its own repr.  A table of float64 columns alone is
+    formatted in one pass (_float_rows), any other column by column."""
+    head = ",".join(header) + "\n"
+    if all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns):
+        return head + _float_rows(np.column_stack(columns))
+    return head + "".join(line + "\n" for line in
+                          map(",".join, zip(*map(_reprs, columns))))
 
 
 def _cert(name: str, passed: bool, value: float, tol: float) -> dict:
@@ -273,15 +320,15 @@ def run_growth(config: dict):
         "horizon": horizon,
         "omega_mu": {str(g): repr(v) for g, v in sorted(table.items(),
                                                         key=lambda kv: str(kv[0]))},
-        "uniquely_ergodic_classifier": uniquely_ergodic_classifier(model, uniform),
+        "uniquely_ergodic_classifier": uniquely_ergodic_classifier(table),
     }
     artifacts["report.json"] = canonical_json(report)
     return artifacts, certificates
 
 
 def run_padic(config: dict):
-    p = int(config.get("p", 3))
-    n_level = int(config.get("N", 2))
+    p = int(config.get("p", PADIC_P))
+    n_level = int(config.get("N", PADIC_N))
     max_len = int(config.get("max_len", 8))
     certificates = []
 

@@ -240,7 +240,8 @@ def omega_mu(model: CocycleModel, measure: np.ndarray) -> Dict[object, float]:
     return table
 
 
-def uniquely_ergodic_classifier(model: CocycleModel, measure: np.ndarray) -> str:
-    """For a uniquely ergodic model the spectrum is R iff Omega_mu vanishes."""
-    table = omega_mu(model, measure)
+def uniquely_ergodic_classifier(table: Dict[object, float]) -> str:
+    """For a uniquely ergodic model the spectrum is R iff Omega_mu vanishes;
+    table is the model's omega_mu, which checks that it is uniquely
+    ergodic."""
     return "R" if all(abs(v) <= 1e-9 for v in table.values()) else "{0}"

@@ -302,7 +302,7 @@ def freeness_suite(max_len: int,
 # ---------------------------------------------------------------------------
 # Finite quotients
 
-def _is_odd_prime(p: int) -> bool:
+def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
     return all(p % d for d in range(3, int(math.isqrt(p)) + 1, 2))
@@ -314,58 +314,159 @@ def sl2_order(p: int, N: int) -> int:
 
 
 def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
-    """Closure of the generated subgroup inside SL(2, Z/p^N Z), by a search
-    over its Cayley graph.
+    """Order of the subgroup H the generators generate in SL(2, Z/p^N Z),
+    found level by level: a search over its Cayley graph mod p (_sweep),
+    then one lift through each congruence kernel up to p^N.
 
-    A matrix is held as its two rows, each an index x m + y in [0, m^2)
-    with m = p^N.  Right multiplication by a generator acts on each row
-    alone, as a table of m^2 row indices built once per call.  An element
-    is keyed by (a, b, c) when a is a unit mod p, else by (a, b, d) offset
-    by p^{3N}: with ad - bc = 1 the missing entry follows from the other
-    three (b is a unit when a is not), so the key is injective.  Each
-    generator step reads the key of a product straight from the rows of
-    its factor, through lookup tables composed with the row table, so the
-    search multiplies no matrices and reduces and sorts no entries.
+    For n >= 2 the kernel of SL(2, Z/p^n) -> SL(2, Z/p^{n-1}) is
+    {I + p^{n-1} X : X trace zero mod p}, elementary abelian of order p^3,
+    so the kernel of H_n -> H_{n-1}, with H_n the image of H mod p^n, is
+    an F_p-subspace and |H_n| = |H_{n-1}| p^r, r its rank.  By Schreier's
+    lemma (Seress, Permutation Group Algorithms, 2003, section 4.2) that
+    kernel is spanned by the X of k = t s t'^{-1}, over one lift t of each
+    element of H_{n-1}, the generators and their inverses s, and the lift
+    t' congruent to t s mod p^{n-1}.  t' is found through the _sweep key
+    of t s mod p^{n-1}, in a map of 2 p^{3(n-1)} lift indices.  The lifts
+    are scanned in batches of _SCHREIER_BATCH, and the scan stops once the
+    X found span rank 3.  The lifts of H_n, for the next level, are those
+    of H_{n-1} times every product of powers of the kernel elements whose
+    X were kept.  The lifts of H_1 are recorded by the sweep mod p, each
+    its parent's lift times the step's matrix mod p^N.
 
-    Two bool maps of 2 p^{3N} entries each, 40 MB at ENUM_CAP (2 MB at
-    p = 3, N = 4), mark the elements found and those not yet expanded.
-    The search sweeps the pending map in slices of _CLOSURE_CHUNK entries:
-    the set keys of a slice come out sorted, are cleared, decoded back to
-    rows and expanded, and each step marks its unvisited keys in both maps,
-    which deduplicates them.  A key marked ahead of the sweep is expanded
-    in the same sweep, one marked behind it in the next, until no key is
-    pending.  So beyond the maps and the step tables
-    the search holds a few arrays of one slice, however wide the frontier:
-    measured with tracemalloc, a closure by g1, g2 peaks at 5.1 MB at
-    (p, N) = (3, 4), 27 MB at (13, 2) and 48 MB at (211, 1), and takes
-    about 36 ms, 0.33 s and 0.62 s on a 2-core host.
+    So the closure multiplies the |H_{N-1}| = |H_N| / p^r lifts by the
+    steps, where a search mod p^N expands all |H_N| elements.  By g1, g2
+    it takes 3-5 ms at (p, N) = (3, 4) (472,392 elements) and at (5, 3),
+    and 2-4 ms at (13, 2) on a 2-core host, against 38-63 ms, 0.15-0.2 s
+    and 0.38-0.51 s for the search mod p^N (medians of 7, two alternating
+    rounds), and peaks at 2.4 MB in tracemalloc at (3, 4), against
+    5.1 MB.  For N >= 2 the cap keeps p <= 13, so the sweep mod p marks
+    at most 2 * 13^3 keys; for N = 1 it is the whole closure.
     """
-    if not _is_odd_prime(p):
+    if not is_odd_prime(p):
         raise InvalidInputError("p must be an odd prime")
     if N < 1:
         raise InvalidInputError("N must be >= 1")
     if p ** (3 * N) > ENUM_CAP:
         raise EnumerationError(f"p^(3N) = {p ** (3 * N)} exceeds the cap {ENUM_CAP}")
-    # the cap keeps p^N <= 215, so every key and decode product fits int64
+    modulus = p ** N
+    steps = [np.array(s.reduced(modulus)) for g in gens for s in (g, g.inv())]
+    order, lifts = _sweep(p, p, steps, modulus if N > 1 else None)
+    for n in range(2, N + 1):
+        kernel = _kernel_basis(p, p ** (n - 1), lifts, steps, modulus)
+        order *= p ** len(kernel)
+        if n == N:
+            break
+        for k in kernel:
+            powers = [lifts]
+            for _ in range(p - 1):
+                powers.append(_products(powers[-1], k, modulus))
+            lifts = np.concatenate(powers)
+    expected = sl2_order(p, N)
+    if expected % order:
+        raise EnumerationError("closure order does not divide the group order; "
+                               "this indicates a bug")
+    return {"p": p, "N": N, "order": order, "expected": expected,
+            "is_full": order == expected}
+
+
+def _products(x: np.ndarray, y: np.ndarray, modulus: int) -> np.ndarray:
+    """The products x_i y_i mod modulus of 2x2 matrices held as rows
+    (a, b, c, d); y may be one such row, a matrix applied to every x_i."""
+    x0, x1, x2, x3 = x.T
+    y0, y1, y2, y3 = y.T
+    return np.stack((x0 * y0 + x1 * y2, x0 * y1 + x1 * y3,
+                     x2 * y0 + x3 * y2, x2 * y1 + x3 * y3), axis=1) % modulus
+
+
+def _keys(rows: np.ndarray, p: int, m: int) -> np.ndarray:
+    """The _sweep key of each det-1 matrix (a, b, c, d) with entries in
+    [0, m): (a m + b) m + c when a is a unit mod p, else (a m + b) m + d
+    offset by m^3."""
+    a, b, c, d = rows.T
+    return (a * m + b) * m + np.where(a % p != 0, c, m ** 3 + d)
+
+
+def _kernel_basis(p: int, q: int, lifts: np.ndarray, steps: List[np.ndarray],
+                  modulus: int) -> List[np.ndarray]:
+    """Schreier generators k = t s t'^{-1}, mod modulus, whose X = (k - I)/q
+    mod p are independent and span every such X: lifts holds one lift of
+    each element of the image of the subgroup mod q = p^{n-1}, and the X
+    are reduced against the span found so far, kept in echelon form as
+    (pivot, row) pairs with a 1 at the pivot."""
+    index = np.zeros(2 * q ** 3, dtype=np.int32)
+    index[_keys(lifts % q, p, q)] = np.arange(len(lifts))
+    echelon, kernel = [], []
+    for lo in range(0, len(lifts), _SCHREIER_BATCH):
+        t = lifts[lo:lo + _SCHREIER_BATCH]
+        for s in steps:
+            ts = _products(t, s, modulus)
+            # t'^{-1} = (d, -b, -c, a)
+            inverse = lifts[index[_keys(ts % q, p, q)]][:, (3, 1, 2, 0)]
+            k = _products(ts, inverse * (1, -1, -1, 1), modulus)
+            # trace zero: X is fixed by its entries 11, 12 and 21
+            x = (k[:, :3] - (1, 0, 0)) // q % p
+            for pivot, row in echelon:
+                x = (x - x[:, pivot, None] * row) % p
+            # a row kept clears itself, and its pivot in every other row
+            hit = np.flatnonzero(x.any(axis=1))
+            while len(hit):
+                i = hit[0]
+                pivot = int(np.flatnonzero(x[i])[0])
+                row = x[i] * pow(int(x[i, pivot]), -1, p) % p
+                echelon.append((pivot, row))
+                kernel.append(k[i])
+                if len(kernel) == 3:
+                    return kernel
+                x = (x - x[:, pivot, None] * row) % p
+                hit = np.flatnonzero(x.any(axis=1))
+    return kernel
+
+
+def _sweep(p: int, m: int, steps: List[np.ndarray], lift_modulus) -> tuple:
+    """Order of the closure mod m, a power of p, by a search over its
+    Cayley graph, and, unless lift_modulus is None, one lift mod
+    lift_modulus of each of its elements, in the order of their keys.
+
+    A matrix is held as its two rows, each an index x m + y in [0, m^2).
+    Right multiplication by a step acts on each row alone, as a table of
+    m^2 row indices built once per call.  An element is keyed by (a, b, c)
+    when a is a unit mod p, else by (a, b, d) offset by m^3: with
+    ad - bc = 1 the missing entry follows from the other three (b is a
+    unit when a is not), so the key is injective.  Each step reads the key
+    of a product straight from the rows of its factor, through lookup
+    tables composed with the row table, so the search multiplies no
+    matrices and reduces and sorts no entries.
+
+    Two bool maps of 2 m^3 entries each, 40 MB at ENUM_CAP, mark the
+    elements found and those not yet expanded.  The search sweeps the
+    pending map in slices of _CLOSURE_CHUNK entries: the set keys of a
+    slice come out sorted, are cleared, decoded back to rows and expanded,
+    and each step marks its unvisited keys in both maps, which deduplicates
+    them.  A key marked ahead of the sweep is expanded in the same sweep,
+    one marked behind it in the next, until no key is pending.  So beyond
+    the maps and the step tables the search holds a few arrays of one
+    slice, however wide the frontier: measured with tracemalloc, a closure
+    by g1, g2 mod 211 peaks at 48 MB and takes about 0.62 s on a 2-core
+    host.
+    """
+    # the cap keeps m <= 215, so every key and decode product fits int64
     # with room to spare
-    m = p ** N
     square = m * m
     cube = square * m
     x, y = np.divmod(np.arange(square, dtype=np.int64), m)
     # the key of rows (r1, r2) is r1 m + low[pick[r1] + r2]: pick is m^2 on
-    # the rows whose first entry is a unit mod p, and low holds p^{3N} + d
+    # the rows whose first entry is a unit mod p, and low holds m^3 + d
     # for every second row r2, then c
     pick = np.where(x % p != 0, square, 0)
     low = np.concatenate([cube + y, x])
-    steps = []
-    for g in gens:
-        for s in (g, g.inv()):
-            s0, s1, s2, s3 = s.reduced(m)
-            image = (x * s0 + y * s2) % m * m + (x * s1 + y * s3) % m
-            # the product of rows (r1, r2) with s has the key
-            # head[r1] + tail[turn[r1] + r2]
-            steps.append((image * m, pick[image],
-                          low[np.concatenate([image, image + square])]))
+    tables = []
+    for s in steps:
+        s0, s1, s2, s3 = (s % m).tolist()
+        image = (x * s0 + y * s2) % m * m + (x * s1 + y * s3) % m
+        # the product of rows (r1, r2) with s has the key
+        # head[r1] + tail[turn[r1] + r2]
+        tables.append((image * m, pick[image],
+                       low[np.concatenate([image, image + square])]))
     inverse = np.zeros(m, dtype=np.int64)
     for u in range(1, m):
         if u % p:
@@ -375,6 +476,10 @@ def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
     pending = np.zeros(2 * cube, dtype=bool)
     # the identity: rows (1, 0) and (0, 1), key (1, 0, 0)
     visited[square] = pending[square] = True
+    lifts = None
+    if lift_modulus is not None:
+        lifts = np.zeros((2 * cube, 4), dtype=np.int64)
+        lifts[square] = (1, 0, 0, 1)
     order = 0
     while pending.any():
         for lo in range(0, 2 * cube, _CLOSURE_CHUNK):
@@ -384,6 +489,8 @@ def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
             pending[lo:lo + _CLOSURE_CHUNK] = False
             order += len(k)
             k += lo
+            if lifts is not None:
+                parents = lifts[k]
             # the keys come sorted, the (a, b, c) keys first; the missing
             # entry is d = (1 + bc) / a for those and c = (ad - 1) / b for
             # the rest
@@ -395,20 +502,19 @@ def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
             r2 = np.empty_like(k)
             r2[:n] = e[:n] * m + (1 + b[:n] * e[:n]) * inverse[a[:n]] % m
             r2[n:] = (a[n:] * e[n:] - 1) * inverse[b[n:]] % m * m + e[n:]
-            for head, turn, tail in steps:
+            for (head, turn, tail), s in zip(tables, steps):
                 k = head[r1] + tail[turn[r1] + r2]
-                k = k[~visited[k]]
+                new = ~visited[k]
+                k = k[new]
                 visited[k] = True
                 pending[k] = True
-    expected = sl2_order(p, N)
-    if expected % order:
-        raise EnumerationError("closure order does not divide the group order; "
-                               "this indicates a bug")
-    return {"p": p, "N": N, "order": order, "expected": expected,
-            "is_full": order == expected}
+                if lifts is not None:
+                    lifts[k] = _products(parents[new], s, lift_modulus)
+    return order, None if lifts is None else lifts[visited]
 
 
 ENUM_CAP = 10 ** 7
-# pending-map entries read, decoded and expanded at a time by
-# subgroup_closure_mod
+# pending-map entries read, decoded and expanded at a time by _sweep
 _CLOSURE_CHUNK = 1 << 16
+# lifts multiplied by each step at a time by _kernel_basis
+_SCHREIER_BATCH = 1 << 8

@@ -588,6 +588,57 @@ def test_verify_rejects_a_stored_malformed_K(tmp_path, capsys, K):
                               "does not run") and "'K'" in printed
 
 
+PADIC_DOMAIN_ERRORS = {"p-two": (dict(PADIC_CFG, p=2), "p"),
+                       "p-nine": (dict(PADIC_CFG, p=9), "p"),
+                       "p-negative": (dict(PADIC_CFG, p=-3), "p"),
+                       "p-one": (dict(PADIC_CFG, p=1), "p"),
+                       # 223 is prime, but 223^3 > ENUM_CAP: no level runs
+                       "p-past-cap": (dict(PADIC_CFG, p=223), "p"),
+                       "p-huge": (dict(PADIC_CFG, p=10 ** 40 + 1), "p"),
+                       # 3^18 > ENUM_CAP >= 3^12, and 13^6 <= ENUM_CAP < 13^9
+                       "level-past-cap": (dict(PADIC_CFG, N=6), "N"),
+                       "level-past-cap-p13": (dict(PADIC_CFG, p=13, N=3), "N"),
+                       "level-huge": (dict(PADIC_CFG, N=10 ** 12), "N")}
+
+
+@pytest.mark.parametrize("cfg,key", PADIC_DOMAIN_ERRORS.values(),
+                         ids=PADIC_DOMAIN_ERRORS.keys())
+def test_padic_domain_is_checked_with_the_config(tmp_path, capsys, monkeypatch,
+                                                 cfg, key):
+    # rejected before the freeness search runs, not after it as a padic error
+    def no_search(*args):
+        raise AssertionError("the freeness search ran")
+
+    monkeypatch.setattr(kc, "freeness_suite", no_search)
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["padic", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p,N", [(3, 4), (5, 3), (7, 2), (13, 2), (211, 1)])
+def test_padic_domain_keeps_every_level_under_the_cap(p, N):
+    # the largest N for each p passes the check; the closures run there
+    assert kc.check_config(dict(PADIC_CFG, p=p, N=N))["N"] == N
+
+
+@pytest.mark.parametrize("cfg,key", [PADIC_DOMAIN_ERRORS["p-nine"],
+                                     PADIC_DOMAIN_ERRORS["level-past-cap"]],
+                         ids=["p-nine", "level-past-cap"])
+def test_verify_rejects_a_stored_padic_domain_error(tmp_path, capsys, cfg, key):
+    path = write_cfg(tmp_path, PADIC_CFG)
+    out = tmp_path / "out"
+    assert main(["padic", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    _tamper_manifest(out, lambda m: m["config"].update(p=cfg["p"], N=cfg["N"]))
+    assert main(["verify", "--config", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL certificate replay: the stored config "
+                              "does not run") and repr(key) in printed
+
+
 def _hard_doubles():
     """Doubles where a shortest-digits writer can part from repr: signed
     zeros, subnormals, the extremes, nan and inf, the two ends of repr's
@@ -633,6 +684,27 @@ def test_csv_matches_a_row_wise_reference():
     expect = "a,b\n" + "".join(",".join(map(repr, row)) + "\n"
                                for row in zip(a.tolist(), b.tolist()))
     assert _csv(("a", "b"), a, b).encode() == expect.encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_float_columns_are_written_in_one_pass(rows, width):
+    # a table of float64 columns alone is written in one pass, and a float64
+    # column beside a list by itself; both write repr of each value, with
+    # exponent-form, nan and inf values in every position or in none
+    rng = np.random.default_rng(rows * 10 + width)
+    special = np.array([1e-05, -1e+16, math.nan, math.inf, -0.0, 0.5, 1e-4])
+    for values in (rng.standard_normal((width, rows)),
+                   rng.choice(special, (width, rows)),
+                   rng.choice(special[2:4], (width, rows))):
+        header = tuple(f"c{j}" for j in range(width))
+        expect = "".join(",".join(map(repr, row)) + "\n" for row in
+                         zip(*values.tolist()))
+        assert _csv(header, *values) == ",".join(header) + "\n" + expect
+        expect = "".join(",".join(map(repr, row)) + "\n" for row in
+                         zip(range(rows), *values.tolist()))
+        assert _csv(("n",) + header, range(rows), *values) == (
+            ",".join(("n",) + header) + "\n" + expect)
 
 
 # pytest itself loads scipy, so the probe runs in a fresh interpreter: only a

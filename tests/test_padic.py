@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import tracemalloc
 
@@ -327,20 +328,119 @@ def _closure_peak(p, N):
 
 
 def test_closure_memory_peak():
-    # the two bool maps (2.1 MB), the step tables and one slice's arrays:
-    # 5.1 MB measured at p = 3, N = 4, where the search that held a whole
-    # level's rows and keys peaked at 15.1 MB (frontier up to 163,798
-    # elements), and the one that multiplied int64 entry arrays and sorted
-    # each step's keys at 25.1 MB
+    # 2.4 MB measured at p = 3, N = 4: the lifts of the 17,496 elements
+    # mod 27 as they are built and keyed.  The search over all 472,392
+    # elements mod 81 peaked at 5.1 MB in slices, at 15.1 MB when it held a
+    # whole level's rows and keys (frontier up to 163,798 elements), and at
+    # 25.1 MB when it multiplied int64 entry arrays and sorted each step's
+    # keys
     peak = _closure_peak(3, 4)
-    assert peak < 7e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    assert peak < 3.5e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_closure_memory_peak_at_p5_N3():
-    # 13.1 MB measured, of which the two maps are 7.5 MB; the search that
-    # held a whole level peaked at 54.2 MB
+    # 2.1 MB measured; the search over all 1,875,000 elements mod 125
+    # peaked at 13.1 MB in slices and at 54.2 MB holding a whole level
     peak = _closure_peak(5, 3)
-    assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    assert peak < 3e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def _sweep_order(p, N, gens):
+    """The closure order by the keyed search run mod p^N itself, with no
+    lift through the congruence kernels."""
+    m = p ** N
+    steps = [np.array(s.reduced(m)) for g in gens for s in (g, g.inv())]
+    return padic._sweep(p, m, steps, None)[0]
+
+
+def _random_pairs(p, N, count):
+    # products of elementary matrices reduce onto all of SL(2, Z/p^N Z);
+    # moves that are multiples of p give subgroups that are proper at
+    # level 1, or lie in its kernel, and whose kernels have rank below 3
+    rng = random.Random(p ** N)
+    return [[_lift([(rng.random() < 0.5, rng.choice((1, 1, p)) * rng.randint(-30, 30))
+                    for _ in range(rng.randint(1, 5))]) for _ in range(2)]
+            for _ in range(count)]
+
+
+# at p = 3, N = 4 this pair has two independent X in one batch at level 3
+# and a kernel of rank 2 at level 4: keeping the wrong one of the two as a
+# kernel element read rank 3 there, order 2187 for 729
+TWO_X_IN_ONE_BATCH = [Mat2(1, -55, 138, -7589), Mat2(133, -2, -66, 1)]
+
+
+@pytest.mark.parametrize("p,N,count", [(3, 4, 8), (5, 3, 3), (7, 2, 8),
+                                       (13, 2, 1)])
+def test_lift_matches_the_sweep_mod_p_to_the_N(p, N, count):
+    for gens in [TWO_X_IN_ONE_BATCH, *_random_pairs(p, N, count)]:
+        assert subgroup_closure_mod(p, N, gens)["order"] == _sweep_order(p, N, gens)
+
+
+@pytest.mark.parametrize("p,N", [(3, 4), (5, 3), (7, 2)])
+def test_kernel_elements_are_independent_lifts(p, N, monkeypatch):
+    # each level's kernel elements must be = I mod p^(n-1) with X
+    # independent mod p, or the next level's lifts collide mod p^n and
+    # keys of the level after it go missing from its map
+    sets = [TWO_X_IN_ONE_BATCH, *GENERATOR_SETS.values(), *_random_pairs(p, N, 8)]
+    basis = padic._kernel_basis
+    ranks = []
+
+    def checked_basis(p, q, lifts, steps, modulus):
+        kernel = basis(p, q, lifts, steps, modulus)
+        for k in kernel:
+            assert tuple(k % q) == (1, 0, 0, 1)
+        xs = [(k[:3] - (1, 0, 0)) // q % p for k in kernel]
+        span = {tuple(sum((e * x for e, x in zip(es, xs)), np.zeros(3, int)) % p)
+                for es in itertools.product(range(p), repeat=len(xs))}
+        assert len(span) == p ** len(xs)
+        ranks.append(len(kernel))
+        return kernel
+
+    monkeypatch.setattr(padic, "_kernel_basis", checked_basis)
+    for gens in sets:
+        subgroup_closure_mod(p, N, gens)
+    assert len(ranks) == len(sets) * (N - 1)
+    assert set(ranks) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("batch", [1, 10 ** 6])
+@pytest.mark.parametrize("gens", GENERATOR_SETS)
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_closure_order_does_not_depend_on_the_schreier_batch(p, N, gens, batch,
+                                                             monkeypatch):
+    # one lift per batch, or every lift of the largest level (17,496 at
+    # p = 3, N = 4) in one
+    expected = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
+    monkeypatch.setattr(padic, "_SCHREIER_BATCH", batch)
+    assert subgroup_closure_mod(p, N, GENERATOR_SETS[gens]) == expected
+
+
+@pytest.mark.parametrize("p,N", [(3, 3), (5, 2)])
+def test_kernel_rank_below_three_scans_every_lift(p, N, monkeypatch):
+    # the upper triangular subgroup mod p^N, generated by (1, 1; 0, 1) and
+    # diag(2, 1/2) (2 generates the units mod 9 and mod 25), has order
+    # (p - 1) p^(2N - 1) and a kernel of rank 2 at every level, so each
+    # level's scan keys every lift once for its map and once per step
+    m = p ** N
+    gens = [Mat2(1, 1, 0, 1), Mat2(2, 1, m, (1 + m) // 2)]
+    keyed = []
+    keys = padic._keys
+
+    def counting_keys(rows, p, q):
+        keyed.append(len(rows))
+        return keys(rows, p, q)
+
+    monkeypatch.setattr(padic, "_keys", counting_keys)
+    monkeypatch.setattr(padic, "_SCHREIER_BATCH", 5)
+    out = subgroup_closure_mod(p, N, gens)
+    assert out["order"] == (p - 1) * p ** (2 * N - 1) == _sweep_order(p, N, gens)
+    lifts = [(p - 1) * p ** (2 * n - 1) for n in range(1, N)]
+    assert sum(keyed) == sum(lifts) * (1 + len(gens) * 2)
+    # a full subgroup stops each level's scan at rank 3
+    keyed.clear()
+    assert subgroup_closure_mod(p, N, GENERATOR_SETS["g1,g2"])["is_full"]
+    full = [sl2_order(p, n) for n in range(1, N)]
+    assert sum(keyed) < sum(full) * (1 + 4)
 
 
 def test_closure_rejects_even_prime():
