@@ -7,7 +7,7 @@ the normalized beta-th power of mu; everything downstream is built from these
 blocks and their finite products.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 import itertools
 import math
 from typing import Optional, Sequence, Tuple
@@ -181,23 +181,30 @@ def cohomologous_transform(measure: ProbVector, H: Sequence[float], beta: float)
 @dataclass(frozen=True)
 class TruncatedProductSystem:
     """A finite prefix of an infinite product of blocks; its product measure
-    and conformality checks are exact on the prefix, and no tail is bounded."""
+    and conformality checks are exact on the prefix, and no tail is bounded.
+    The block orders and the configurations are listed once, on construction.
+    """
 
     blocks: Tuple[FiniteConformalBlock, ...]
+    orders: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _configs: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        orders = tuple(b.order for b in self.blocks)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "_configs",
+                           tuple(itertools.product(*(range(n) for n in orders))))
 
-    @property
-    def orders(self) -> Tuple[int, ...]:
-        return tuple(b.order for b in self.blocks)
-
-    def configurations(self):
-        return itertools.product(*(range(n) for n in self.orders))
+    def configurations(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every configuration, in mixed-radix order: the last block varies
+        fastest."""
+        return self._configs
 
     def measure_on_truncation(self, beta: float) -> dict:
         """Product conformal measure as a dict {configuration tuple: mass}."""
-        return dict(zip(self.configurations(),
+        return dict(zip(self._configs,
                         product_conformal_weights(self.blocks, beta).tolist()))
 
 
@@ -232,21 +239,23 @@ def check_conformality(system: TruncatedProductSystem,
         if system.blocks[i].group is None:
             raise UnsupportedGeneratorError(f"block {i} carries no explicit group table")
 
-    max_defect = 0.0
+    try:
+        masses = np.array([measure[cfg] for cfg in system.configurations()],
+                          dtype=float).reshape(system.orders)
+    except KeyError as exc:
+        raise InvalidInputError(f"the measure lacks configuration "
+                                f"{exc.args[0]!r}") from None
+    defects = [0.0]
     for i, g in generators:
-        block = system.blocks[i]
-        table = block.group
-        logmu = block.base_measure.log_weights
-        ginv = table.inv[g]
-        for cfg in system.configurations():
-            # integral of the indicator of cfg composed with phi_g picks out
-            # the unique preimage x = g^{-1} . cfg
-            pre = list(cfg)
-            pre[i] = table.mul[ginv][cfg[i]]
-            pre = tuple(pre)
-            omega = logmu[cfg[i]] - logmu[pre[i]]
-            defect = abs(math.exp(beta * omega) * measure[pre] - measure[cfg])
-            if defect > max_defect:
-                max_defect = defect
-    return ConformalityReport(max_defect=max_defect, tol=tol)
-
+        table = system.blocks[i].group
+        logmu = system.blocks[i].base_measure.log_weights
+        # the integral of the indicator of cfg composed with phi_g picks out
+        # the unique preimage g^{-1} . cfg, which differs from cfg only at
+        # coordinate i; e^{beta O(g, .)} takes one value per element there
+        pre = np.array(table.mul[table.inv[g]])
+        shape = [1] * masses.ndim
+        shape[i] = -1
+        factor = np.reshape([math.exp(w) for w in (beta * (logmu - logmu[pre])).tolist()],
+                            shape)
+        defects.append(np.max(np.abs(factor * masses.take(pre, axis=i) - masses)))
+    return ConformalityReport(max_defect=float(np.max(defects)), tol=tol)

@@ -138,9 +138,12 @@ class WreathSystem:
     orders.  nu_beta is the product conformal measure, eta_beta its
     cohomologous transform with density phi(beta)^{-1} H^beta, and the shift
     carries the factor measures eta at coordinates n <= 0 and nu at n > 0.
+    The block orders and their product are computed once, on construction.
     """
 
     blocks: Tuple[FiniteConformalBlock, ...]
+    orders: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n_configs: int = field(init=False, repr=False, compare=False)
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -148,14 +151,9 @@ class WreathSystem:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise InvalidInputError("at least one block is required")
-
-    @property
-    def orders(self) -> Tuple[int, ...]:
-        return tuple(b.order for b in self.blocks)
-
-    @property
-    def n_configs(self) -> int:
-        return int(np.prod(self.orders))
+        orders = tuple(b.order for b in self.blocks)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "n_configs", math.prod(orders))
 
     @scalar_or_array
     def phi(self, betas):
@@ -164,25 +162,39 @@ class WreathSystem:
             out = out * np.array([integrate_potential(b, float(x)) for x in betas])
         return out
 
-    def weights(self, beta: float) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """(nu_beta, eta_beta, phi(beta), H), kept for the latest beta.
+    def _weights(self, beta: float) -> tuple:
+        """The memo's value for beta: weights(beta) and the lists of nu, eta
+        and H as Python floats, which the oracles index one cell at a time.
 
-        The memo is keyed on the exact bits of the float beta, so any other
-        beta, -0.0 against 0.0 included, is computed afresh; its arrays are
-        read-only, so no caller can change what a later call is served.
+        The memo is keyed on the float value of beta and its sign, so any
+        other beta, -0.0 against 0.0 included, is computed afresh, while 1
+        and 1.0 share a key.
         """
-        key = float(beta).hex()
-        if self._memo is None or self._memo[0] != key:
+        b = float(beta)
+        sign = math.copysign(1.0, b)
+        memo = self._memo
+        if memo is None or memo[0] != b or memo[1] != sign:
             nu, h = product_conformal_weights(self.blocks, beta), np.ones(1)
-            for b in self.blocks:
-                h = np.multiply.outer(h, b.potential).ravel()
+            for blk in self.blocks:
+                h = np.multiply.outer(h, blk.potential).ravel()
             # density d(eta)/d(nu) = phi(beta)^{-1} H^beta = e^{beta log H} / phi(beta)
             eta = cohomologous_transform(ProbVector(nu), np.log(h), beta).weights
             for arr in (nu, eta, h):
                 arr.flags.writeable = False
-            object.__setattr__(self, "_memo",
-                               (key, (nu, eta, self.phi(beta), h)))
-        return self._memo[1]
+            phi = self.phi(beta)
+            memo = (b, sign, (nu, eta, phi, h),
+                    (nu.tolist(), eta.tolist(), phi, h.tolist()))
+            object.__setattr__(self, "_memo", memo)
+        return memo
+
+    def weights(self, beta: float) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """(nu_beta, eta_beta, phi(beta), H), kept for the latest beta.
+
+        The memo is keyed on the value and sign of float(beta), so any other
+        beta, -0.0 against 0.0 included, is computed afresh; its arrays are
+        read-only, so no caller can change what a later call is served.
+        """
+        return self._weights(beta)[2]
 
     def cylinder_shift_ratio(self, beta: float, cells: Dict[int, int]) -> float:
         """Brute-force mu_beta((-1) applied cylinder) / mu_beta(cylinder).
@@ -190,33 +202,41 @@ class WreathSystem:
         The coordinate n of the shifted cylinder pins the value cells[n-1];
         factor measures are eta for n <= 0 and nu for n > 0.
         """
-        nu, eta, _, _ = self.weights(beta)
-
-        def mass(assign):
-            out = 1.0
-            for n, c in assign.items():
-                out *= eta[c] if n <= 0 else nu[c]
-            return out
-
-        shifted = {n + 1: c for n, c in cells.items()}
-        return mass(shifted) / mass(cells)
+        nu, eta, _, _ = self._weights(beta)[3]
+        shifted = den = 1.0
+        for n, c in cells.items():
+            c = _flat_index(self, c)
+            shifted *= eta[c] if n < 0 else nu[c]
+            den *= eta[c] if n <= 0 else nu[c]
+        return shifted / den
 
 
 def shift_rn_derivative(system: WreathSystem, beta: float, x0_cell) -> float:
     """d((-1) . mu_beta)/d mu_beta on the cylinder with coordinate 0 pinned to
     x0_cell: phi(beta) H(x0)^{-beta}."""
-    _, _, phi, h = system.weights(beta)
-    h0 = float(h[_flat_index(system.orders, x0_cell)])
+    _, _, phi, h = system._weights(beta)[3]
+    h0 = h[_flat_index(system, x0_cell)]
     return phi * math.exp(-beta * math.log(h0))
 
 
-def _flat_index(orders: Sequence[int], cell) -> int:
-    if isinstance(cell, (int, np.integer)):
+def _flat_index(system: WreathSystem, cell) -> int:
+    """The flat index of a cell of the system, given flat or as a tuple of
+    block elements; a cell outside the configuration space is an error."""
+    if type(cell) is int:
+        idx = cell
+    elif isinstance(cell, (int, np.integer)):
         idx = int(cell)
     else:
-        idx = int(np.ravel_multi_index(tuple(cell), tuple(orders)))
-    if not 0 <= idx < int(np.prod(orders)):
-        raise InvalidInputError(f"cell {cell!r} outside the configuration space")
+        cell, idx = tuple(cell), -1
+        if len(cell) == len(system.orders) and all(
+                isinstance(c, (int, np.integer)) and 0 <= c < n
+                for c, n in zip(cell, system.orders)):
+            idx = 0
+            for c, n in zip(cell, system.orders):
+                idx = idx * n + int(c)
+    if not 0 <= idx < system.n_configs:
+        raise InvalidInputError(f"cell {cell!r} outside the configuration space "
+                                f"of {system.n_configs} configurations")
     return idx
 
 
@@ -271,11 +291,11 @@ class FreeProductSystem:
                 raise WindowError(f"Lambda_0 coordinate {n} lies outside the "
                                   f"window [-{self.window}, {self.window}]")
 
-    def _xyz_mass(self, beta, x_cells, y_cells, z_cells) -> float:
+    def _xyz_mass(self, weights, x_cells, y_cells, z_cells) -> float:
         out = float(self.q) ** (-len(x_cells))
-        for which, cells in ((1, y_cells), (2, z_cells)):
-            nu, eta, _, _ = self.factor(which).weights(beta)
+        for (factor, nu, eta), cells in zip(weights, (y_cells, z_cells)):
             for n, c in cells.items():
+                c = _flat_index(factor, c)
                 out *= eta[c] if n < 0 else nu[c]
         return out
 
@@ -306,8 +326,9 @@ class FreeProductSystem:
             y_pre = dict(y_cells)
             z_pre = {n - 1: c for n, c in z_cells.items()}
         self._check_window(x_pre)
-        num = self._xyz_mass(beta, x_pre, y_pre, z_pre)
-        den = self._xyz_mass(beta, x_cells, y_cells, z_cells)
+        weights = [(f, *f._weights(beta)[3][:2]) for f in self._factors]
+        num = self._xyz_mass(weights, x_pre, y_pre, z_pre)
+        den = self._xyz_mass(weights, x_cells, y_cells, z_cells)
         return num / den
 
 
@@ -334,8 +355,8 @@ def theta_rn_derivative(system: FreeProductSystem, beta: float,
         raise WindowError(f"coordinate 0 of the X{case} factor is required "
                           f"on Y{case}")
     factor = system.factor(case)
-    _, _, phi, h = factor.weights(beta)
-    scale = math.exp(beta * math.log(float(h[_flat_index(factor.orders, cells[0])])))
+    _, _, phi, h = factor._weights(beta)[3]
+    scale = math.exp(beta * math.log(h[_flat_index(factor, cells[0])]))
     if case == 1:
         return phi ** -1 / system.q * scale
     return system.q / phi * scale

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -118,3 +122,91 @@ def test_conformality_requires_group_table():
     with pytest.raises(UnsupportedGeneratorError):
         check_conformality(system, system.measure_on_truncation(1.0), 1.0,
                            [(0, 1)], tol=1e-12)
+
+
+def reference_conformality_defect(system, measure, beta, generators):
+    # the per-configuration loop check_conformality ran before it became one
+    # array pass per generator
+    max_defect = 0.0
+    for i, g in generators:
+        block = system.blocks[i]
+        table = block.group
+        logmu = block.base_measure.log_weights
+        ginv = table.inv[g]
+        for cfg in itertools.product(*(range(b.order) for b in system.blocks)):
+            pre = list(cfg)
+            pre[i] = table.mul[ginv][cfg[i]]
+            pre = tuple(pre)
+            omega = logmu[cfg[i]] - logmu[pre[i]]
+            defect = abs(math.exp(beta * omega) * measure[pre] - measure[cfg])
+            if defect > max_defect:
+                max_defect = defect
+    return max_defect
+
+
+def relabelled_group(table, rng):
+    # the same group with its elements renamed by a random permutation, so
+    # the identity is not always 0 and inverses are not -x mod n
+    n = table.order
+    new = rng.permutation(n)
+    old = np.argsort(new)
+    mul = tuple(tuple(int(new[table.mul[old[x]][old[y]]]) for y in range(n))
+                for x in range(n))
+    inv = tuple(int(new[table.inv[old[x]]]) for x in range(n))
+    return FiniteGroupTable(order=n, mul=mul, inv=inv)
+
+
+def klein_four():
+    mul = tuple(tuple(x ^ y for y in range(4)) for x in range(4))
+    return FiniteGroupTable(order=4, mul=mul, inv=(0, 1, 2, 3))
+
+
+def test_conformality_array_pass_matches_the_per_configuration_loop():
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        blocks = []
+        for n in (2, 3, 4, 2):
+            table = klein_four() if n == 4 and trial % 2 else FiniteGroupTable.cyclic(n)
+            w = rng.uniform(0.2, 1.0, n)
+            blocks.append(FiniteConformalBlock(
+                base_measure=ProbVector(w / w.sum()),
+                potential=rng.uniform(1 / 3.0, 3.0, n), base=3.0,
+                group=relabelled_group(table, rng)))
+        system = TruncatedProductSystem(blocks=blocks)
+        gens = [(i, g) for i, b in enumerate(blocks) for g in range(b.order)]
+        for beta in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            measure = system.measure_on_truncation(beta)
+            bad = dict(measure)
+            key = list(bad)[rng.integers(len(bad))]
+            bad[key] *= 1.0 + 1e-3
+            for m, tol in ((measure, 1e-12), (bad, 1e-6)):
+                report = check_conformality(system, m, beta, gens, tol=tol)
+                expect = reference_conformality_defect(system, m, beta, gens)
+                assert report.max_defect == expect
+                assert report.passed == (expect <= tol) == (m is measure)
+
+
+def test_conformality_rejects_a_measure_that_lacks_a_configuration():
+    system = TruncatedProductSystem(blocks=[random_block(3), random_block(2)])
+    measure = system.measure_on_truncation(1.0)
+    del measure[(2, 1)]
+    with pytest.raises(InvalidInputError, match=r"\(2, 1\)"):
+        check_conformality(system, measure, 1.0, [(0, 1)], tol=1e-12)
+
+
+def test_conformality_fails_on_a_nan_mass():
+    system = TruncatedProductSystem(blocks=[random_block(3), random_block(2)])
+    measure = system.measure_on_truncation(1.0)
+    measure[(1, 0)] = math.nan
+    report = check_conformality(system, measure, 1.0, [(0, 1)], tol=1e-12)
+    assert not report.passed
+
+
+def test_truncated_system_keeps_its_orders_and_configurations():
+    blocks = [random_block(3), random_block(2), random_block(4)]
+    system = TruncatedProductSystem(blocks=blocks)
+    assert system.orders == (3, 2, 4)
+    assert list(system.configurations()) == list(itertools.product(range(3), range(2), range(4)))
+    smaller = dataclasses.replace(system, blocks=blocks[:2])
+    assert smaller.orders == (3, 2) and len(smaller.configurations()) == 6
+    assert TruncatedProductSystem(blocks=tuple(blocks)) == system != smaller

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kmspec.blocks import FiniteConformalBlock, ProbVector
-from kmspec.errors import DomainError, WindowError
+from kmspec import spectra
+from kmspec.errors import DomainError, InvalidInputError, WindowError
 from kmspec.realize import fraction_pair
 from kmspec.sets import ClosedSetSpec
 from kmspec.spectra import (FreeProductSystem, WreathSystem,
@@ -346,3 +348,83 @@ def test_wreath_eta_is_the_cohomologous_transform(beta):
     expected = nu * h ** beta
     assert np.max(np.abs(eta * phi - expected) / expected) <= 1e-14
     assert abs(math.fsum(eta) - 1.0) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Cells, memo keys and the constants a system keeps
+
+def test_wreath_cells_outside_the_configuration_space_are_rejected():
+    system = WreathSystem(blocks=(rand_block(2), rand_block(4)))
+    assert system.n_configs == 8
+    for bad in (-1, 8, np.int64(-1), (5, 0), (0, 4), (0, -1), (1, 1, 1), (0.5, 1)):
+        with pytest.raises(InvalidInputError, match="outside the configuration"):
+            shift_rn_derivative(system, 1.0, bad)
+        for n in (-1, 0, 1):
+            with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+                system.cylinder_shift_ratio(1.0, {n: bad, n + 1: 3})
+    # a cell given as a tuple of block elements reads the same flat cell
+    assert shift_rn_derivative(system, 1.0, (1, 3)) == shift_rn_derivative(system, 1.0, 7)
+    assert (system.cylinder_shift_ratio(1.0, {0: (1, 3), 1: (0, 2)})
+            == system.cylinder_shift_ratio(1.0, {0: 7, 1: 2}))
+
+
+def test_free_product_cells_outside_the_configuration_space_are_rejected():
+    system = build_free_system()
+    for which, x_cells in ((1, {0: 1, 1: 0}), (2, {0: 0, 1: 1})):
+        factor = system.factor(which)
+        n = factor.n_configs
+        for bad in (-1, n, (factor.orders[0],) + (0,) * (len(factor.orders) - 1)):
+            cells = [{0: 0, 1: 0}, {0: 0, 1: 0}]
+            cells[which - 1] = {0: bad, 1: 0}
+            with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+                theta_rn_derivative(system, 1.0, x_cells, *cells)
+            with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+                system.theta_cylinder_ratio(1.0, x_cells, *cells)
+            # the brute-force side reads every pinned cell of both factors,
+            # and a cell away from coordinate 0 as well
+            cells[which - 1] = {0: 0, -1: bad}
+            with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+                system.theta_cylinder_ratio(1.0, x_cells, *cells)
+
+
+def test_rn_weights_memo_key_is_the_float_value_and_sign(monkeypatch):
+    calls = []
+    original = spectra.product_conformal_weights
+
+    def counted(blocks, beta):
+        calls.append(beta)
+        return original(blocks, beta)
+
+    monkeypatch.setattr(spectra, "product_conformal_weights", counted)
+    system = WreathSystem(blocks=(rand_block(2), rand_block(3)))
+    system.weights(0.0)
+    system.weights(0.0)
+    assert len(calls) == 1
+    system.weights(-0.0)
+    assert len(calls) == 2 and math.copysign(1.0, calls[-1]) == -1.0
+    system.weights(1.0)
+    assert len(calls) == 3
+    nu, eta, phi, h = system.weights(1)
+    assert len(calls) == 3
+    assert system.weights(np.float64(1.0))[0] is nu
+    assert len(calls) == 3
+    assert not (nu.flags.writeable or eta.flags.writeable or h.flags.writeable)
+
+
+def test_wreath_system_keeps_its_orders_and_configuration_count():
+    blocks = (rand_block(2), rand_block(3), rand_block(4))
+    system = WreathSystem(blocks=blocks)
+    assert system.orders == tuple(b.order for b in blocks) == (2, 3, 4)
+    assert system.n_configs == math.prod(system.orders) == 24
+    assert type(system.n_configs) is int
+    for cell in itertools.product(*(range(n) for n in system.orders)):
+        flat = int(np.ravel_multi_index(cell, system.orders))
+        assert (shift_rn_derivative(system, -1.5, cell)
+                == shift_rn_derivative(system, -1.5, flat))
+    smaller = dataclasses.replace(system, blocks=blocks[:2])
+    assert (smaller.orders, smaller.n_configs) == ((2, 3), 6)
+    with pytest.raises(InvalidInputError):
+        shift_rn_derivative(smaller, 1.0, 6)
+    # the kept constants are not part of a system's value
+    assert WreathSystem(blocks=blocks) == system != smaller
+    assert WreathSystem(blocks=list(blocks)) == system
