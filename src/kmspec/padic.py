@@ -231,11 +231,13 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _has_repeat(matrices: np.ndarray) -> bool:
-    """Whether two of the matrices are equal.  One sort of the rows' hash
-    keys groups the rows whose keys collide; equal rows have equal keys, so
-    an exact sort of every such row, all groups together, finds a repeat
-    whatever the hash."""
+def _has_repeat(matrices: np.ndarray, n_short: int) -> bool:
+    """Whether two of the matrices are equal, one of them among the first
+    n_short.  One sort of the rows' hash keys groups the rows whose keys
+    collide; equal rows have equal keys, so an exact sort of every such
+    row, all groups together, finds a repeat whatever the hash.  Equal
+    rows sort by position, so a group holds one of the first n_short
+    exactly when its first row is one of them."""
     rows = matrices.reshape(len(matrices), 4)
     keys = _row_keys(rows)
     by_key = np.argsort(keys)
@@ -244,24 +246,30 @@ def _has_repeat(matrices: np.ndarray) -> bool:
     collide = np.zeros(len(rows), dtype=bool)
     collide[1:] = same
     collide[:-1] |= same
-    rows = rows[by_key[collide]]
-    rows = rows[np.lexsort(rows.T)]
-    return bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
+    at = by_key[collide]
+    order = np.lexsort((at, *rows[at].T))
+    rows, at = rows[at][order], at[order]
+    equal = np.all(rows[1:] == rows[:-1], axis=1)
+    return bool(np.any(equal & (at[:-1] < n_short)))
 
 
-def _first_relation(half: int, alphabet: Tuple[str, ...]) -> Tuple[Letter, ...]:
+def _first_relation(half: int, short: int,
+                    alphabet: Tuple[str, ...]) -> Tuple[Letter, ...]:
     """The relation met first in the depth-first order of
-    enumerate_reduced_words: the word whose matrix repeats an earlier one's,
-    times the inverse of that earlier word."""
+    enumerate_reduced_words: the word whose matrix repeats an earlier
+    one's, one of the two no longer than short, times the inverse of that
+    earlier word."""
     identity = MAT2_IDENTITY.entries()
-    seen = {identity}
+    seen, seen_short = set(), {identity}
     for word, key in enumerate_reduced_words(half, alphabet):
-        if key in seen:
+        is_short = len(word) <= short
+        if key in seen_short or (is_short and key in seen):
             # only keys are kept; the earlier word is found again
             other = () if key == identity else next(
-                w for w, m in enumerate_reduced_words(half, alphabet) if m == key)
+                w for w, m in enumerate_reduced_words(half, alphabet)
+                if m == key and (is_short or len(w) <= short))
             return reduce_word(word + tuple((k, -e) for k, e in reversed(other)))
-        seen.add(key)
+        (seen_short if is_short else seen).add(key)
     raise AssertionError("the array search found a repeat the word search did not")
 
 
@@ -269,16 +277,19 @@ def freeness_suite(max_len: int,
                    alphabet: Sequence[str] = None) -> FreenessCertificate:
     """Certify that no nonempty reduced word up to max_len is the identity.
 
-    A nonempty reduced word w of length <= 2m equals the identity exactly when
-    its two halves u, v satisfy u = v^{-1} as matrices with u, v^{-1} distinct
-    reduced words of length <= m.  Injectivity of evaluation on all reduced
-    words of half length therefore certifies the full length range while only
-    evaluating the half-length prefix set.  One sort of a hash key per
-    matrix, the identity's among them, and an exact sort of the matrices
-    whose keys collide find a repeat; only then are the words enumerated
-    again, depth first, to name the relation.  A certificate with a
-    relation has identity_found set and certifies no word; the caller
-    judges it.
+    A nonempty reduced word w of length L <= max_len equals the identity
+    exactly when its two halves u, v, of lengths ceil(L/2) <= half and
+    floor(L/2) <= max_len - half, satisfy u = v^{-1} as matrices, with u
+    and v^{-1} distinct reduced words.  Conversely two distinct reduced
+    words of lengths up to half and max_len - half with equal matrices
+    name a relation of length <= max_len.  So only the prefix words up to
+    half are evaluated, and a repeat among them counts when one of the two
+    words is no longer than max_len - half, which for an even max_len is
+    every repeat.  One sort of a hash key per matrix, the identity's among
+    them, and an exact sort of the matrices whose keys collide find a
+    repeat; only then are the words enumerated again, depth first, to name
+    the relation.  A certificate with a relation has identity_found set and
+    certifies no word; the caller judges it.
     """
     if max_len < 1 or max_len > 10:
         raise InvalidInputError("max_len must be in 1..10")
@@ -289,8 +300,13 @@ def freeness_suite(max_len: int,
         raise InvalidInputError("the alphabet must hold at least one letter, "
                                 f"each once, got {alphabet!r}")
     half = (max_len + 1) // 2
+    short = max_len - half
     matrices = _prefix_matrices(half, alphabet)
-    relation = _first_relation(half, alphabet) if _has_repeat(matrices) else ()
+    # the levels come in order of length: the empty word, then the words
+    # no longer than short
+    n_short = 1 + _word_count(short, len(alphabet))
+    relation = (_first_relation(half, short, alphabet)
+                if _has_repeat(matrices, n_short) else ())
     return FreenessCertificate(max_len=max_len, alphabet=alphabet,
                                prefix_len=half,
                                prefix_words_evaluated=len(matrices) - 1,
@@ -315,32 +331,28 @@ def sl2_order(p: int, N: int) -> int:
 
 def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
     """Order of the subgroup H the generators generate in SL(2, Z/p^N Z),
-    found level by level: a search over its Cayley graph mod p (_sweep),
-    then one lift through each congruence kernel up to p^N.
+    as |H| = |e1 H| |Stab_H(e1)|, with H acting on the row vectors mod
+    m = p^N by right multiplication (Seress, Permutation Group Algorithms,
+    2003, sections 4.1-4.2).
 
-    For n >= 2 the kernel of SL(2, Z/p^n) -> SL(2, Z/p^{n-1}) is
-    {I + p^{n-1} X : X trace zero mod p}, elementary abelian of order p^3,
-    so the kernel of H_n -> H_{n-1}, with H_n the image of H mod p^n, is
-    an F_p-subspace and |H_n| = |H_{n-1}| p^r, r its rank.  By Schreier's
-    lemma (Seress, Permutation Group Algorithms, 2003, section 4.2) that
-    kernel is spanned by the X of k = t s t'^{-1}, over one lift t of each
-    element of H_{n-1}, the generators and their inverses s, and the lift
-    t' congruent to t s mod p^{n-1}.  t' is found through the _sweep key
-    of t s mod p^{n-1}, in a map of 2 p^{3(n-1)} lift indices.  The lifts
-    are scanned in batches of _SCHREIER_BATCH, and the scan stops once the
-    X found span rank 3.  The lifts of H_n, for the next level, are those
-    of H_{n-1} times every product of powers of the kernel elements whose
-    X were kept.  The lifts of H_1 are recorded by the sweep mod p, each
-    its parent's lift times the step's matrix mod p^N.
+    A vector (x, y) is held as its index x m + y, and each step, a
+    generator or its inverse, becomes one table of m^2 vector indices, a
+    permutation.  A search from e1 = (1, 0) finds the orbit, and keeps for
+    each orbit vector v the index w_v of the second row of one element t_v
+    of H with first row v: I for e1, and t_v s for a vector v s first
+    reached from v.  So w_{vs} = w_v s is read from the table, and no
+    matrix is multiplied.
 
-    So the closure multiplies the |H_{N-1}| = |H_N| / p^r lifts by the
-    steps, where a search mod p^N expands all |H_N| elements.  By g1, g2
-    it takes 3-5 ms at (p, N) = (3, 4) (472,392 elements) and at (5, 3),
-    and 2-4 ms at (13, 2) on a 2-core host, against 38-63 ms, 0.15-0.2 s
-    and 0.38-0.51 s for the search mod p^N (medians of 7, two alternating
-    rounds), and peaks at 2.4 MB in tracemalloc at (3, 4), against
-    5.1 MB.  For N >= 2 the cap keeps p <= 13, so the sweep mod p marks
-    at most 2 * 13^3 keys; for N = 1 it is the whole closure.
+    An element of H that fixes e1 has first row e1 and det 1, so it is
+    [[1, 0], [c, 1]]: the stabilizer is cyclic, of order m / gcd(m, c)
+    with c the gcd of its elements' c.  By Schreier's lemma it is
+    generated by t_v s t_{vs}^{-1} over the orbit vectors v and the steps
+    s, and since t_{vs} has rows v s and w_{vs}, w_v s = c v s + w_{vs}
+    gives that element's c as det(w_v s, w_{vs}).
+
+    Under ENUM_CAP, m^2 <= 46,416.  By g1, g2 on a 2-core host a closure
+    takes 1.0-1.5 ms and peaks at 0.7 MB in tracemalloc at (3, 4), and
+    10-14 ms and 4.6 MB at (211, 1).
     """
     if not is_odd_prime(p):
         raise InvalidInputError("p must be an odd prime")
@@ -348,19 +360,33 @@ def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
         raise InvalidInputError("N must be >= 1")
     if p ** (3 * N) > ENUM_CAP:
         raise EnumerationError(f"p^(3N) = {p ** (3 * N)} exceeds the cap {ENUM_CAP}")
-    modulus = p ** N
-    steps = [np.array(s.reduced(modulus)) for g in gens for s in (g, g.inv())]
-    order, lifts = _sweep(p, p, steps, modulus if N > 1 else None)
-    for n in range(2, N + 1):
-        kernel = _kernel_basis(p, p ** (n - 1), lifts, steps, modulus)
-        order *= p ** len(kernel)
-        if n == N:
-            break
-        for k in kernel:
-            powers = [lifts]
-            for _ in range(p - 1):
-                powers.append(_products(powers[-1], k, modulus))
-            lifts = np.concatenate(powers)
+    m = p ** N
+    x, y = np.divmod(np.arange(m * m), m)
+    tables = []
+    for g in gens:
+        for s0, s1, s2, s3 in (g.reduced(m), g.inv().reduced(m)):
+            tables.append((x * s0 + y * s2) % m * m + (x * s1 + y * s3) % m)
+    # w[v] is w_v for each orbit vector v found so far, -1 off the orbit
+    w = np.full(m * m, -1)
+    e1, e2 = m, 1
+    w[e1] = e2
+    frontier = np.array([e1])
+    while len(frontier):
+        # each table permutes the vectors, and w is set before the next
+        # table reads it, so no vector is reached twice
+        reached = [frontier[:0]]
+        for table in tables:
+            v = table[frontier]
+            new = w[v] < 0
+            w[v[new]] = table[w[frontier[new]]]
+            reached.append(v[new])
+        frontier = np.concatenate(reached)
+    orbit = np.flatnonzero(w >= 0)
+    c = 0
+    for table in tables:
+        ws, wvs = table[w[orbit]], w[table[orbit]]
+        c = math.gcd(c, int(np.gcd.reduce(x[ws] * y[wvs] - y[ws] * x[wvs])))
+    order = len(orbit) * (m // math.gcd(m, c))
     expected = sl2_order(p, N)
     if expected % order:
         raise EnumerationError("closure order does not divide the group order; "
@@ -369,152 +395,4 @@ def subgroup_closure_mod(p: int, N: int, gens: Sequence[Mat2]) -> dict:
             "is_full": order == expected}
 
 
-def _products(x: np.ndarray, y: np.ndarray, modulus: int) -> np.ndarray:
-    """The products x_i y_i mod modulus of 2x2 matrices held as rows
-    (a, b, c, d); y may be one such row, a matrix applied to every x_i."""
-    x0, x1, x2, x3 = x.T
-    y0, y1, y2, y3 = y.T
-    return np.stack((x0 * y0 + x1 * y2, x0 * y1 + x1 * y3,
-                     x2 * y0 + x3 * y2, x2 * y1 + x3 * y3), axis=1) % modulus
-
-
-def _keys(rows: np.ndarray, p: int, m: int) -> np.ndarray:
-    """The _sweep key of each det-1 matrix (a, b, c, d) with entries in
-    [0, m): (a m + b) m + c when a is a unit mod p, else (a m + b) m + d
-    offset by m^3."""
-    a, b, c, d = rows.T
-    return (a * m + b) * m + np.where(a % p != 0, c, m ** 3 + d)
-
-
-def _kernel_basis(p: int, q: int, lifts: np.ndarray, steps: List[np.ndarray],
-                  modulus: int) -> List[np.ndarray]:
-    """Schreier generators k = t s t'^{-1}, mod modulus, whose X = (k - I)/q
-    mod p are independent and span every such X: lifts holds one lift of
-    each element of the image of the subgroup mod q = p^{n-1}, and the X
-    are reduced against the span found so far, kept in echelon form as
-    (pivot, row) pairs with a 1 at the pivot."""
-    index = np.zeros(2 * q ** 3, dtype=np.int32)
-    index[_keys(lifts % q, p, q)] = np.arange(len(lifts))
-    echelon, kernel = [], []
-    for lo in range(0, len(lifts), _SCHREIER_BATCH):
-        t = lifts[lo:lo + _SCHREIER_BATCH]
-        for s in steps:
-            ts = _products(t, s, modulus)
-            # t'^{-1} = (d, -b, -c, a)
-            inverse = lifts[index[_keys(ts % q, p, q)]][:, (3, 1, 2, 0)]
-            k = _products(ts, inverse * (1, -1, -1, 1), modulus)
-            # trace zero: X is fixed by its entries 11, 12 and 21
-            x = (k[:, :3] - (1, 0, 0)) // q % p
-            for pivot, row in echelon:
-                x = (x - x[:, pivot, None] * row) % p
-            # a row kept clears itself, and its pivot in every other row
-            hit = np.flatnonzero(x.any(axis=1))
-            while len(hit):
-                i = hit[0]
-                pivot = int(np.flatnonzero(x[i])[0])
-                row = x[i] * pow(int(x[i, pivot]), -1, p) % p
-                echelon.append((pivot, row))
-                kernel.append(k[i])
-                if len(kernel) == 3:
-                    return kernel
-                x = (x - x[:, pivot, None] * row) % p
-                hit = np.flatnonzero(x.any(axis=1))
-    return kernel
-
-
-def _sweep(p: int, m: int, steps: List[np.ndarray], lift_modulus) -> tuple:
-    """Order of the closure mod m, a power of p, by a search over its
-    Cayley graph, and, unless lift_modulus is None, one lift mod
-    lift_modulus of each of its elements, in the order of their keys.
-
-    A matrix is held as its two rows, each an index x m + y in [0, m^2).
-    Right multiplication by a step acts on each row alone, as a table of
-    m^2 row indices built once per call.  An element is keyed by (a, b, c)
-    when a is a unit mod p, else by (a, b, d) offset by m^3: with
-    ad - bc = 1 the missing entry follows from the other three (b is a
-    unit when a is not), so the key is injective.  Each step reads the key
-    of a product straight from the rows of its factor, through lookup
-    tables composed with the row table, so the search multiplies no
-    matrices and reduces and sorts no entries.
-
-    Two bool maps of 2 m^3 entries each, 40 MB at ENUM_CAP, mark the
-    elements found and those not yet expanded.  The search sweeps the
-    pending map in slices of _CLOSURE_CHUNK entries: the set keys of a
-    slice come out sorted, are cleared, decoded back to rows and expanded,
-    and each step marks its unvisited keys in both maps, which deduplicates
-    them.  A key marked ahead of the sweep is expanded in the same sweep,
-    one marked behind it in the next, until no key is pending.  So beyond
-    the maps and the step tables the search holds a few arrays of one
-    slice, however wide the frontier: measured with tracemalloc, a closure
-    by g1, g2 mod 211 peaks at 48 MB and takes about 0.62 s on a 2-core
-    host.
-    """
-    # the cap keeps m <= 215, so every key and decode product fits int64
-    # with room to spare
-    square = m * m
-    cube = square * m
-    x, y = np.divmod(np.arange(square, dtype=np.int64), m)
-    # the key of rows (r1, r2) is r1 m + low[pick[r1] + r2]: pick is m^2 on
-    # the rows whose first entry is a unit mod p, and low holds m^3 + d
-    # for every second row r2, then c
-    pick = np.where(x % p != 0, square, 0)
-    low = np.concatenate([cube + y, x])
-    tables = []
-    for s in steps:
-        s0, s1, s2, s3 = (s % m).tolist()
-        image = (x * s0 + y * s2) % m * m + (x * s1 + y * s3) % m
-        # the product of rows (r1, r2) with s has the key
-        # head[r1] + tail[turn[r1] + r2]
-        tables.append((image * m, pick[image],
-                       low[np.concatenate([image, image + square])]))
-    inverse = np.zeros(m, dtype=np.int64)
-    for u in range(1, m):
-        if u % p:
-            inverse[u] = pow(u, -1, m)
-
-    visited = np.zeros(2 * cube, dtype=bool)
-    pending = np.zeros(2 * cube, dtype=bool)
-    # the identity: rows (1, 0) and (0, 1), key (1, 0, 0)
-    visited[square] = pending[square] = True
-    lifts = None
-    if lift_modulus is not None:
-        lifts = np.zeros((2 * cube, 4), dtype=np.int64)
-        lifts[square] = (1, 0, 0, 1)
-    order = 0
-    while pending.any():
-        for lo in range(0, 2 * cube, _CLOSURE_CHUNK):
-            k = np.flatnonzero(pending[lo:lo + _CLOSURE_CHUNK])
-            if not len(k):
-                continue
-            pending[lo:lo + _CLOSURE_CHUNK] = False
-            order += len(k)
-            k += lo
-            if lifts is not None:
-                parents = lifts[k]
-            # the keys come sorted, the (a, b, c) keys first; the missing
-            # entry is d = (1 + bc) / a for those and c = (ad - 1) / b for
-            # the rest
-            n = np.searchsorted(k, cube)
-            k[n:] -= cube
-            r1 = k // m
-            e = k - r1 * m
-            a, b = x[r1], y[r1]
-            r2 = np.empty_like(k)
-            r2[:n] = e[:n] * m + (1 + b[:n] * e[:n]) * inverse[a[:n]] % m
-            r2[n:] = (a[n:] * e[n:] - 1) * inverse[b[n:]] % m * m + e[n:]
-            for (head, turn, tail), s in zip(tables, steps):
-                k = head[r1] + tail[turn[r1] + r2]
-                new = ~visited[k]
-                k = k[new]
-                visited[k] = True
-                pending[k] = True
-                if lifts is not None:
-                    lifts[k] = _products(parents[new], s, lift_modulus)
-    return order, None if lifts is None else lifts[visited]
-
-
 ENUM_CAP = 10 ** 7
-# pending-map entries read, decoded and expanded at a time by _sweep
-_CLOSURE_CHUNK = 1 << 16
-# lifts multiplied by each step at a time by _kernel_basis
-_SCHREIER_BATCH = 1 << 8

@@ -276,7 +276,12 @@ class FreeProductSystem:
         return self._factors[which - 1]
 
     def classify(self, x_cells: Dict[int, int]) -> int:
-        """0, 1 or 2 according to the clopen partition of the Lambda_0 factor."""
+        """0, 1 or 2 according to the clopen partition of the Lambda_0 factor;
+        a Lambda_0 cell outside 0..q-1 is an error."""
+        for n, c in x_cells.items():
+            if not (isinstance(c, (int, np.integer)) and 0 <= c < self.q):
+                raise InvalidInputError(f"Lambda_0 cell {c!r} at coordinate {n} "
+                                        f"outside the group of order {self.q}")
         if 0 not in x_cells:
             raise WindowError("coordinate 0 of the Lambda_0 factor is required")
         if x_cells[0] != 0:
@@ -310,6 +315,10 @@ class FreeProductSystem:
         self._check_window(x_cells)
         case = self.classify(x_cells)
         if case == 0:
+            # theta is the identity on Y0, but the cylinder must exist
+            for factor, cells in zip(self._factors, (y_cells, z_cells)):
+                for c in cells.values():
+                    _flat_index(factor, c)
             return 1.0
         if case == 1:
             # preimages lie in Y2 and map by (inverse insertion, shift, id)

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import random
 import tracemalloc
 
@@ -99,6 +98,26 @@ def test_freeness_detects_relations():
     assert cert.words_certified == 0
     assert cert.to_dict()["relation"] == [list(letter) for letter in culprit]
     assert eval_word(culprit) == MAT2_IDENTITY
+
+
+@pytest.mark.parametrize("max_len", range(1, 9))
+def test_freeness_names_a_relation_within_max_len(max_len):
+    # the shortest relation of a and g1 = a^4 is their commutator, of length
+    # 4: a word of length L <= max_len splits into halves of lengths at most
+    # half and max_len - half, so a repeat of two longer half-words names a
+    # relation past max_len and must not count
+    assert not any(eval_word(word) == MAT2_IDENTITY
+                   for word, _ in enumerate_reduced_words(3, ("a", "g1")))
+    assert eval_word((("g1", 1), ("a", 1), ("g1", -1), ("a", -1))) == MAT2_IDENTITY
+    cert = freeness_suite(max_len, ("a", "g1"))
+    assert cert.identity_found == (max_len >= 4)
+    if cert.identity_found:
+        relation = cert.relation
+        assert 1 <= len(relation) <= max_len
+        assert reduce_word(relation) == relation
+        assert eval_word(relation) == MAT2_IDENTITY
+    else:
+        assert cert.relation == () and cert.words_certified > 0
 
 
 @pytest.mark.parametrize("max_len,alphabet", [
@@ -227,8 +246,8 @@ def _closure_by_set(p, N, gens):
 GENERATOR_SETS = {"g1,g2": [generator("g1"), generator("g2")],
                   "g1": [generator("g1")],
                   "g1,h1": [generator("g1"), generator("h", 1)],
-                  # a cyclic subgroup: unlike a full group, its order
-                  # shows a wrong decode of the (a, b, d) keys
+                  # a cyclic subgroup with a trivial stabilizer of e1:
+                  # its order is the orbit's length alone
                   "cat": [Mat2(2, 1, 1, 1)],
                   "1,g1": [MAT2_IDENTITY, generator("g1")],
                   "1": [MAT2_IDENTITY],
@@ -247,15 +266,16 @@ def test_closure_matches_set_search(p, N, gens):
     assert sl2_order(p, N) % out["order"] == 0
     assert out["is_full"] == (out["order"] == sl2_order(p, N))
     if gens == "g1,g2":
-        # elements with a non-unit corner take the (a, b, d) key
+        # the orbit of e1 holds vectors with a non-unit first entry
         assert any(x[0] % p == 0 for x in elements)
 
 
 @pytest.mark.parametrize("p,N", [(3, 2), (3, 3), (5, 2)])
 def test_closure_with_a_kernel_generator(p, N):
     # Mat2(1, p, 0, 1) lies in the kernel of reduction mod p and has order
-    # p^(N-1); with the swap (0, -1, 1, 0) the subgroup also holds elements
-    # with a non-unit corner, so both key and both decode branches run
+    # p^(N-1), all of it orbit; with the swap (0, -1, 1, 0) the orbit of e1
+    # also holds vectors with a non-unit first entry, and the stabilizer
+    # has order p^(N-1), neither 1 nor p^N, so the gcd of its c is p
     kernel, swap = Mat2(1, p, 0, 1), Mat2(0, -1, 1, 0)
     assert subgroup_closure_mod(p, N, [kernel])["order"] == p ** (N - 1)
     elements = _closure_by_set(p, N, [kernel, swap])
@@ -286,35 +306,6 @@ def test_closure_of_random_pairs_matches_set_search(modulus, moves1, moves2):
     assert subgroup_closure_mod(p, N, gens)["order"] == len(_closure_by_set(p, N, gens))
 
 
-def _small(moduli):
-    # the moduli whose 2 p^{3N} slices of one entry are swept quickly
-    return [(p, N) for p, N in moduli if p ** (3 * N) < 2000]
-
-
-@pytest.mark.parametrize("chunk", [1, 7])
-@pytest.mark.parametrize("gens", GENERATOR_SETS)
-@pytest.mark.parametrize("p,N", _small(CLOSURE_MODULI))
-def test_closure_order_does_not_depend_on_the_chunk(p, N, gens, chunk,
-                                                    monkeypatch):
-    # a slice of one or seven entries splits the (a, b, c) and (a, b, d)
-    # keys at every offset, and 2 p^{3N} is no multiple of 7
-    expected = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
-    monkeypatch.setattr(padic, "_CLOSURE_CHUNK", chunk)
-    assert subgroup_closure_mod(p, N, GENERATOR_SETS[gens]) == expected
-
-
-@given(st.sampled_from(_small(MODULI)), MOVES, MOVES, st.sampled_from([1, 7]))
-@settings(max_examples=15, deadline=None)
-def test_closure_of_random_pairs_does_not_depend_on_the_chunk(
-        modulus, moves1, moves2, chunk):
-    p, N = modulus
-    gens = [_lift(moves1), _lift(moves2)]
-    expected = len(_closure_by_set(p, N, gens))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(padic, "_CLOSURE_CHUNK", chunk)
-        assert subgroup_closure_mod(p, N, gens)["order"] == expected
-
-
 def _closure_peak(p, N):
     gens = [generator("g1"), generator("g2")]
     tracemalloc.start()
@@ -328,119 +319,61 @@ def _closure_peak(p, N):
 
 
 def test_closure_memory_peak():
-    # 2.4 MB measured at p = 3, N = 4: the lifts of the 17,496 elements
-    # mod 27 as they are built and keyed.  The search over all 472,392
-    # elements mod 81 peaked at 5.1 MB in slices, at 15.1 MB when it held a
-    # whole level's rows and keys (frontier up to 163,798 elements), and at
-    # 25.1 MB when it multiplied int64 entry arrays and sorted each step's
-    # keys
+    # 0.7 MB measured at p = 3, N = 4: four tables of 6,561 vector indices
     peak = _closure_peak(3, 4)
     assert peak < 3.5e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_closure_memory_peak_at_p5_N3():
-    # 2.1 MB measured; the search over all 1,875,000 elements mod 125
-    # peaked at 13.1 MB in slices and at 54.2 MB holding a whole level
+    # 1.7 MB measured: four tables of 15,625 vector indices
     peak = _closure_peak(5, 3)
     assert peak < 3e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
-def _sweep_order(p, N, gens):
-    """The closure order by the keyed search run mod p^N itself, with no
-    lift through the congruence kernels."""
-    m = p ** N
-    steps = [np.array(s.reduced(m)) for g in gens for s in (g, g.inv())]
-    return padic._sweep(p, m, steps, None)[0]
+def test_closure_memory_peak_at_p211():
+    # 4.6 MB measured: four tables of 44,521 vector indices and the
+    # gathers over an orbit of 44,520 vectors
+    peak = _closure_peak(211, 1)
+    assert peak < 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def _random_pairs(p, N, count):
     # products of elementary matrices reduce onto all of SL(2, Z/p^N Z);
-    # moves that are multiples of p give subgroups that are proper at
-    # level 1, or lie in its kernel, and whose kernels have rank below 3
+    # moves that are multiples of p give subgroups that are proper mod p,
+    # or lie in the kernel of reduction mod p
     rng = random.Random(p ** N)
     return [[_lift([(rng.random() < 0.5, rng.choice((1, 1, p)) * rng.randint(-30, 30))
                     for _ in range(rng.randint(1, 5))]) for _ in range(2)]
             for _ in range(count)]
 
 
-# at p = 3, N = 4 this pair has two independent X in one batch at level 3
-# and a kernel of rank 2 at level 4: keeping the wrong one of the two as a
-# kernel element read rank 3 there, order 2187 for 729
-TWO_X_IN_ONE_BATCH = [Mat2(1, -55, 138, -7589), Mat2(133, -2, -66, 1)]
+# a proper subgroup at every level: of order 3, 9, 81 and 729 mod 3, 9, 27
+# and 81
+PROPER_PAIR = [Mat2(1, -55, 138, -7589), Mat2(133, -2, -66, 1)]
 
 
-@pytest.mark.parametrize("p,N,count", [(3, 4, 8), (5, 3, 3), (7, 2, 8),
-                                       (13, 2, 1)])
-def test_lift_matches_the_sweep_mod_p_to_the_N(p, N, count):
-    for gens in [TWO_X_IN_ONE_BATCH, *_random_pairs(p, N, count)]:
-        assert subgroup_closure_mod(p, N, gens)["order"] == _sweep_order(p, N, gens)
-
-
-@pytest.mark.parametrize("p,N", [(3, 4), (5, 3), (7, 2)])
-def test_kernel_elements_are_independent_lifts(p, N, monkeypatch):
-    # each level's kernel elements must be = I mod p^(n-1) with X
-    # independent mod p, or the next level's lifts collide mod p^n and
-    # keys of the level after it go missing from its map
-    sets = [TWO_X_IN_ONE_BATCH, *GENERATOR_SETS.values(), *_random_pairs(p, N, 8)]
-    basis = padic._kernel_basis
-    ranks = []
-
-    def checked_basis(p, q, lifts, steps, modulus):
-        kernel = basis(p, q, lifts, steps, modulus)
-        for k in kernel:
-            assert tuple(k % q) == (1, 0, 0, 1)
-        xs = [(k[:3] - (1, 0, 0)) // q % p for k in kernel]
-        span = {tuple(sum((e * x for e, x in zip(es, xs)), np.zeros(3, int)) % p)
-                for es in itertools.product(range(p), repeat=len(xs))}
-        assert len(span) == p ** len(xs)
-        ranks.append(len(kernel))
-        return kernel
-
-    monkeypatch.setattr(padic, "_kernel_basis", checked_basis)
-    for gens in sets:
-        subgroup_closure_mod(p, N, gens)
-    assert len(ranks) == len(sets) * (N - 1)
-    assert set(ranks) == {0, 1, 2, 3}
-
-
-@pytest.mark.parametrize("batch", [1, 10 ** 6])
-@pytest.mark.parametrize("gens", GENERATOR_SETS)
-@pytest.mark.parametrize("p,N", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
-def test_closure_order_does_not_depend_on_the_schreier_batch(p, N, gens, batch,
-                                                             monkeypatch):
-    # one lift per batch, or every lift of the largest level (17,496 at
-    # p = 3, N = 4) in one
-    expected = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
-    monkeypatch.setattr(padic, "_SCHREIER_BATCH", batch)
-    assert subgroup_closure_mod(p, N, GENERATOR_SETS[gens]) == expected
+@pytest.mark.parametrize("p,N,orders", [
+    (3, 4, [729, 472392, 472392, 472392, 59049, 81, 729, 59049, 472392]),
+    (5, 3, [1875000, 3125, 125, 3125]),
+    (7, 2, [4116, 115248, 196, 115248, 49, 115248, 115248, 8232, 115248]),
+    (13, 2, [4798248, 4798248])], ids=["3-4", "5-3", "7-2", "13-2"])
+def test_closure_matches_the_pinned_orders_mod_p_to_the_N(p, N, orders):
+    # the set search is too slow at these moduli; the orders were computed
+    # by an independent method, a search over the Cayley graph mod p^N
+    sets = [PROPER_PAIR, *_random_pairs(p, N, len(orders) - 1)]
+    assert [subgroup_closure_mod(p, N, gens)["order"] for gens in sets] == orders
 
 
 @pytest.mark.parametrize("p,N", [(3, 3), (5, 2)])
-def test_kernel_rank_below_three_scans_every_lift(p, N, monkeypatch):
+def test_upper_triangular_closure_has_its_closed_form_order(p, N):
     # the upper triangular subgroup mod p^N, generated by (1, 1; 0, 1) and
-    # diag(2, 1/2) (2 generates the units mod 9 and mod 25), has order
-    # (p - 1) p^(2N - 1) and a kernel of rank 2 at every level, so each
-    # level's scan keys every lift once for its map and once per step
+    # diag(2, 1/2) (2 generates the units mod 27 and mod 25), has order
+    # (p - 1) p^(2N - 1)
     m = p ** N
     gens = [Mat2(1, 1, 0, 1), Mat2(2, 1, m, (1 + m) // 2)]
-    keyed = []
-    keys = padic._keys
-
-    def counting_keys(rows, p, q):
-        keyed.append(len(rows))
-        return keys(rows, p, q)
-
-    monkeypatch.setattr(padic, "_keys", counting_keys)
-    monkeypatch.setattr(padic, "_SCHREIER_BATCH", 5)
     out = subgroup_closure_mod(p, N, gens)
-    assert out["order"] == (p - 1) * p ** (2 * N - 1) == _sweep_order(p, N, gens)
-    lifts = [(p - 1) * p ** (2 * n - 1) for n in range(1, N)]
-    assert sum(keyed) == sum(lifts) * (1 + len(gens) * 2)
-    # a full subgroup stops each level's scan at rank 3
-    keyed.clear()
-    assert subgroup_closure_mod(p, N, GENERATOR_SETS["g1,g2"])["is_full"]
-    full = [sl2_order(p, n) for n in range(1, N)]
-    assert sum(keyed) < sum(full) * (1 + 4)
+    assert out["order"] == (p - 1) * p ** (2 * N - 1)
+    assert not out["is_full"]
 
 
 def test_closure_rejects_even_prime():

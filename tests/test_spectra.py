@@ -387,6 +387,27 @@ def test_free_product_cells_outside_the_configuration_space_are_rejected():
                 system.theta_cylinder_ratio(1.0, x_cells, *cells)
 
 
+def test_free_product_lambda0_cells_outside_the_group_are_rejected():
+    system = build_free_system()
+    assert system.q == 4
+    # a Lambda_0 value must be an element of the group of order q, on both
+    # sides and whatever case the cylinder falls in
+    for bad, x_cells in ((7, {0: 7, 1: 0}), (-3, {0: -3, 1: 0}),
+                         (4, {0: 0, 1: 4}), (-1, {-1: -1, 0: 1})):
+        with pytest.raises(InvalidInputError, match=f"Lambda_0 cell {bad} "):
+            system.theta_cylinder_ratio(1.0, x_cells, {0: 0}, {0: 0})
+        with pytest.raises(InvalidInputError, match=f"Lambda_0 cell {bad} "):
+            theta_rn_derivative(system, 1.0, x_cells, {0: 0}, {0: 0})
+    # on Y0 theta is the identity, and the brute-force side still reads the
+    # y and z cells of the cylinder
+    for which, bad in ((1, 99), (1, -5), (2, 99), (2, -5)):
+        cells = [{0: 0}, {0: 0}]
+        cells[which - 1] = {0: bad}
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+            system.theta_cylinder_ratio(1.0, {0: 0, 1: 0}, *cells)
+    assert system.theta_cylinder_ratio(1.0, {0: 0, 1: 0}, {0: 1}, {0: 1}) == 1.0
+
+
 def test_rn_weights_memo_key_is_the_float_value_and_sign(monkeypatch):
     calls = []
     original = spectra.product_conformal_weights
