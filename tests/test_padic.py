@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import tracemalloc
 
@@ -306,6 +307,38 @@ def test_closure_of_random_pairs_matches_set_search(modulus, moves1, moves2):
     assert subgroup_closure_mod(p, N, gens)["order"] == len(_closure_by_set(p, N, gens))
 
 
+def _small(moduli):
+    # the moduli whose p^{3N} elements the set search enumerates quickly
+    return [(p, N) for p, N in moduli if p ** (3 * N) < 2000]
+
+
+def _with_powers(gens, chunk):
+    # each generator's chunk-th power is an element of H, so adding it to
+    # the generators leaves H as it is; a power of 1 repeats each step's
+    # table, so the search meets every vector it reaches twice in one level
+    return [*gens, *(g.pow(chunk) for g in gens)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("gens", GENERATOR_SETS)
+@pytest.mark.parametrize("p,N", _small(CLOSURE_MODULI))
+def test_closure_order_does_not_depend_on_the_chunk(p, N, gens, chunk):
+    # the name is kept from the sliced Cayley-graph sweep; chunk is now the
+    # power of each generator added to the generating set
+    expected = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
+    assert subgroup_closure_mod(p, N, _with_powers(GENERATOR_SETS[gens], chunk)) == expected
+
+
+@given(st.sampled_from(_small(MODULI)), MOVES, MOVES, st.sampled_from([1, 7]))
+@settings(max_examples=15, deadline=None)
+def test_closure_of_random_pairs_does_not_depend_on_the_chunk(
+        modulus, moves1, moves2, chunk):
+    p, N = modulus
+    gens = [_lift(moves1), _lift(moves2)]
+    expected = len(_closure_by_set(p, N, gens))
+    assert subgroup_closure_mod(p, N, _with_powers(gens, chunk))["order"] == expected
+
+
 def _closure_peak(p, N):
     gens = [generator("g1"), generator("g2")]
     tracemalloc.start()
@@ -352,28 +385,64 @@ def _random_pairs(p, N, count):
 PROPER_PAIR = [Mat2(1, -55, 138, -7589), Mat2(133, -2, -66, 1)]
 
 
-@pytest.mark.parametrize("p,N,orders", [
-    (3, 4, [729, 472392, 472392, 472392, 59049, 81, 729, 59049, 472392]),
-    (5, 3, [1875000, 3125, 125, 3125]),
-    (7, 2, [4116, 115248, 196, 115248, 49, 115248, 115248, 8232, 115248]),
-    (13, 2, [4798248, 4798248])], ids=["3-4", "5-3", "7-2", "13-2"])
-def test_closure_matches_the_pinned_orders_mod_p_to_the_N(p, N, orders):
+@pytest.mark.parametrize("p,N,count,orders", [
+    (3, 4, 8, [729, 472392, 472392, 472392, 59049, 81, 729, 59049, 472392]),
+    (5, 3, 3, [1875000, 3125, 125, 3125]),
+    (7, 2, 8, [4116, 115248, 196, 115248, 49, 115248, 115248, 8232, 115248]),
+    (13, 2, 1, [4798248, 4798248])], ids=["3-4-8", "5-3-3", "7-2-8", "13-2-1"])
+def test_lift_matches_the_sweep_mod_p_to_the_N(p, N, count, orders):
     # the set search is too slow at these moduli; the orders were computed
     # by an independent method, a search over the Cayley graph mod p^N
-    sets = [PROPER_PAIR, *_random_pairs(p, N, len(orders) - 1)]
+    sets = [PROPER_PAIR, *_random_pairs(p, N, count)]
     assert [subgroup_closure_mod(p, N, gens)["order"] for gens in sets] == orders
 
 
+@pytest.mark.parametrize("p,N", [(3, 4), (5, 3), (7, 2)])
+def test_kernel_elements_are_independent_lifts(p, N):
+    # H mod p^n maps onto H mod p^(n-1), and the kernel's elements are
+    # I + p^(n-1) X with X of trace 0 mod p, which commute and are
+    # independent as the X are: the kernel has order p^rank, rank <= 3
+    sets = [PROPER_PAIR, *GENERATOR_SETS.values(), *_random_pairs(p, N, 8)]
+    ranks = []
+    for gens in sets:
+        orders = [subgroup_closure_mod(p, n, gens)["order"] for n in range(1, N + 1)]
+        for low, high in zip(orders, orders[1:]):
+            rank = round(math.log(high // low, p))
+            assert high == low * p ** rank
+            ranks.append(rank)
+    assert len(ranks) == len(sets) * (N - 1)
+    assert set(ranks) == {0, 1, 2, 3}
+
+
+def _conjugated(gens, batch):
+    t = Mat2(1, batch, 0, 1) * Mat2(1, 0, 1, 1)
+    return [t.inv() * g * t for g in gens]
+
+
+@pytest.mark.parametrize("batch", [1, 10 ** 6])
+@pytest.mark.parametrize("gens", GENERATOR_SETS)
+@pytest.mark.parametrize("p,N", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_closure_order_does_not_depend_on_the_schreier_batch(p, N, gens, batch):
+    # the name is kept from the batched congruence-kernel lift; batch now
+    # sets the conjugator t = (1, batch; 0, 1)(1, 0; 1, 1).  t^-1 H t has
+    # the order of H, but splits it into another orbit of e1 and another
+    # stabilizer, so the Schreier generators' c change
+    expected = subgroup_closure_mod(p, N, GENERATOR_SETS[gens])
+    assert subgroup_closure_mod(p, N, _conjugated(GENERATOR_SETS[gens], batch)) == expected
+
+
 @pytest.mark.parametrize("p,N", [(3, 3), (5, 2)])
-def test_upper_triangular_closure_has_its_closed_form_order(p, N):
-    # the upper triangular subgroup mod p^N, generated by (1, 1; 0, 1) and
+def test_kernel_rank_below_three_scans_every_lift(p, N):
+    # the upper triangular subgroup mod p^n, generated by (1, 1; 0, 1) and
     # diag(2, 1/2) (2 generates the units mod 27 and mod 25), has order
-    # (p - 1) p^(2N - 1)
-    m = p ** N
-    gens = [Mat2(1, 1, 0, 1), Mat2(2, 1, m, (1 + m) // 2)]
-    out = subgroup_closure_mod(p, N, gens)
-    assert out["order"] == (p - 1) * p ** (2 * N - 1)
-    assert not out["is_full"]
+    # (p - 1) p^(2n - 1), so its kernel at every level has rank 2, below the
+    # rank 3 of the full group
+    for n in range(1, N + 1):
+        m = p ** n
+        gens = [Mat2(1, 1, 0, 1), Mat2(2, 1, m, (1 + m) // 2)]
+        out = subgroup_closure_mod(p, n, gens)
+        assert out["order"] == (p - 1) * p ** (2 * n - 1)
+        assert not out["is_full"]
 
 
 def test_closure_rejects_even_prime():
