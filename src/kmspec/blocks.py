@@ -95,10 +95,6 @@ class ProbVector:
     def log_weights(self) -> np.ndarray:
         return np.log(self.weights)
 
-    @classmethod
-    def uniform(cls, n: int) -> "ProbVector":
-        return cls(np.full(n, 1.0 / n))
-
 
 @dataclass(frozen=True)
 class FiniteConformalBlock:

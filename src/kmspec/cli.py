@@ -20,6 +20,7 @@ import numpy as np
 
 from ._arrays import scalar_or_array
 from .errors import InvalidInputError, KmspecError
+from .expratio import _admissible_configs
 from .growth import (CocycleModel, ball_census, build_measure_net,
                      classify_spectrum, limsup_ratio, omega_mu,
                      uniquely_ergodic_classifier)
@@ -121,6 +122,17 @@ def check_config(config: dict) -> dict:
             raise InvalidInputError("free-product mode requires 0 outside K")
         if mode == "wreath" and "t" not in config:
             raise InvalidInputError("config key 't' is required in wreath mode")
+        # the wreath build fits on [-max(range, 20), max(range, 20)]
+        if mode == "wreath" and not any(
+                _admissible_configs(max(_num(config, "range", 10.0), 20.0))):
+            raise InvalidInputError(f"config key 'range' must be narrow enough "
+                                    f"for the node grid of some fit "
+                                    f"configuration, got {config['range']!r}")
+        k = int(config.get("k", 2))
+        if mode == "free-product" and int(config.get("lambda0_order", 2 * k)) < 2 * k:
+            raise InvalidInputError(f"config key 'lambda0_order' must be at "
+                                    f"least 2k = {2 * k}, got "
+                                    f"{config['lambda0_order']!r}")
     # x -> x + step on the n_states-adic integers is minimal and uniquely
     # ergodic exactly when the two are coprime
     step = int(config.get("step", STEP))
@@ -391,7 +403,10 @@ def cmd_verify(manifest_path: str) -> int:
         path = path / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
-        names = sorted(manifest["artifacts"])
+        names = manifest["artifacts"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise TypeError("'artifacts' is not a list of names")
+        names = sorted(names)
         config = manifest["config"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"FAIL integrity: cannot read manifest: {exc!r}")

@@ -534,14 +534,15 @@ def _rationalize(log_coeffs: np.ndarray, exps: np.ndarray,
 
 
 def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
-              bases: Dict[tuple, Tuple[TranslatedKernelBasis, np.ndarray]]
+              bases: Dict[tuple, tuple]
               ) -> Tuple[WeightedMultiset, WeightedMultiset, np.ndarray, np.ndarray]:
-    """Fit eta' = S_A / (2 S_A + S_B) to fvals, returning integer-count
-    multisets A, B and log S_A, log S_B on betas, each candidate's pair
-    evaluated in one kernel call.  Each basis and its design
-    matrix on the fit rows are computed once per build: they are taken from,
-    and added to, `bases`, keyed by (y_max, spacing, window), so one `bases`
-    dict serves one grid.
+    """Fit eta' = S_A / (2 S_A + S_B), for fvals below 1/2, returning
+    integer-count multisets A, B and log S_A, log S_B on betas, each
+    candidate's pair evaluated in one kernel call.  Each basis, its design
+    matrix on the fit rows and the (log coefficients, exponents) of its
+    denominator's grid-relevant terms are computed once per build: they are
+    taken from, and added to, `bases`, keyed by (y_max, spacing, window), so
+    one `bases` dict serves one grid.
 
     Stops early once the grid error reaches eps_fit, otherwise returns the
     best pair found; the caller's end-to-end error gate is the authority, and
@@ -554,8 +555,6 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         a = WeightedMultiset({0: 1})
         b = WeightedMultiset({-1: q, 1: q})
         return (a, b, *_multiset_log_power_sums((a, b), betas).T)
-    if float(np.max(fvals)) >= 0.5 - 1e-9:
-        raise InvalidInputError("half targets must stay strictly below 1/2")
     h = fvals / (1.0 - 2.0 * fvals)
     # eta responds to a numerator perturbation through 1/(1+2h)^2; weighting
     # the rows accordingly makes the least-squares error track the eta error
@@ -575,8 +574,12 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
     for key in configs:
         if key not in bases:
             basis = TranslatedKernelBasis(*key)
-            bases[key] = (basis, basis.design(betas[rows]))
-        basis, design = bases[key]
+            den = basis._lattice_logs[-1]
+            present = np.isfinite(den)
+            log_d, exp_d = den[present], basis._lattice[present]
+            keep = _grid_relevant(log_d, exp_d, r_max)
+            bases[key] = (basis, basis.design(betas[rows]), log_d[keep], exp_d[keep])
+        basis, design, log_d, exp_d = bases[key]
         name = "(y_max={:g}, spacing={:g}, window={})".format(*key)
         try:
             coeffs = basis.fit_coeffs(design, h[rows], weights[rows])
@@ -590,22 +593,13 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
         if logs.size == 0:
             reasons.append(f"{name}: the merged numerator was empty")
             continue
-        den = basis._lattice_logs[-1]
-        present = np.isfinite(den)
-        log_d, exp_d = den[present], basis._lattice[present]
-        keep_a = _grid_relevant(logs, exps, r_max)
-        keep_b = _grid_relevant(log_d, exp_d, r_max)
-        if not np.any(keep_a):
-            reasons.append(f"{name}: no numerator atom was grid-relevant")
-            continue
+        # the term attaining the maximum at a probe is kept, so keep is not empty
+        keep = _grid_relevant(logs, exps, r_max)
         # numerator and denominator share one scale so their ratio survives
         # the rounding; counts are big integers, never materialized as floats
-        shift = min(float(np.min(logs[keep_a])),
-                    float(np.min(log_d[keep_b])))
-        a_items = _rationalize(logs[keep_a], exps[keep_a], shift, q)
-        b_items = _rationalize(log_d[keep_b], exp_d[keep_b], shift, q)
-        a = WeightedMultiset(a_items)
-        b = WeightedMultiset(b_items)
+        shift = min(float(np.min(logs[keep])), float(np.min(log_d)))
+        a = WeightedMultiset(_rationalize(logs[keep], exps[keep], shift, q))
+        b = WeightedMultiset(_rationalize(log_d, exp_d, shift, q))
         log_sa, log_sb = _multiset_log_power_sums((a, b), betas).T
         eta = np.exp(log_sa - np.logaddexp(LN2 + log_sa, log_sb))
         err = float(np.max(np.abs(eta - fvals)))
@@ -620,8 +614,7 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
 
 
 def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float,
-                  bases: Dict[tuple, Tuple[TranslatedKernelBasis, np.ndarray]]
-                  ) -> PartitionedBlockSystem:
+                  bases: Dict[tuple, tuple]) -> PartitionedBlockSystem:
     """Realize a function bounded by 1/2 with vanishing tails, given by its
     values fvals on the symmetric grid betas, as eta_1 - eta_2 encoded in a
     partitioned finite probability block.
@@ -630,8 +623,8 @@ def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float
     rebalances the integer term counts against the block orders 2^n; the
     returned system keeps the four fitted multisets and the rebalancing
     integers, and its two defining identities hold identically.  Both halves
-    take their fit bases and design matrices from `bases` and add new ones to
-    it; one dict serves every block realized on one grid.
+    take their fit bases, design matrices and denominator terms from `bases`
+    and add new ones to it; one dict serves every block realized on one grid.
 
     epsilon is the target the fits aim at, not a gate: the block is returned
     with achieved_error = max |zeta - fvals| on the grid, whatever that is,

@@ -126,9 +126,9 @@ def build_realizable(zeta: Callable, a: float, stages: int,
             raise RealizationError(
                 f"stage {k} failed: achieved error {system.achieved_error} "
                 f"exceeds 4 eps_k = {4.0 * eps_k}")
+        # 1 + P zeta lies in (1/2, 3/2): |P| < 1 and zeta = eta_1 - eta_2
+        # with each eta in (0, 1/2)
         factor_vals = system.factor(betas)
-        if float(np.min(factor_vals)) < 0.5 - 1e-9:
-            raise RealizationError(f"stage {k}: 1 + P zeta dips below 1/2")
         psi_vals = psi_vals * factor_vals
         if float(np.max(np.abs(psi_vals))) > 2.0 + 1e-9:
             raise RealizationError(f"stage {k}: |psi| exceeds 2")

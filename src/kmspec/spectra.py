@@ -220,24 +220,12 @@ def shift_rn_derivative(system: WreathSystem, beta: float, x0_cell) -> float:
 
 
 def _flat_index(system: WreathSystem, cell) -> int:
-    """The flat index of a cell of the system, given flat or as a tuple of
-    block elements; a cell outside the configuration space is an error."""
-    if type(cell) is int:
-        idx = cell
-    elif isinstance(cell, (int, np.integer)):
-        idx = int(cell)
-    else:
-        cell, idx = tuple(cell), -1
-        if len(cell) == len(system.orders) and all(
-                isinstance(c, (int, np.integer)) and 0 <= c < n
-                for c, n in zip(cell, system.orders)):
-            idx = 0
-            for c, n in zip(cell, system.orders):
-                idx = idx * n + int(c)
-    if not 0 <= idx < system.n_configs:
+    """A flat cell of the system (an int or a numpy integer) as an int; any
+    other cell, or one outside the configuration space, is an error."""
+    if not (isinstance(cell, (int, np.integer)) and 0 <= cell < system.n_configs):
         raise InvalidInputError(f"cell {cell!r} outside the configuration space "
                                 f"of {system.n_configs} configurations")
-    return idx
+    return int(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +278,16 @@ class FreeProductSystem:
             raise WindowError("coordinate 1 is required when x_0 = e")
         return 0 if x_cells[1] == 0 else 2
 
-    def _check_window(self, x_cells: Dict[int, int]):
-        for n in x_cells:
+    def _check_window(self, coords):
+        for n in coords:
             if abs(n) > self.window:
                 raise WindowError(f"Lambda_0 coordinate {n} lies outside the "
                                   f"window [-{self.window}, {self.window}]")
 
-    def _xyz_mass(self, weights, x_cells, y_cells, z_cells) -> float:
-        out = float(self.q) ** (-len(x_cells))
-        for (factor, nu, eta), cells in zip(weights, (y_cells, z_cells)):
-            for n, c in cells.items():
-                c = _flat_index(factor, c)
-                out *= eta[c] if n < 0 else nu[c]
-        return out
+    def _check_cells(self, y_cells: Dict[int, int], z_cells: Dict[int, int]):
+        for factor, cells in zip(self._factors, (y_cells, z_cells)):
+            for c in cells.values():
+                _flat_index(factor, c)
 
     def theta_cylinder_ratio(self, beta: float, x_cells: Dict[int, int],
                              y_cells: Dict[int, int],
@@ -316,28 +301,26 @@ class FreeProductSystem:
         case = self.classify(x_cells)
         if case == 0:
             # theta is the identity on Y0, but the cylinder must exist
-            for factor, cells in zip(self._factors, (y_cells, z_cells)):
-                for c in cells.values():
-                    _flat_index(factor, c)
+            self._check_cells(y_cells, z_cells)
             return 1.0
         if case == 1:
-            # preimages lie in Y2 and map by (inverse insertion, shift, id)
-            x_pre = {n: c for n, c in x_cells.items() if n < 0}
-            x_pre[0] = 0
-            x_pre.update({n + 1: c for n, c in x_cells.items() if n >= 0})
-            y_pre = {n - 1: c for n, c in y_cells.items()}
-            z_pre = dict(z_cells)
-        else:
-            # preimages lie in Y1 and map by (insertion, id, shift); classify
-            # returns 2 only when coordinate 1 is pinned
-            x_pre = {n: c for n, c in x_cells.items() if n < 0}
-            x_pre.update({n - 1: c for n, c in x_cells.items() if n >= 1})
-            y_pre = dict(y_cells)
-            z_pre = {n - 1: c for n, c in z_cells.items()}
-        self._check_window(x_pre)
-        weights = [(f, *f._weights(beta)[3][:2]) for f in self._factors]
-        num = self._xyz_mass(weights, x_pre, y_pre, z_pre)
-        den = self._xyz_mass(weights, x_cells, y_cells, z_cells)
+            # preimages lie in Y2 and map by (inverse insertion, shift, id):
+            # e is inserted at Lambda_0 coordinate 0, moving n >= 0 to n + 1
+            self._check_window([n + 1 for n in x_cells if n >= 0])
+        # on Y2 preimages lie in Y1 and map by (insertion, id, shift):
+        # Lambda_0 coordinate 0 is dropped, moving n >= 1 to n - 1
+        num = float(self.q) ** -(len(x_cells) + (1 if case == 1 else -1))
+        den = float(self.q) ** -len(x_cells)
+        for which, cells in ((1, y_cells), (2, z_cells)):
+            factor = self._factors[which - 1]
+            nu, eta = factor._weights(beta)[3][:2]
+            # the shift moves the X_case coordinate n to n - 1, where the
+            # factor measure is eta for n <= 0
+            cut = 1 if which == case else 0
+            for n, c in cells.items():
+                c = _flat_index(factor, c)
+                num *= eta[c] if n < cut else nu[c]
+                den *= eta[c] if n < 0 else nu[c]
         return num / den
 
 
@@ -357,6 +340,7 @@ def theta_rn_derivative(system: FreeProductSystem, beta: float,
     """The three-case formula: 1 on Y0, q^{-1} phi_1^{-1} H_1(y_0)^beta on Y1,
     q phi_2^{-1} H_2(z_0)^beta on Y2."""
     case = system.classify(x_cells)
+    system._check_cells(y_cells, z_cells)
     if case == 0:
         return 1.0
     cells = y_cells if case == 1 else z_cells

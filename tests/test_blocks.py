@@ -40,6 +40,53 @@ def test_bad_tables_rejected():
         FiniteGroupTable(order=2, mul=((0, 0), (0, 0)), inv=(0, 0))
 
 
+HALF = ProbVector(np.array([0.5, 0.5]))
+# a neutral 0 and self-inverse elements, yet (1 1) 2 = 2 while 1 (1 2) = 1
+NON_ASSOCIATIVE = ((0, 1, 2), (1, 0, 0), (2, 0, 0))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: conformal_weights(random_block(2), math.inf), InvalidInputError,
+     "beta must be finite"),
+    (lambda: FiniteGroupTable(order=0, mul=(), inv=()), InvalidInputError,
+     "group order 0 outside"),
+    (lambda: FiniteGroupTable(order=65, mul=(), inv=()), InvalidInputError,
+     "group order 65 outside"),
+    (lambda: FiniteGroupTable(order=2, mul=((0, 1),), inv=(0, 1)),
+     InvalidInputError, "wrong shape"),
+    (lambda: FiniteGroupTable(order=3, mul=NON_ASSOCIATIVE, inv=(0, 1, 2)),
+     InvalidInputError, "not associative"),
+    (lambda: ProbVector(np.full((2, 2), 0.25)), InvalidInputError, "1-d"),
+    (lambda: FiniteConformalBlock(base_measure=HALF, potential=[1.0, 1.0, 1.0],
+                                  base=2.0),
+     InvalidInputError, "one value per group element"),
+    (lambda: FiniteConformalBlock(base_measure=HALF, potential=[1.0, 0.0],
+                                  base=2.0),
+     InvalidInputError, "strictly positive"),
+    (lambda: FiniteConformalBlock(base_measure=HALF, potential=[1.0, 1.0],
+                                  base=1.0),
+     InvalidInputError, "base must exceed 1"),
+    (lambda: FiniteConformalBlock(base_measure=HALF, potential=[1.0, 2.5],
+                                  base=2.0),
+     InvalidInputError, r"\[1/a, a\]"),
+    (lambda: FiniteConformalBlock(base_measure=HALF, potential=[1.0, 1.0],
+                                  base=2.0, group=FiniteGroupTable.cyclic(3)),
+     InvalidInputError, "group order does not match"),
+    (lambda: cohomologous_transform(HALF, [0.0, 1.0, 2.0], 1.0),
+     InvalidInputError, "same index set"),
+    (lambda: check_conformality(
+        TruncatedProductSystem(blocks=[random_block(2)]), {(0,): 0.5, (1,): 0.5},
+        1.0, [(1, 1)], tol=1e-12),
+     UnsupportedGeneratorError, "block index 1 outside"),
+], ids=["beta-inf", "order-zero", "order-65", "table-shape", "non-associative",
+        "weights-2d", "potential-shape", "potential-zero", "base-one",
+        "potential-above-a", "group-order", "transform-shape",
+        "generator-block"])
+def test_constructors_reject_what_they_check(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_probvector_guards():
     with pytest.raises(InvalidInputError):
         ProbVector(np.array([0.5, 0.0, 0.5]))

@@ -147,6 +147,29 @@ def test_verify_detects_tampering(tmp_path, capsys, tamper, message):
     assert printed.startswith("FAIL") and message in printed
 
 
+@pytest.mark.parametrize("tamper,message", [
+    (lambda out: (out / "manifest.json").write_text("{not json"),
+     "cannot read manifest"),
+    (lambda out: (out / "manifest.json").unlink(), "cannot read manifest"),
+    (lambda out: (out / "report.json").unlink(), "missing artifact report.json"),
+    *((lambda out, names=names: _tamper_manifest(
+        out, lambda m: m.update(artifacts=names)), "cannot read manifest")
+      for names in ("report.json", {"report.json": 1}, None, [1])),
+], ids=["manifest-not-json", "manifest-missing", "artifact-missing",
+        "artifacts-text", "artifacts-object", "artifacts-null",
+        "artifacts-number-entry"])
+def test_verify_reports_integrity_failures(tmp_path, capsys, tamper, message):
+    path = write_cfg(tmp_path, PADIC_CFG)
+    out = tmp_path / "out"
+    assert main(["padic", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    tamper(out)
+    assert main(["verify", "--config", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL integrity: ") and message in printed
+    assert printed.count("\n") == 1
+
+
 def test_overrides_change_hash(tmp_path):
     path = write_cfg(tmp_path, FREE_CFG)
     base = load_config(path, {})
@@ -175,10 +198,13 @@ MALFORMED_K = {"list": [1, 2], "text": "x", "intervals-number": {"intervals": 5}
     (dict(FREE_CFG, k="x"), [], "k"),
     (dict(FREE_CFG, lambda0_order="y"), [], "lambda0_order"),
     (dict(FREE_CFG, k=1), [], "k"),
+    (dict(FREE_CFG, lambda0_order=3), [], "lambda0_order"),
+    (dict(FREE_CFG, k=3, lambda0_order=5), [], "lambda0_order"),
     *((dict(FREE_CFG, K=K), [], "K") for K in MALFORMED_K.values()),
 ], ids=["range-negative", "range-zero", "range-inf", "grid-one", "grid-zero",
         "stages-zero", "t-inf", "t-one", "k-text",
-        "order-text", "k-one", *(f"K-{name}" for name in MALFORMED_K)])
+        "order-text", "k-one", "order-below-2k", "order-below-2k-at-k3",
+        *(f"K-{name}" for name in MALFORMED_K)])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, cfg, flags, key):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -456,10 +482,13 @@ def test_wreath_report_is_K_in_range(case):
 def test_wide_wreath_range_is_rejected_before_fitting(tmp_path, capsys):
     path = write_cfg(tmp_path, dict(WREATH_CFG, range="30", grid_n=501))
     out = tmp_path / "out"
-    assert main(["build-spectrum", "--config", path, "--out", str(out)]) == 1
+    assert main(["build-spectrum", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("wreath error") and "r_max=30 " in err
-    assert "Traceback" not in err
+    assert err.startswith("config error") and "'range'" in err and "'30'" in err
+    assert "Traceback" not in err and not out.exists()
+    # the widest admissible fit range still runs; only the range decides
+    assert main(["build-spectrum", "--config", path, "--out", str(out),
+                 "--range", "29.5"]) == 0
 
 
 def test_overflowing_measure_net_is_a_growth_error(tmp_path, capsys):

@@ -362,10 +362,14 @@ def test_wreath_cells_outside_the_configuration_space_are_rejected():
         for n in (-1, 0, 1):
             with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
                 system.cylinder_shift_ratio(1.0, {n: bad, n + 1: 3})
-    # a cell given as a tuple of block elements reads the same flat cell
-    assert shift_rn_derivative(system, 1.0, (1, 3)) == shift_rn_derivative(system, 1.0, 7)
-    assert (system.cylinder_shift_ratio(1.0, {0: (1, 3), 1: (0, 2)})
-            == system.cylinder_shift_ratio(1.0, {0: 7, 1: 2}))
+    # cells are flat: a tuple of block elements is rejected, even one that
+    # names a configuration
+    for bad in ((1, 3), [1, 3], 7.0):
+        with pytest.raises(InvalidInputError, match="outside the configuration"):
+            shift_rn_derivative(system, 1.0, bad)
+        with pytest.raises(InvalidInputError, match="outside the configuration"):
+            system.cylinder_shift_ratio(1.0, {0: bad, 1: 2})
+    assert shift_rn_derivative(system, 1.0, np.int64(7)) == shift_rn_derivative(system, 1.0, 7)
 
 
 def test_free_product_cells_outside_the_configuration_space_are_rejected():
@@ -408,6 +412,21 @@ def test_free_product_lambda0_cells_outside_the_group_are_rejected():
     assert system.theta_cylinder_ratio(1.0, {0: 0, 1: 0}, {0: 1}, {0: 1}) == 1.0
 
 
+def test_theta_formula_reads_every_pinned_cell():
+    # the formula uses one cell of one factor, yet every pinned y and z cell
+    # must exist, as on the brute-force side
+    system = build_free_system()
+    for bad in (99, -5):
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+            theta_rn_derivative(system, 1.0, {0: 0, 1: 0}, {0: bad}, {0: -5})
+        # on Y1 the formula reads y_0 and never a z cell
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+            theta_rn_derivative(system, 1.0, {0: 1, 1: 0}, {0: 0}, {0: bad})
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+            system.theta_cylinder_ratio(1.0, {0: 1, 1: 0}, {0: 0}, {0: bad})
+    assert theta_rn_derivative(system, 1.0, {0: 0, 1: 0}, {0: 1}, {0: 1}) == 1.0
+
+
 def test_rn_weights_memo_key_is_the_float_value_and_sign(monkeypatch):
     calls = []
     original = spectra.product_conformal_weights
@@ -438,10 +457,11 @@ def test_wreath_system_keeps_its_orders_and_configuration_count():
     assert system.orders == tuple(b.order for b in blocks) == (2, 3, 4)
     assert system.n_configs == math.prod(system.orders) == 24
     assert type(system.n_configs) is int
-    for cell in itertools.product(*(range(n) for n in system.orders)):
-        flat = int(np.ravel_multi_index(cell, system.orders))
-        assert (shift_rn_derivative(system, -1.5, cell)
-                == shift_rn_derivative(system, -1.5, flat))
+    # every flat cell below n_configs is a configuration; a tuple is not
+    for flat in range(system.n_configs):
+        assert shift_rn_derivative(system, -1.5, flat) > 0.0
+    with pytest.raises(InvalidInputError):
+        shift_rn_derivative(system, -1.5, (1, 2, 3))
     smaller = dataclasses.replace(system, blocks=blocks[:2])
     assert (smaller.orders, smaller.n_configs) == ((2, 3), 6)
     with pytest.raises(InvalidInputError):
