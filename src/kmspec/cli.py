@@ -18,7 +18,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ._arrays import scalar_or_array
 from .errors import InvalidInputError, KmspecError
 from .expratio import _admissible_configs
 from .growth import (CocycleModel, ball_census, build_measure_net,
@@ -114,17 +113,23 @@ def check_config(config: dict) -> dict:
         if "K" not in config:
             raise InvalidInputError("spectrum modes require a K spec")
         K = ClosedSetSpec.from_config(config["K"])
-        contains_zero = K.distance(0.0) == 0.0
-        if mode == "wreath" and not contains_zero:
+        delta = float(K.distance(0.0))
+        r_max = _num(config, "range", 10.0)
+        if mode == "wreath" and delta != 0.0:
             raise InvalidInputError("wreath mode requires 0 in K: an invariant "
                                     "measure must exist at beta = 0")
-        if mode == "free-product" and contains_zero:
+        if mode == "free-product" and delta == 0.0:
             raise InvalidInputError("free-product mode requires 0 outside K")
+        # the grid ends at +-range, so q-bounded-off-delta covers a grid
+        # point exactly when range >= d(0, K)
+        if mode == "free-product" and r_max < delta:
+            raise InvalidInputError(f"config key 'range' must be at least "
+                                    f"d(0, K) = {delta!r} in free-product "
+                                    f"mode, got {r_max!r}")
         if mode == "wreath" and "t" not in config:
             raise InvalidInputError("config key 't' is required in wreath mode")
         # the wreath build fits on [-max(range, 20), max(range, 20)]
-        if mode == "wreath" and not any(
-                _admissible_configs(max(_num(config, "range", 10.0), 20.0))):
+        if mode == "wreath" and not any(_admissible_configs(max(r_max, 20.0))):
             raise InvalidInputError(f"config key 'range' must be narrow enough "
                                     f"for the node grid of some fit "
                                     f"configuration, got {config['range']!r}")
@@ -240,13 +245,12 @@ def run_build_spectrum(config: dict):
         t = float(config["t"])
         stages = int(config.get("stages", 2))
         phi = target_phi_from_set(K, t)
-
-        @scalar_or_array
-        def zeta(bts):
-            return np.asarray(K.distance(bts), dtype=float) / (2.0 * (1.0 + bts ** 2))
-
-        cocycle = build_realizable(zeta, a=t, stages=stages,
-                                   r_max=max(r_max, 20.0), grid_n=grid_n)
+        # the build fits on [-20, 20] at least, with the samples' point count
+        fit_r = max(r_max, 20.0)
+        fit_betas = np.linspace(-fit_r, fit_r, grid_n)
+        zeta = (np.asarray(K.distance(fit_betas), dtype=float)
+                / (2.0 * (1.0 + fit_betas ** 2)))
+        cocycle = build_realizable(zeta, fit_betas, a=t, stages=stages)
         psi_vals = np.asarray(eval_phi(cocycle, betas), dtype=float)
         certificates.append(_cert("staged-approximation-error",
                                   cocycle.certified_error <= cocycle.budget,
@@ -259,8 +263,8 @@ def run_build_spectrum(config: dict):
     else:
         k = int(config.get("k", 2))
         order = int(config.get("lambda0_order", 2 * k))
-        # the pair measures its own certificates and leaves this grid in its
-        # memo, so the samples are read from there before the solve
+        # the pair measures its own certificates and returns phi_1 and phi_2
+        # on this grid, which are the samples
         pair = fraction_pair(K, k, order, grid_n=grid_n, r_max=r_max)
         certificates.append(_cert("q-bounded-off-delta",
                                   pair.q_max <= Q_BOUND + Q_SLACK, pair.q_max,
@@ -269,7 +273,7 @@ def run_build_spectrum(config: dict):
         certificates.append(_cert("q-nonzero-off-zero", pair.q_min > 0.0,
                                   pair.q_min, 0.0))
         artifacts["samples.csv"] = _csv(("beta", "phi1", "phi2"), betas,
-                                        pair.phi1(betas), pair.phi2(betas))
+                                        pair.phi1_grid, pair.phi2_grid)
         report, level = solve_free_product_spectrum(pair, K, r_max=r_max,
                                                     grid_n=grid_n)
 

@@ -22,7 +22,7 @@ class ConvergenceError(KmspecError):
 
 
 class RealizationError(KmspecError):
-    """Integer rebalancing could not reach the requested block-size products."""
+    """A target could not be realized by a block or by a staged build."""
 
 
 class ConstructionError(KmspecError):

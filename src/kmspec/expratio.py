@@ -12,7 +12,7 @@ identically.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -368,7 +368,42 @@ def _log_count(n: int) -> float:
     return math.log(n) if n else -math.inf
 
 
-@dataclass
+def _part_log_sums(t: float, scales: Tuple[int, int, int, int],
+                   fitted: Tuple[np.ndarray, ...], betas: np.ndarray
+                   ) -> Tuple[np.ndarray, ...]:
+    """log power sums (s0, s1, s2, total) of a block's three parts and their
+    total on betas, from the log power sums (S_A, S_B, S_C, S_D) of its
+    fitted fractions there."""
+    la, lb, lc, ld = fitted
+    lk1, lt1, lk2, lt2 = map(_log_count, scales)
+    logt = betas * math.log(t)
+    log1pt = np.logaddexp(0.0, logt)                    # log(1 + t^beta)
+    # the rebalanced fractions A', B', C', D'
+    a = lk1 + la
+    b = np.logaddexp(lk1 + np.logaddexp(LN2 + logt + la, log1pt + lb), lt1)
+    c = lk2 + logt + lc
+    d = np.logaddexp(lk2 + np.logaddexp(LN2 + lc, log1pt + ld), lt2)
+    sums = [a + np.logaddexp(LN2 + c, d),                     # A' x (2C' + D')
+            np.logaddexp(LN2 + a, b) + c,                     # (2A' + B') x C'
+            np.logaddexp(a + d, b + np.logaddexp(c, d))]
+    # the total as the sum of the parts, not (2A' + B')(2C' + D'), so
+    # that factor(0) is 1 to the last bit
+    sums.append(logsumexp(np.stack(sums), axis=0))
+    return tuple(sums)
+
+
+def _block_values(t: float, s: Tuple[np.ndarray, ...], betas: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eta_1, eta_2 and the factor 1 + P_t zeta on betas, from the log part
+    sums s = (s0, s1, s2, total) there."""
+    logt = betas * math.log(t)
+    log1pt = np.logaddexp(0.0, logt)
+    num = logsumexp(np.stack([logt + s[0], -logt + s[1], s[2]]), axis=0)
+    return (np.exp(log1pt + s[0] - s[3]), np.exp(log1pt - logt + s[1] - s[3]),
+            np.exp(num - s[3]))
+
+
+@dataclass(frozen=True)
 class PartitionedBlockSystem:
     """Finite set F = F_1 x F_2 (of order 2^n from realize_block) with the
     product measure mu of two rebalanced fractions, a 3-part partition and
@@ -384,7 +419,8 @@ class PartitionedBlockSystem:
     over a product of multisets is the product of their power sums.  The
     defining identities relate eta_1, eta_2 to partial power sums of mu and
     hold as exact algebra, so their residual is a bug detector rather than
-    an approximation error.
+    an approximation error.  Every evaluation computes its power sums
+    afresh, in one kernel call.
     """
 
     t: float
@@ -392,72 +428,25 @@ class PartitionedBlockSystem:
                      WeightedMultiset, WeightedMultiset]
     scales: Tuple[int, int, int, int]
     achieved_error: float
-    _memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def size(self) -> int:
-        """|F| = (2A' + B')(2C' + D'), the sum of the three part totals."""
-        return sum(self.part_totals())
-
-    def part_totals(self) -> Tuple[int, int, int]:
-        """Exact element counts of the three parts."""
-        a, b, c, d = (m.total() for m in self.fractions)
-        k1, t1, k2, t2 = self.scales
-        a, b = k1 * a, k1 * (2 * a + 2 * b) + t1
-        c, d = k2 * c, k2 * (2 * c + 2 * d) + t2
-        return a * (2 * c + d), (2 * a + b) * c, a * d + b * (c + d)
 
     def _log_sums(self, betas: np.ndarray
                   ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
         """log power sums of the fitted fractions, (S_A, S_B, S_C, S_D), and
         of the three parts and their total, (s0, s1, s2, total), from one
-        kernel call with a row per fraction multiset.
+        kernel call with a row per fraction multiset."""
+        fitted = tuple(_multiset_log_power_sums(self.fractions, betas).T)
+        return fitted, _part_log_sums(self.t, self.scales, fitted, betas)
 
-        They are kept for the most recent grid, compared by value against a
-        private copy, so a grid mutated in place is never served stale sums.
-        """
-        memo = self._memo
-        if memo is not None and np.array_equal(memo[0], betas):
-            return memo[1]
-        return self._keep_sums(betas,
-                               tuple(_multiset_log_power_sums(self.fractions, betas).T))
-
-    def _keep_sums(self, betas: np.ndarray, fitted: Tuple[np.ndarray, ...]
-                   ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
-        """The part sums from the fitted ones on betas, kept as the memo of
-        `_log_sums`; `realize_block` hands over the sums its fits computed."""
-        la, lb, lc, ld = fitted
-        lk1, lt1, lk2, lt2 = map(_log_count, self.scales)
-        logt = betas * math.log(self.t)
-        log1pt = np.logaddexp(0.0, logt)                    # log(1 + t^beta)
-        # the rebalanced fractions A', B', C', D'
-        a = lk1 + la
-        b = np.logaddexp(lk1 + np.logaddexp(LN2 + logt + la, log1pt + lb), lt1)
-        c = lk2 + logt + lc
-        d = np.logaddexp(lk2 + np.logaddexp(LN2 + lc, log1pt + ld), lt2)
-        sums = [a + np.logaddexp(LN2 + c, d),                     # A' x (2C' + D')
-                np.logaddexp(LN2 + a, b) + c,                     # (2A' + B') x C'
-                np.logaddexp(a + d, b + np.logaddexp(c, d))]
-        # the total as the sum of the parts, not (2A' + B')(2C' + D'), so
-        # that factor(0) is 1 to the last bit
-        sums.append(logsumexp(np.stack(sums), axis=0))
-        for arr in fitted + tuple(sums):
-            arr.flags.writeable = False
-        self._memo = (np.array(betas, dtype=float), (fitted, tuple(sums)))
-        return self._memo[1]
+    def _values(self, betas: np.ndarray):
+        return _block_values(self.t, self._log_sums(betas)[1], betas)
 
     @scalar_or_array
     def eta1(self, betas):
-        _, s = self._log_sums(betas)
-        logt = math.log(self.t)
-        return np.exp(np.logaddexp(0.0, betas * logt) + s[0] - s[3])
+        return self._values(betas)[0]
 
     @scalar_or_array
     def eta2(self, betas):
-        _, s = self._log_sums(betas)
-        logt = math.log(self.t)
-        return np.exp(np.logaddexp(0.0, betas * logt) - betas * logt
-                      + s[1] - s[3])
+        return self._values(betas)[1]
 
     def zeta(self, beta):
         return self.eta1(beta) - self.eta2(beta)
@@ -465,11 +454,7 @@ class PartitionedBlockSystem:
     @scalar_or_array
     def factor(self, betas):
         """The realizable factor 1 + P_t(beta) * zeta(beta) = integral H^beta dmu_beta."""
-        _, s = self._log_sums(betas)
-        logt = math.log(self.t)
-        num = logsumexp(np.stack([betas * logt + s[0], -betas * logt + s[1], s[2]]),
-                        axis=0)
-        return np.exp(num - s[3])
+        return self._values(betas)[2]
 
     def identity_residual(self, beta) -> float:
         """Max residual of the two defining identities over the given grid:
@@ -614,7 +599,8 @@ def _fit_half(fvals: np.ndarray, betas: np.ndarray, eps_fit: float,
 
 
 def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float,
-                  bases: Dict[tuple, tuple]) -> PartitionedBlockSystem:
+                  bases: Dict[tuple, tuple]
+                  ) -> Tuple[PartitionedBlockSystem, np.ndarray, np.ndarray]:
     """Realize a function bounded by 1/2 with vanishing tails, given by its
     values fvals on the symmetric grid betas, as eta_1 - eta_2 encoded in a
     partitioned finite probability block.
@@ -628,16 +614,20 @@ def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float
 
     epsilon is the target the fits aim at, not a gate: the block is returned
     with achieved_error = max |zeta - fvals| on the grid, whatever that is,
-    and the caller decides whether to keep it.  It raises only when there is
-    no block to return: invalid input, a half-fit with no candidate
-    (`FitFailureError`) or no admissible rebalancing (`RealizationError`).
+    and the caller decides whether to keep it, together with zeta and the
+    factor 1 + P_t zeta on betas, formed from the power sums the fits took
+    there.  It raises only when there is no block to return: invalid t or
+    epsilon, a half-fit with no candidate (`FitFailureError`), or values
+    with no headroom below 1/2 or no admissible rebalancing
+    (`RealizationError`).
     """
     if not t > 1.0:
         raise InvalidInputError("t must exceed 1")
     if epsilon <= 0.0:
         raise InvalidInputError("epsilon must be positive")
-    if float(np.max(np.abs(fvals))) > 0.5 + 1e-9:
-        raise InvalidInputError("f must be bounded by 1/2")
+    sup = float(np.max(np.abs(fvals)))
+    if sup > 0.5 + 1e-9:
+        raise RealizationError(f"sup |f| = {sup!r} exceeds 1/2")
 
     eps_fit = epsilon / 4.0
     eps_slack = epsilon / 8.0
@@ -653,7 +643,8 @@ def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float
     else:
         headroom = 0.5 - max(0.01, eps_fit / 4.0)
         if m_max >= headroom:
-            raise InvalidInputError("f leaves no headroom below 1/2 for the fit")
+            raise RealizationError(f"sup |f| = {sup!r} leaves no headroom "
+                                   "below 1/2 for the fit")
         s = min(0.5, 8.0 * m_max, math.sqrt(4.0 * headroom * (headroom - m_max)))
         root = np.sqrt(ft * ft + s * s)
         fp = (root + ft) / 2.0
@@ -665,9 +656,13 @@ def realize_block(fvals: np.ndarray, betas: np.ndarray, t: float, epsilon: float
     k1, t1 = _rebalance(a_set, b_set, np.logaddexp(LN2 + la, lb), eps_slack)
     k2, t2 = _rebalance(c_set, d_set, np.logaddexp(LN2 + lc, ld), eps_slack)
 
-    system = PartitionedBlockSystem(t=t, fractions=(a_set, b_set, c_set, d_set),
-                                    scales=(k1, t1, k2, t2), achieved_error=0.0)
-    # the fits have evaluated every fraction on betas: the block reuses them
-    system._keep_sums(betas, (la, lb, lc, ld))
-    system.achieved_error = float(np.max(np.abs(system.zeta(betas) - fvals)))
-    return system
+    # the fits have evaluated every fraction on betas: the grid values of
+    # the block are formed from those sums
+    scales = (k1, t1, k2, t2)
+    eta1, eta2, factor = _block_values(
+        t, _part_log_sums(t, scales, (la, lb, lc, ld), betas), betas)
+    zeta = eta1 - eta2
+    system = PartitionedBlockSystem(
+        t=t, fractions=(a_set, b_set, c_set, d_set), scales=scales,
+        achieved_error=float(np.max(np.abs(zeta - fvals))))
+    return system, zeta, factor

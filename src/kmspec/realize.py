@@ -82,29 +82,30 @@ def eval_phi(cocycle: RealizableCocycle, betas):
     return out
 
 
-def build_realizable(zeta: Callable, a: float, stages: int,
-                     r_max: float = 20.0,
-                     grid_n: int = 10001) -> RealizableCocycle:
-    """Realize phi = 1 + P_1 zeta by a staged block product.
+def build_realizable(zeta: np.ndarray, betas: np.ndarray, a: float,
+                     stages: int) -> RealizableCocycle:
+    """Realize phi = 1 + P_1 zeta by a staged block product, from the values
+    of zeta on the symmetric build grid betas.
 
     Stage k fits the running residual (phi - psi_{k-1})/(psi_{k-1} P_k) once,
     at the tolerance eps_k = min{(4 C_k)^{-1}, 2^{-k}}, with a block of order
     2^n at the base a_k = 1 + (a-1)/k^2, and keeps the block when its
-    achieved sup error on the build grid is at most 4 eps_k; otherwise it
-    raises `RealizationError` naming the stage.  The residual is kept as
-    values on the build grid and follows the stable recursion
-    res_{k+1} = (P_k/P_{k+1}) (res_k - zeta_k)/(1+P_k zeta_k), which has no
+    achieved sup error on the build grid is at most 4 eps_k; otherwise, or
+    when the residual leaves the fit no headroom below 1/2, it raises
+    `RealizationError` naming the stage.  The residual is kept as values on
+    the build grid and follows the stable recursion
+    res_{k+1} = (P_k/P_{k+1}) (res_k - zeta_k)/(1+P_k zeta_k), with zeta_k
+    and 1 + P_k zeta_k the grid values `realize_block` returns; it has no
     singularity at beta = 0.  The sup of |phi - psi_K| on the grid is
     returned as `certified_error` for the caller to judge against `budget`.
     """
     if stages < 1:
         raise InvalidInputError("stages must be >= 1")
-    betas = np.linspace(-r_max, r_max, grid_n)
-    res = np.asarray(zeta(betas), dtype=float)
     # mobius_eval rejects a base a <= 1
-    phi_vals = 1.0 + mobius_eval(a, betas) * res
+    phi_vals = 1.0 + mobius_eval(a, betas) * zeta
     schedule = default_schedule(a, stages)
 
+    res = zeta
     stage_blocks = []
     psi_vals = np.ones_like(betas)
     # fit bases and their design matrices, shared by every stage of this
@@ -115,7 +116,8 @@ def build_realizable(zeta: Callable, a: float, stages: int,
         c_k = ratio_bound(a_k, schedule[k])
         eps_k = min(1.0 / (4.0 * c_k), 2.0 ** (-k))
         try:
-            system = realize_block(res, betas, t=a_k, epsilon=eps_k, bases=bases)
+            system, zeta_k, factor_k = realize_block(res, betas, t=a_k,
+                                                     epsilon=eps_k, bases=bases)
         except (FitFailureError, RealizationError) as exc:
             raise RealizationError(f"stage {k} failed: {exc}") from exc
         # the fit is limited by the basis resolution, not by its target, so a
@@ -128,13 +130,12 @@ def build_realizable(zeta: Callable, a: float, stages: int,
                 f"exceeds 4 eps_k = {4.0 * eps_k}")
         # 1 + P zeta lies in (1/2, 3/2): |P| < 1 and zeta = eta_1 - eta_2
         # with each eta in (0, 1/2)
-        factor_vals = system.factor(betas)
-        psi_vals = psi_vals * factor_vals
+        psi_vals = psi_vals * factor_k
         if float(np.max(np.abs(psi_vals))) > 2.0 + 1e-9:
             raise RealizationError(f"stage {k}: |psi| exceeds 2")
         stage_blocks.append(system)
         res = (tanh_ratio(math.log(a_k), math.log(schedule[k]), betas)
-               * (res - system.zeta(betas)) / factor_vals)
+               * (res - zeta_k) / factor_k)
 
     return RealizableCocycle(stages=tuple(stage_blocks),
                              certified_error=float(np.max(np.abs(phi_vals - psi_vals))))
@@ -165,6 +166,9 @@ class FractionPair:
     c: float
     phi1: Callable
     phi2: Callable
+    # phi_1 and phi_2 on the grid of fraction_pair, read-only
+    phi1_grid: np.ndarray
+    phi2_grid: np.ndarray
     q_max: float    # max |Q_i| on the grid points with |beta| >= d(0, K)
     # min |Q_i| on the grid points beta != 0, nan where some Q_i is not finite
     q_min: float
@@ -247,16 +251,8 @@ def fraction_pair(K, k: int, Lambda0_order: int,
                               for c in cols)
         return logsumexp(log_base * betas + log_coef, axis=0)
 
-    memo = {}  # the parts of the latest beta array, keyed on its exact bits
-
     def _parts(betas):
-        """phi_i and the q_i they are built from, on a finite float array,
-        computed once per array; -0.0 and 0.0 are different keys, and the
-        arrays are read-only, so no caller can change what a later call is
-        served."""
-        key = (betas.shape, betas.tobytes())
-        if memo.get("key") == key:
-            return memo["parts"]
+        """phi_i and the q_i they are built from, on a finite float array."""
         log_block = _lse(betas, block_sum)
         log_k = _lse(betas, k_sum)
         num = _lse(betas, q_numer)
@@ -272,13 +268,9 @@ def fraction_pair(K, k: int, Lambda0_order: int,
             q2 = np.where(at_zero, np.inf, np.exp(num - den) * coth)
         zeta1 = np.where(at_zero, 0.0, clamp_f(q1) * bump)
         zeta2 = np.where(at_zero, 0.0, clamp_f(q2) * bump)
-        parts = {"q1": q1, "q2": q2,
-                 "phi1": np.exp(log_block - log_k) * (1.0 + th * zeta1),
-                 "phi2": np.exp(log_k - log_block) * (1.0 + th * zeta2)}
-        for arr in parts.values():
-            arr.flags.writeable = False
-        memo.update(key=key, parts=parts)
-        return parts
+        return {"q1": q1, "q2": q2,
+                "phi1": np.exp(log_block - log_k) * (1.0 + th * zeta1),
+                "phi2": np.exp(log_k - log_block) * (1.0 + th * zeta2)}
 
     def evaluator(name):
         def part(betas):
@@ -286,10 +278,12 @@ def fraction_pair(K, k: int, Lambda0_order: int,
         part.__name__ = part.__qualname__ = name
         return scalar_or_array(part)
 
-    # the q_i are measured on the grid, which the memo then keeps for the
-    # caller's samples, and judged by the caller
+    # the q_i are measured on the grid and judged by the caller, who also
+    # reads the phi_i there
     betas = np.linspace(-r_max, r_max, grid_n)
     on_grid = _parts(betas)
+    for name in ("phi1", "phi2"):
+        on_grid[name].flags.writeable = False
     q_off = np.abs([on_grid[n][np.abs(betas) >= delta] for n in ("q1", "q2")])
     q_max = float(np.max(q_off, initial=0.0))    # 0.0 when no point is off
     # the level sets are K only where Q_i is finite and nonzero
@@ -297,4 +291,5 @@ def fraction_pair(K, k: int, Lambda0_order: int,
     q_min = float(np.min(np.where(np.isfinite(q_on), np.abs(q_on), np.nan)))
     return FractionPair(k=k, block_order=Lambda0_order, a=a, b=b, c=c,
                         q_max=q_max, q_min=q_min,
-                        phi1=evaluator("phi1"), phi2=evaluator("phi2"))
+                        phi1=evaluator("phi1"), phi2=evaluator("phi2"),
+                        phi1_grid=on_grid["phi1"], phi2_grid=on_grid["phi2"])

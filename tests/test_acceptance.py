@@ -110,12 +110,11 @@ def test_free_product_spectrum_recovery():
 def test_staged_convergence_four_stages():
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
 
-    def zeta(beta):
-        b = np.asarray(beta, dtype=float)
-        vals = np.asarray(K.distance(b), dtype=float) / (2.0 * (1.0 + b * b))
-        return float(vals[0]) if np.asarray(beta).ndim == 0 else vals
+    def zeta(b):
+        return np.asarray(K.distance(b), dtype=float) / (2.0 * (1.0 + b * b))
 
-    cocycle = build_realizable(zeta, a=3.0, stages=4, r_max=20.0, grid_n=10001)
+    build_grid = np.linspace(-20.0, 20.0, 10001)
+    cocycle = build_realizable(zeta(build_grid), build_grid, a=3.0, stages=4)
     betas = np.linspace(-20.0, 20.0, 10000)
     target = 1.0 + mobius_eval(3.0, betas) * zeta(betas)
     err = float(np.max(np.abs(eval_phi(cocycle, betas) - target)))

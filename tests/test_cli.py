@@ -282,22 +282,27 @@ def test_wreath_config_without_t_is_a_config_error(tmp_path, capsys):
 
 def test_free_product_set_beyond_the_range(tmp_path, capsys):
     # d(0, K) = 15 exceeds the range 10: no grid point has |beta| >= delta,
-    # so the clamp certificate holds vacuously and nothing is reported
+    # so the clamp certificate would cover nothing, and the config is
+    # rejected before any run
     cfg = dict(FREE_CFG, K={"points": ["15"]})
     out = tmp_path / "out"
     assert main(["build-spectrum", "--config", write_cfg(tmp_path, cfg),
-                 "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["isolated_roots"] == report["flat_intervals"] == []
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'range'" in err and "d(0, K) = 15.0" in err
+    assert not out.exists()
+    # a range that reaches d(0, K) puts its ends on the certificate
+    assert main(["build-spectrum", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out), "--range", "15"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     q_cert, = (c for c in manifest["certificates"]
                if c["name"] == "q-bounded-off-delta")
-    assert q_cert["passed"] and q_cert["value"] == "0.0"
+    assert q_cert["passed"] and q_cert["value"] != "0.0"
 
 
 def test_free_product_run_measures_its_grid_once(monkeypatch):
-    # the pair's closing check leaves the grid in its memo, and the samples
-    # and the solver are served from there
+    # the pair evaluates its grid once and returns phi_1 and phi_2 there,
+    # which the samples read; the solver evaluates only at reported points
     sizes = []
     original = ClosedSetSpec.distance
 

@@ -8,7 +8,7 @@ from scipy.optimize import nnls
 
 from kmspec import expratio as ke
 from kmspec._arrays import logsumexp
-from kmspec.errors import FitFailureError, InvalidInputError
+from kmspec.errors import FitFailureError, InvalidInputError, RealizationError
 from kmspec.expratio import (_FIT_CONFIGS, TranslatedKernelBasis,
                              WeightedMultiset, _admissible_configs,
                              realize_block)
@@ -84,15 +84,22 @@ def _bump(beta):
     return np.tanh(b * math.log(3.0) / 2.0) * d / (2.0 * (1.0 + b * b))
 
 
+def _block_order(system):
+    """|F| = (2A' + B')(2C' + D'), from the fitted totals and the scales."""
+    a, b, c, d = (m.total() for m in system.fractions)
+    k1, t1, k2, t2 = system.scales
+    return (k1 * (4 * a + 2 * b) + t1) * (k2 * (4 * c + 2 * d) + t2)
+
+
 def test_realize_block_bump_target():
     grid = np.linspace(-20.0, 20.0, 4001)
-    system = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
+    system, _, _ = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
     assert float(np.max(np.abs(system.zeta(grid) - _bump(grid)))) <= 2e-2
     assert system.identity_residual(grid) <= 1e-10
     # the factor 1 + P_1 zeta equals 1 exactly at beta = 0
     assert abs(float(system.factor(0.0)) - 1.0) < 1e-14
     # every block has order 2^n
-    assert bin(system.size).count("1") == 1
+    assert bin(_block_order(system)).count("1") == 1
 
 
 def test_realize_block_returns_what_it_measured():
@@ -100,15 +107,19 @@ def test_realize_block_returns_what_it_measured():
     # comes back with its achieved error measured on the grid
     grid = np.linspace(-20.0, 20.0, 501)
     target = _bump(grid)
-    system = realize_block(target, grid, t=3.0, epsilon=1e-4, bases={})
+    system, zeta, factor = realize_block(target, grid, t=3.0, epsilon=1e-4,
+                                         bases={})
     assert system.achieved_error > 1e-4
-    assert system.achieved_error == float(np.max(np.abs(system.zeta(grid) - target)))
+    assert system.achieved_error == float(np.max(np.abs(zeta - target)))
     assert system.identity_residual(grid) <= 1e-10
+    # the grid values it returns are the block's own, to the bit
+    assert np.array_equal(zeta, system.zeta(grid))
+    assert np.array_equal(factor, system.factor(grid))
 
 
 def test_realize_block_evaluates_each_fitted_multiset_once(monkeypatch):
     # each fit candidate's A and B go through one kernel call on the build
-    # grid, and the block takes the chosen pairs' sums over from the fits
+    # grid, and the block's grid values come from the chosen pairs' sums
     calls = []
     original = ke._multiset_log_power_sums
 
@@ -118,14 +129,12 @@ def test_realize_block_evaluates_each_fitted_multiset_once(monkeypatch):
 
     monkeypatch.setattr(ke, "_multiset_log_power_sums", counting)
     grid = np.linspace(-20.0, 20.0, 501)
-    system = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
-    system.zeta(grid)
-    system.factor(grid)
+    system, _, _ = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
     assert calls and all(len(ms) == 2 and betas is grid for ms, betas in calls)
     evaluated = [m for ms, _ in calls for m in ms]
     assert len({id(m) for m in evaluated}) == len(evaluated)
     assert [sum(m is f for m in evaluated) for f in system.fractions] == [1] * 4
-    # on another grid, the block's four sums come from one call
+    # a later evaluation takes the block's four sums from one call
     system.factor(grid[::2])
     assert len(calls) == len(evaluated) // 2 + 1
     assert calls[-1][0] == system.fractions
@@ -171,11 +180,11 @@ def test_factored_parts_match_materialized_products():
     # term as exact multisets, are the reference for the part sums the block
     # evaluates from the power sums of its four fitted fractions
     grid = np.linspace(-20.0, 20.0, 501)
-    system = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
+    system, _, _ = realize_block(_bump(grid), grid, t=3.0, epsilon=2e-2, bases={})
     parts = _materialized_parts(system)
     assert any(system.scales[1::2])   # a rebalancing tail is covered
-    assert tuple(sum(p.values()) for p in parts) == system.part_totals()
-    assert system.size == sum(sum(p.values()) for p in parts)
+    # the three parts partition F
+    assert sum(sum(p.values()) for p in parts) == _block_order(system)
     want = [_brute_log_power_sum(p, system.t, grid) for p in parts]
     want.append(logsumexp(np.stack(want), axis=0))
     _, got = system._log_sums(grid)
@@ -288,10 +297,21 @@ def test_normal_equations_failure_after_an_iterate_keeps_it(monkeypatch):
     assert len(calls) == 2
 
 
+def test_realize_block_names_the_sup_of_a_target_above_one_half():
+    # a target with no headroom below 1/2 has no block, and the error says
+    # how far it reaches
+    grid = np.linspace(-20.0, 20.0, 201)
+    with pytest.raises(RealizationError, match=r"^sup \|f\| = 0\.6 exceeds 1/2$"):
+        realize_block(np.full_like(grid, 0.6), grid, t=3.0, epsilon=2e-2, bases={})
+    with pytest.raises(RealizationError, match="leaves no headroom below 1/2"):
+        realize_block(np.full_like(grid, 0.495), grid, t=3.0, epsilon=2e-2,
+                      bases={})
+
+
 def test_realize_block_zero_target():
     betas = np.linspace(-20.0, 20.0, 2001)
-    system = realize_block(np.zeros_like(betas), betas, t=2.0, epsilon=1e-2,
-                           bases={})
+    system, _, _ = realize_block(np.zeros_like(betas), betas, t=2.0,
+                                 epsilon=1e-2, bases={})
     grid = np.linspace(-20.0, 20.0, 801)
     assert float(np.max(np.abs(system.zeta(grid)))) <= 1e-2
     assert system.identity_residual(grid) <= 1e-10

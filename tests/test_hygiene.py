@@ -1,12 +1,12 @@
 """Static checks on the library source, by ast (no linter is assumed).
 
 Every module, and every test module, imports only names it uses, every
-module the library imports, inside a function or not, is the standard
-library, kmspec or a dependency declared in pyproject.toml, every function,
-class and method it defines is named somewhere in the library or the
-benchmark besides its
-definition (a test or a re-export in kmspec/__init__.py does not count, so
-code that only tests reach is reported), every parameter
+module the library or a test imports, inside a function or not, is the
+standard library, kmspec or a dependency declared in pyproject.toml (a
+test may also import the `test` extra), every function, class and method
+the library defines is named somewhere in the library or the benchmark
+besides its definition (a test or a re-export in kmspec/__init__.py does
+not count, so code that only tests reach is reported), every parameter
 with a default is set by some call (test_every_default_parameter_is_set),
 every dataclass field and instance attribute is read somewhere in the
 library or the benchmark (test_every_field_is_read; a read in a test does
@@ -24,7 +24,6 @@ import ast
 import importlib.util
 import re
 import sys
-import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -97,19 +96,31 @@ def _top_level_imports(tree):
             yield module.split(".")[0], node.lineno
 
 
+def _declared(table: str, key: str) -> set:
+    """Import names of the requirements listed as `key = [...]` in a table of
+    pyproject.toml.  The array holds plain double-quoted strings, so
+    ast.literal_eval reads it, on Python 3.10 too, which has no tomllib."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split(f"\n[{table}]\n", 1)[1].split("\n[", 1)[0]
+    array = re.search(rf"^{key} = (\[.*?\])", section, re.M | re.S).group(1)
+    return {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+            for dep in ast.literal_eval(array)}
+
+
 def test_every_import_is_a_declared_dependency():
     # a module imported inside a function is still one the package needs:
-    # it must be the standard library, kmspec or a declared dependency
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
-                for dep in project["dependencies"]}
-    allowed = set(sys.stdlib_module_names) | {"kmspec"} | declared
+    # it must be the standard library, kmspec or a declared dependency, and
+    # a test module may also import the test extra
+    library = (set(sys.stdlib_module_names) | {"kmspec"}
+               | _declared("project", "dependencies"))
+    tests = library | _declared("project.optional-dependencies", "test")
     undeclared = [f"{path.name}:{line} {module}"
-                  for path in sorted(SRC.glob("*.py"))
+                  for paths, allowed in ((SRC.glob("*.py"), library), (TESTS, tests))
+                  for path in sorted(paths)
                   for module, line in _top_level_imports(ast.parse(path.read_text()))
                   if module not in allowed]
-    assert not undeclared, ("imports missing from [project].dependencies: "
-                            f"{', '.join(undeclared)}")
+    assert not undeclared, ("imports missing from [project].dependencies or "
+                            f"the test extra: {', '.join(undeclared)}")
 
 
 def _definitions(tree):
@@ -386,14 +397,12 @@ def test_each_build_makes_its_own_bases(monkeypatch):
 
     monkeypatch.setattr(ke.TranslatedKernelBasis, "__init__", counting)
 
-    def zeta(beta):
-        b = np.asarray(beta, dtype=float)
-        return np.maximum(np.abs(b) - 1.0, 0.0) / (2.0 * (1.0 + b * b))
-
+    betas = np.linspace(-20.0, 20.0, 201)
+    zeta = np.maximum(np.abs(betas) - 1.0, 0.0) / (2.0 * (1.0 + betas * betas))
     counts = []
     for _ in range(2):
         before = len(inits)
-        build_realizable(zeta, a=3.0, stages=2, r_max=20.0, grid_n=201)
+        build_realizable(zeta, betas, a=3.0, stages=2)
         counts.append(len(inits) - before)
     assert counts[0] == counts[1] > 0
 

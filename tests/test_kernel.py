@@ -323,8 +323,9 @@ def _factor_by_hand(betas: np.ndarray) -> np.ndarray:
     return (2.0 ** betas * s0 + 2.0 ** -betas * s1 + s2) / (s0 + s1 + s2)
 
 
-def test_part_sums_computed_once_per_grid(monkeypatch):
-    # one kernel call per grid, with a row for each of the four fractions
+def test_part_sums_take_one_kernel_call_per_evaluation(monkeypatch):
+    # a block keeps no grid: each evaluation makes one kernel call, with a
+    # row for each of the four fractions, and zeta is eta_1 - eta_2
     system = _small_system()
     calls = []
     original = ke._log_power_sums
@@ -335,12 +336,13 @@ def test_part_sums_computed_once_per_grid(monkeypatch):
 
     monkeypatch.setattr(ke, "_log_power_sums", counting)
     grid = np.linspace(-4.0, 4.0, 33)
-    system.zeta(grid)
     system.factor(grid)
-    system.factor(grid.copy())
     assert calls == [4]
-    system.factor(grid[:-1])
-    assert calls == [4, 4]
+    system.factor(grid)
+    system.identity_residual(grid)
+    assert calls == [4] * 3
+    system.zeta(grid)
+    assert calls == [4] * 5
 
 
 def test_part_sums_fresh_after_grid_mutated_in_place():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,22 +63,20 @@ def test_clamp_properties():
     assert abs(clamp_f(-0.75) + 0.25) < 1e-15
 
 
-def zeta_from_interval(K):
-    def zeta(beta):
-        b = np.asarray(beta, dtype=float)
-        vals = np.asarray(K.distance(b), dtype=float) / (2.0 * (1.0 + b * b))
-        return float(vals[0]) if np.asarray(beta).ndim == 0 else vals
-    return zeta
+def zeta_on_grid(K, grid_n=4001):
+    """The wreath target zeta = d(beta, K) / (2 (1 + beta^2)) on the build
+    grid of grid_n points over [-20, 20], and that grid."""
+    betas = np.linspace(-20.0, 20.0, grid_n)
+    return np.asarray(K.distance(betas)) / (2.0 * (1.0 + betas * betas)), betas
 
 
 def test_build_realizable_two_stages():
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
-    cocycle = build_realizable(zeta_from_interval(K), a=3.0, stages=2,
-                               r_max=20.0, grid_n=4001)
+    cocycle = build_realizable(*zeta_on_grid(K), a=3.0, stages=2)
     assert cocycle.certified_error <= 0.5
     assert max(s.identity_residual(GRID) for s in cocycle.stages) <= 1e-10
     phi = eval_phi(cocycle, GRID)
-    target = 1.0 + mobius_eval(3.0, GRID) * zeta_from_interval(K)(GRID)
+    target = 1.0 + mobius_eval(3.0, GRID) * zeta_on_grid(K)[0]
     assert float(np.max(np.abs(phi - target))) <= cocycle.certified_error + 1e-12
     assert abs(eval_phi(cocycle, 0.0) - 1.0) < 1e-12
 
@@ -85,9 +84,31 @@ def test_build_realizable_two_stages():
 def test_build_realizable_guards():
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
     with pytest.raises(InvalidInputError):
-        build_realizable(zeta_from_interval(K), a=1.0, stages=2)
+        build_realizable(*zeta_on_grid(K), a=1.0, stages=2)
     with pytest.raises(InvalidInputError):
-        build_realizable(zeta_from_interval(K), a=2.0, stages=0)
+        build_realizable(*zeta_on_grid(K), a=2.0, stages=0)
+
+
+def test_build_realizable_names_a_stage_without_headroom(monkeypatch):
+    # K = {0}, t = 2 on a 101-point grid: the third stage's residual leaves
+    # the fit no headroom below 1/2, and the build says which stage and the
+    # residual's sup, as for any other stage failure
+    K = ClosedSetSpec(points=(0.0,))
+    seen = []
+    real = kr.realize_block
+
+    def recorded(res, *args, **kwargs):
+        seen.append(float(np.max(np.abs(res))))
+        return real(res, *args, **kwargs)
+
+    monkeypatch.setattr(kr, "realize_block", recorded)
+    with pytest.raises(RealizationError) as info:
+        build_realizable(*zeta_on_grid(K, 101), a=2.0, stages=3)
+    assert len(seen) == 3
+    message = str(info.value)
+    assert message.startswith("stage 3 failed: sup |f| = ")
+    assert repr(seen[-1]) in message
+    assert isinstance(info.value.__cause__, RealizationError)
 
 
 def test_build_realizable_propagates_programming_errors(monkeypatch):
@@ -102,7 +123,7 @@ def test_build_realizable_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(kr, "realize_block", broken)
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
     with pytest.raises(ZeroDivisionError):
-        build_realizable(zeta_from_interval(K), a=3.0, stages=1, grid_n=101)
+        build_realizable(*zeta_on_grid(K, 101), a=3.0, stages=1)
     assert len(calls) == 1
 
 
@@ -126,11 +147,10 @@ def test_build_realizable_fits_each_stage_once(monkeypatch):
 
     monkeypatch.setattr(kr, "realize_block", counted)
     K = ClosedSetSpec(intervals=((1.0, 2.0),), points=(0.0,))
-    cocycle = build_realizable(zeta_from_interval(K), a=2.0, stages=2,
-                               r_max=20.0, grid_n=501)
+    cocycle = build_realizable(*zeta_on_grid(K, 501), a=2.0, stages=2)
     eps = _stage_tolerances(2.0, 2)
     assert calls == eps
-    assert blocks == list(cocycle.stages)
+    assert [block for block, _, _ in blocks] == list(cocycle.stages)
     first = cocycle.stages[0]
     assert eps[0] < first.achieved_error <= 4.0 * eps[0]
     assert cocycle.certified_error <= cocycle.budget
@@ -140,15 +160,16 @@ def test_build_realizable_rejects_a_stage_beyond_four_eps(monkeypatch):
     real = kr.realize_block
 
     def loose(*args, **kwargs):
-        system = real(*args, **kwargs)
-        system.achieved_error = 4.0 * kwargs["epsilon"] * (1.0 + 1e-6)
-        return system
+        system, zeta, factor = real(*args, **kwargs)
+        return (dataclasses.replace(
+            system, achieved_error=4.0 * kwargs["epsilon"] * (1.0 + 1e-6)),
+            zeta, factor)
 
     monkeypatch.setattr(kr, "realize_block", loose)
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
     eps_1 = _stage_tolerances(3.0, 2)[0]
     with pytest.raises(RealizationError) as info:
-        build_realizable(zeta_from_interval(K), a=3.0, stages=2, grid_n=401)
+        build_realizable(*zeta_on_grid(K, 401), a=3.0, stages=2)
     message = str(info.value)
     assert message.startswith("stage 1 failed: achieved error")
     assert f"4 eps_k = {4.0 * eps_1}" in message
@@ -165,7 +186,7 @@ def test_build_realizable_reports_a_fit_failure_after_one_call(monkeypatch):
     monkeypatch.setattr(kr, "realize_block", failing)
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
     with pytest.raises(RealizationError) as info:
-        build_realizable(zeta_from_interval(K), a=3.0, stages=2, grid_n=101)
+        build_realizable(*zeta_on_grid(K, 101), a=3.0, stages=2)
     assert str(info.value) == "stage 1 failed: half-fit produced no candidate"
     assert info.value.__cause__ is failure
     assert len(calls) == 1
@@ -179,8 +200,7 @@ def test_build_realizable_never_builds_multiset_products(monkeypatch):
 
     monkeypatch.setattr(WeightedMultiset, "product", staticmethod(refuse))
     K = ClosedSetSpec(intervals=((-1.0, 1.0),))
-    cocycle = build_realizable(zeta_from_interval(K), a=3.0, stages=2,
-                               r_max=20.0, grid_n=401)
+    cocycle = build_realizable(*zeta_on_grid(K, 401), a=3.0, stages=2)
     assert len(cocycle.stages) == 2
     assert max(s.identity_residual(GRID) for s in cocycle.stages) <= 1e-10
 
@@ -248,9 +268,9 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def test_fraction_pair_memo_serves_what_a_fresh_pair_computes():
-    # the evaluators share one computation per beta array; whatever was
-    # asked before, each must give the value a fresh pair gives
+def test_fraction_pair_evaluators_do_not_depend_on_earlier_calls():
+    # whatever was asked before, each evaluator gives the value a fresh pair
+    # gives
     K = ClosedSetSpec(intervals=((1.0, 2.0), (-4.0, -3.5)), points=(-1.25,))
 
     def fresh():
@@ -279,15 +299,16 @@ def test_fraction_pair_memo_serves_what_a_fresh_pair_computes():
 
 
 def test_fraction_pair_arrays_are_read_only():
+    # the grid values a pair returns are its own: no caller can change what
+    # another reads, and a fresh evaluation gives the same bits
     pair = fraction_pair(ClosedSetSpec(points=(-1.0, 2.0)), k=2,
-                         Lambda0_order=4, r_max=10.0)
-    betas = np.linspace(-5.0, 5.0, 11)
+                         Lambda0_order=4, r_max=10.0, grid_n=11)
+    betas = np.linspace(-10.0, 10.0, 11)
     for name in EVALUATORS:
+        values = getattr(pair, f"{name}_grid")
         with pytest.raises(ValueError):
-            getattr(pair, name)(betas)[0] = 1.0
-    assert _bits(pair.phi1(betas)) == _bits(fraction_pair(
-        ClosedSetSpec(points=(-1.0, 2.0)), k=2, Lambda0_order=4,
-        r_max=10.0).phi1(betas))
+            values[0] = 1.0
+        assert _bits(values) == _bits(getattr(pair, name)(betas))
 
 
 def test_fraction_pair_rejects_zero_in_K():
